@@ -38,7 +38,10 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/dependence.h"
@@ -121,6 +124,29 @@ usage(std::ostream &os)
         "  --version         print the build version and exit\n";
 }
 
+/**
+ * Parse a numeric flag value into @p out as one whole token that fits
+ * its type: trailing junk is rejected (as the protocol's integers
+ * are), and so is a negative count, instead of wrapping.  Throws
+ * std::logic_error, which the flag loop reports as a bad value.
+ */
+template <typename T>
+void
+parseNumber(T &out, const std::string &tok)
+{
+    size_t used = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+        out = std::stod(tok, &used);
+    } else {
+        long long v = std::stoll(tok, &used);
+        if (!std::in_range<T>(v))
+            throw std::out_of_range(tok);
+        out = static_cast<T>(v);
+    }
+    if (used != tok.size())
+        throw std::invalid_argument(tok);
+}
+
 /** Statement-0 stencil + nest bounds, as protocol request objects. */
 std::vector<Request>
 requestsFromNest(const LoopNest &nest, size_t &next_index,
@@ -172,6 +198,9 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
+        auto number = [&](auto &out) {
+            parseNumber(out, next_arg(i, a.c_str()));
+        };
         try {
             if (a == "--help" || a == "-h") {
                 usage(std::cout);
@@ -186,36 +215,27 @@ main(int argc, char **argv)
             } else if (a == "--nest") {
                 nest_paths.push_back(next_arg(i, "--nest"));
             } else if (a == "--threads") {
-                threads = static_cast<unsigned>(
-                    std::stoul(next_arg(i, "--threads")));
+                number(threads);
             } else if (a == "--cache-bytes") {
-                options.cache_bytes =
-                    std::stoull(next_arg(i, "--cache-bytes"));
+                number(options.cache_bytes);
             } else if (a == "--cache-shards") {
-                options.cache_shards =
-                    std::stoull(next_arg(i, "--cache-shards"));
+                number(options.cache_shards);
             } else if (a == "--no-cache") {
                 options.cache_bytes = 0;
             } else if (a == "--max-visits") {
-                options.max_visits =
-                    std::stoull(next_arg(i, "--max-visits"));
+                number(options.max_visits);
             } else if (a == "--store") {
                 options.store_path = next_arg(i, "--store");
             } else if (a == "--shed-high") {
-                admission_options.high_water =
-                    std::stoll(next_arg(i, "--shed-high"));
+                number(admission_options.high_water);
             } else if (a == "--shed-low") {
-                admission_options.low_water =
-                    std::stoll(next_arg(i, "--shed-low"));
+                number(admission_options.low_water);
             } else if (a == "--request-deadline-ms") {
-                request_deadline_ms =
-                    std::stoll(next_arg(i, "--request-deadline-ms"));
+                number(request_deadline_ms);
             } else if (a == "--store-compact-every") {
-                options.store_compact_every =
-                    std::stoull(next_arg(i, "--store-compact-every"));
+                number(options.store_compact_every);
             } else if (a == "--admin-port") {
-                admin_port =
-                    std::stoll(next_arg(i, "--admin-port"));
+                number(admin_port);
                 if (admin_port < 0 || admin_port > 65535) {
                     std::cerr << "uovd: --admin-port must be in "
                                  "[0, 65535]\n";
@@ -226,31 +246,23 @@ main(int argc, char **argv)
             } else if (a == "--admin-hold") {
                 admin_hold = true;
             } else if (a == "--flight-size") {
-                flight_size =
-                    std::stoull(next_arg(i, "--flight-size"));
+                number(flight_size);
             } else if (a == "--trace-ids") {
                 trace_ids = true;
             } else if (a == "--slo-window-s") {
-                slo_options.window_s =
-                    std::stoll(next_arg(i, "--slo-window-s"));
+                number(slo_options.window_s);
             } else if (a == "--slo-p50-us") {
-                slo_options.p50_us =
-                    std::stoll(next_arg(i, "--slo-p50-us"));
+                number(slo_options.p50_us);
             } else if (a == "--slo-p99-us") {
-                slo_options.p99_us =
-                    std::stoll(next_arg(i, "--slo-p99-us"));
+                number(slo_options.p99_us);
             } else if (a == "--slo-p999-us") {
-                slo_options.p999_us =
-                    std::stoll(next_arg(i, "--slo-p999-us"));
+                number(slo_options.p999_us);
             } else if (a == "--slo-max-degraded") {
-                slo_options.max_degraded =
-                    std::stod(next_arg(i, "--slo-max-degraded"));
+                number(slo_options.max_degraded);
             } else if (a == "--slo-max-shed") {
-                slo_options.max_shed =
-                    std::stod(next_arg(i, "--slo-max-shed"));
+                number(slo_options.max_shed);
             } else if (a == "--slo-max-error") {
-                slo_options.max_error =
-                    std::stod(next_arg(i, "--slo-max-error"));
+                number(slo_options.max_error);
             } else if (a == "--log-json") {
                 Logger::instance().setJsonMode(true);
             } else if (a == "--log-level") {
@@ -362,7 +374,6 @@ main(int argc, char **argv)
         plane.flight = flight.get();
         plane.slo = slo.get();
         plane.trace_ids = trace_ids;
-        plane.log_outcomes = true;
     }
     if (admin_port >= 0) {
         telemetry::AdminHooks hooks;

@@ -1,7 +1,5 @@
 #include "fuzz/workload.h"
 
-#include <sstream>
-
 #include "fuzz/oracles.h"
 #include "support/rng.h"
 
@@ -38,32 +36,6 @@ makeWorkload(const WorkloadOptions &opt)
         out.push_back(std::move(r));
     }
     return out;
-}
-
-std::string
-renderRequest(const service::Request &request)
-{
-    std::ostringstream oss;
-    oss << "query "
-        << (request.objective == SearchObjective::BoundedStorage
-                ? "storage"
-                : "shortest");
-    if (request.deadline_ms != -1)
-        oss << " deadline_ms " << request.deadline_ms;
-    if (request.isg_lo) {
-        oss << " bounds";
-        for (size_t k = 0; k < request.isg_lo->dim(); ++k)
-            oss << " " << (*request.isg_lo)[k] << ".."
-                << (*request.isg_hi)[k];
-    }
-    oss << " deps";
-    for (const IVec &v : request.deps) {
-        oss << " [";
-        for (size_t k = 0; k < v.dim(); ++k)
-            oss << (k ? "," : "") << v[k];
-        oss << "]";
-    }
-    return oss.str();
 }
 
 } // namespace fuzz

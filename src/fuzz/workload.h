@@ -16,7 +16,6 @@
 #define UOV_FUZZ_WORKLOAD_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "service/executor.h"
@@ -39,14 +38,6 @@ struct WorkloadOptions
  * distinct pool.
  */
 std::vector<service::Request> makeWorkload(const WorkloadOptions &opt);
-
-/**
- * Render one solve request back into its protocol line
- * ("query shortest deadline_ms 5 deps [1,0] ..."), the inverse of
- * parseRequestLine -- so a generated workload can be written to a
- * file and replayed through uovd --input.
- */
-std::string renderRequest(const service::Request &request);
 
 } // namespace fuzz
 } // namespace uov

@@ -84,40 +84,6 @@ parseRange(const std::string &tok, int64_t &lo, int64_t &hi)
            parseInt(tok.substr(dots + 2), hi);
 }
 
-using SolveFn = std::function<ServiceAnswer(const Stencil &)>;
-
-/**
- * Shared response formatter: the service path and the direct
- * reference path must agree byte-for-byte, including on errors, so
- * both route through this one function.
- */
-std::string
-answerRequest(const Request &request, const SolveFn &solve)
-{
-    std::ostringstream oss;
-    if (!request.error.empty()) {
-        oss << "error " << request.index << " " << request.error;
-        return oss.str();
-    }
-    try {
-        Stencil stencil(request.deps);
-        ServiceAnswer answer = solve(stencil);
-        failpoint::fire("answer_render");
-        TRACE_SPAN("service.render");
-        oss << "answer " << request.index << " " << answer.str();
-    } catch (const UovUserError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
-    } catch (const UovOverflowError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
-    } catch (const failpoint::FailPointError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
-    }
-    return oss.str();
-}
-
 } // namespace
 
 Request
@@ -238,6 +204,48 @@ parseRequests(std::istream &in, int64_t default_deadline_ms)
 
 namespace {
 
+using Kind = telemetry::FlightDigest::Outcome;
+
+/**
+ * One request's typed result.  Every answer path returns one, and
+ * render() is the only code that turns it into response text, so the
+ * counters, flight digests and outcome logs read it, never the wire.
+ */
+struct Outcome
+{
+    Kind kind = Kind::Optimal;
+    std::string cause; ///< degraded reason or error message
+    std::string body;  ///< the text after "answer <idx> "
+};
+
+Outcome
+failure(std::string message)
+{
+    return {Kind::Error, std::move(message), ""};
+}
+
+/**
+ * A certified answer: Optimal, or Degraded when a budget cut it short
+ * (Shed when that budget was the shed floor's).
+ */
+Outcome
+answered(std::string body, bool degraded, const std::string &reason)
+{
+    if (!degraded)
+        return {Kind::Optimal, "", std::move(body)};
+    return {reason == "shed" ? Kind::Shed : Kind::Degraded, reason,
+            std::move(body)};
+}
+
+/** The one wire encoding: "answer <idx> <body>" or "error <idx> <msg>". */
+std::string
+render(size_t index, const Outcome &outcome)
+{
+    if (outcome.kind == Kind::Error)
+        return "error " + std::to_string(index) + " " + outcome.cause;
+    return "answer " + std::to_string(index) + " " + outcome.body;
+}
+
 /** Best-of-3 wall-clock nanoseconds for @p fn. */
 int64_t
 bestOfThreeNs(const std::function<void()> &fn)
@@ -255,16 +263,9 @@ bestOfThreeNs(const std::function<void()> &fn)
     return best < 1 ? 1 : best;
 }
 
-} // namespace
-
-std::string
-runNativeRequest(const Request &request)
+Outcome
+nativeOutcome(const Request &request)
 {
-    std::ostringstream oss;
-    if (!request.error.empty()) {
-        oss << "error " << request.index << " " << request.error;
-        return oss.str();
-    }
     try {
         Stencil stencil(request.deps);
         // The deadline gate precedes the compiler probe so a 0 ms
@@ -327,8 +328,8 @@ runNativeRequest(const Request &request)
         int64_t lex_ns = timeKernel(lex_code);
         int64_t rtile_ns = timeKernel(rtile_code);
 
-        oss << "answer " << request.index << " native uov="
-            << plan.mapping.ov().str()
+        std::ostringstream oss;
+        oss << "native uov=" << plan.mapping.ov().str()
             << " cells=" << plan.mapping.cellCount() << " storage="
             << (storage == GenStorage::OvMapped ? "ov" : "expanded")
             << " unroll=" << rtile_code.unroll
@@ -342,21 +343,15 @@ runNativeRequest(const Request &request)
             << static_cast<double>(interp_ns) /
                    static_cast<double>(rtile_ns)
             << " verified=ok";
+        return answered(oss.str(), false, "");
     } catch (const UovError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
+        return failure(e.what());
     }
-    return oss.str();
 }
 
-std::string
-runTuneRequest(const Request &request)
+Outcome
+tuneOutcome(const Request &request)
 {
-    std::ostringstream oss;
-    if (!request.error.empty()) {
-        oss << "error " << request.index << " " << request.error;
-        return oss.str();
-    }
     try {
         TRACE_SPAN("service.tune");
         Stencil stencil(request.deps);
@@ -372,9 +367,9 @@ runTuneRequest(const Request &request)
 
         const tune::TuneCandidate &best = res.best;
         bool ov = best.storage == GenStorage::OvMapped;
-        oss << "answer " << request.index << " tune uov="
-            << (ov ? best.uov().str() : "none") << " storage="
-            << (ov ? "ov" : "expanded")
+        std::ostringstream oss;
+        oss << "tune uov=" << (ov ? best.uov().str() : "none")
+            << " storage=" << (ov ? "ov" : "expanded")
             << " schedule=" << best.schedule.str()
             << " cells=" << best.cells() << " sim_cycles="
             << static_cast<int64_t>(res.best_score)
@@ -382,16 +377,20 @@ runTuneRequest(const Request &request)
             << res.candidates_total;
         if (res.degraded())
             oss << " degraded=" << res.degraded_reason;
+        auto done = [&] {
+            return answered(oss.str(), res.degraded(),
+                            res.degraded_reason);
+        };
 
         // Measurement tail: wall-clock figures, exempt from the
         // byte-determinism contract like 'query native' timings.
         if (!JitCompiler::hostCompilerAvailable()) {
             oss << " measure=unavailable";
-            return oss.str();
+            return done();
         }
         if (topt.budget.deadline.expired()) {
             oss << " measure=deadline";
-            return oss.str();
+            return done();
         }
         tune::JitEvaluator jit_eval;
         tune::TuneContext ctx(nest, tuner.stencil());
@@ -430,24 +429,99 @@ runTuneRequest(const Request &request)
             << " speedup_vs_lex=" << lex_ns / best_ns
             << " best_measured={" << cands[best_idx].str() << "}"
             << " verified=ok";
+        return done();
     } catch (const UovError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
+        return failure(e.what());
     }
-    return oss.str();
+}
+
+using SolveFn =
+    std::function<ServiceAnswer(const Request &, const Stencil &)>;
+
+Outcome
+solveOutcome(const Request &request, const SolveFn &solve)
+{
+    try {
+        ServiceAnswer solved = solve(request, Stencil(request.deps));
+        failpoint::fire("answer_render");
+        TRACE_SPAN("service.render");
+        return answered(solved.str(), solved.degraded,
+                        solved.degraded_reason);
+    } catch (const UovUserError &e) {
+        return failure(e.what());
+    } catch (const UovOverflowError &e) {
+        return failure(e.what());
+    } catch (const failpoint::FailPointError &e) {
+        return failure(e.what());
+    }
+}
+
+/**
+ * The one dispatch every answer path shares (service, direct, shed):
+ * a parse error, a native or tune run, or a solve through @p solve.
+ * Input-dependent failures become Error outcomes; internal errors
+ * propagate.
+ */
+Outcome
+answer(const Request &request, const SolveFn &solve)
+{
+    if (!request.error.empty())
+        return failure(request.error);
+    if (request.native)
+        return nativeOutcome(request);
+    if (request.tune)
+        return tuneOutcome(request);
+    return solveOutcome(request, solve);
+}
+
+Outcome
+answerThroughService(QueryService &service, const Request &request)
+{
+    return answer(request, [&service](const Request &r, const Stencil &s) {
+        return service.query(s, r.objective, r.isg_lo, r.isg_hi,
+                             r.deadline_ms);
+    });
+}
+
+/**
+ * The shed solver: the anytime floor.  A zero-node budget
+ * deterministically returns the certified ov_o incumbent without
+ * expanding a single search node -- exactly what an overloaded server
+ * can afford.
+ */
+ServiceAnswer
+shedFloor(const Request &request, const Stencil &stencil)
+{
+    SearchBudget budget;
+    budget.max_nodes = 0;
+    ServiceAnswer shed = solveDirect(stencil, request.objective,
+                                     request.isg_lo, request.isg_hi,
+                                     budget);
+    shed.degraded = true;
+    shed.degraded_reason = "shed";
+    return shed;
+}
+
+} // namespace
+
+std::string
+runNativeRequest(const Request &request)
+{
+    // A native request never reaches the solver.
+    return render(request.index, answer(request, {}));
+}
+
+std::string
+runTuneRequest(const Request &request)
+{
+    // A tune request never reaches the solver.
+    return render(request.index, answer(request, {}));
 }
 
 std::string
 runRequest(QueryService &service, const Request &request)
 {
-    if (request.native)
-        return runNativeRequest(request);
-    if (request.tune)
-        return runTuneRequest(request);
-    return answerRequest(request, [&](const Stencil &s) {
-        return service.query(s, request.objective, request.isg_lo,
-                             request.isg_hi, request.deadline_ms);
-    });
+    return render(request.index, answerThroughService(service, request));
 }
 
 Watchdog::Watchdog(int64_t poll_ms, Counter *overdue)
@@ -577,38 +651,7 @@ AdmissionController::shedding() const
 std::string
 shedRequest(const Request &request)
 {
-    return answerRequest(request, [&](const Stencil &s) {
-        // The PR 4 anytime floor: a zero-node budget deterministically
-        // returns the certified ov_o incumbent without expanding a
-        // single search node -- exactly what an overloaded server can
-        // afford.
-        SearchBudget budget;
-        budget.max_nodes = 0;
-        ServiceAnswer answer =
-            solveDirect(s, request.objective, request.isg_lo,
-                        request.isg_hi, budget);
-        answer.degraded = true;
-        answer.degraded_reason = "shed";
-        return answer;
-    });
-}
-
-telemetry::FlightDigest::Outcome
-classifyResponse(const std::string &response)
-{
-    using Outcome = telemetry::FlightDigest::Outcome;
-    if (response.rfind("error ", 0) == 0)
-        return Outcome::Error;
-    auto pos = response.find(" degraded=");
-    if (pos == std::string::npos)
-        return Outcome::Optimal;
-    // The reason is the whitespace-delimited token after '='.
-    size_t begin = pos + 10;
-    size_t end = response.find(' ', begin);
-    std::string reason = response.substr(
-        begin, end == std::string::npos ? std::string::npos
-                                        : end - begin);
-    return reason == "shed" ? Outcome::Shed : Outcome::Degraded;
+    return render(request.index, answer(request, shedFloor));
 }
 
 namespace {
@@ -628,41 +671,16 @@ requestVerb(const Request &request)
                : Verb::Shortest;
 }
 
-/** The digest's cause field: degraded reason or error message head. */
-std::string
-responseCause(const std::string &response,
-              telemetry::FlightDigest::Outcome outcome)
-{
-    using Outcome = telemetry::FlightDigest::Outcome;
-    if (outcome == Outcome::Error) {
-        // Skip "error <idx> "; keep the message head.
-        size_t sp = response.find(' ');
-        sp = sp == std::string::npos ? std::string::npos
-                                     : response.find(' ', sp + 1);
-        return sp == std::string::npos ? response
-                                       : response.substr(sp + 1);
-    }
-    if (outcome == Outcome::Degraded || outcome == Outcome::Shed) {
-        size_t pos = response.find(" degraded=");
-        size_t begin = pos + 10;
-        size_t end = response.find(' ', begin);
-        return response.substr(begin, end == std::string::npos
-                                          ? std::string::npos
-                                          : end - begin);
-    }
-    return "";
-}
-
 /**
- * One request's telemetry epilogue: digest into the flight recorder,
- * sample into the SLO window, optionally log the non-optimal outcome
+ * One request's telemetry: digest into the flight recorder, sample
+ * into the SLO window, and an Info line per non-optimal outcome
  * (inside the request's TraceScope, so the log line carries the id).
  */
 void
 recordOutcome(const TelemetryPlane &plane, const Request &request,
               telemetry::TraceContext ctx,
               const telemetry::RequestAnnotations &notes,
-              const std::string &response, uint64_t wall_us)
+              const Outcome &outcome, uint64_t wall_us)
 {
     using FD = telemetry::FlightDigest;
     FD digest;
@@ -672,16 +690,16 @@ recordOutcome(const TelemetryPlane &plane, const Request &request,
     digest.nodes = notes.nodes;
     digest.wall_us = wall_us;
     digest.verb = requestVerb(request);
-    digest.outcome = classifyResponse(response);
+    digest.outcome = outcome.kind;
     digest.cache_hit = notes.cache_hit;
     digest.store_hit = notes.store_hit;
     digest.coalesced = notes.coalesced;
-    digest.setCause(responseCause(response, digest.outcome));
+    digest.setCause(outcome.cause);
     if (plane.flight != nullptr)
         plane.flight->record(digest);
     if (plane.slo != nullptr)
         plane.slo->record(digest.outcome, wall_us);
-    if (plane.log_outcomes && digest.outcome != FD::Outcome::Optimal)
+    if (digest.outcome != Kind::Optimal)
         UOV_LOG_INFO("request " << request.index << " outcome="
                      << FD::outcomeName(digest.outcome) << " cause='"
                      << digest.causeStr() << "' verb="
@@ -707,33 +725,51 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
          const TelemetryPlane *plane)
 {
     std::vector<std::string> responses(requests.size());
-    Gauge &depth = service.metrics().gauge("service.queue_depth");
-    Histogram &queue_wait =
-        service.metrics().histogram("service.queue_wait_us");
-    Watchdog watchdog(
-        25, &service.metrics().counter("service.watchdog.overdue"));
+    MetricsRegistry &metrics = service.metrics();
+    Gauge &depth = metrics.gauge("service.queue_depth");
+    Histogram &queue_wait = metrics.histogram("service.queue_wait_us");
+    Counter &optimal = metrics.counter("service.optimal");
+    Counter &degraded = metrics.counter("service.degraded");
+    Counter &errors = metrics.counter("service.request_errors");
+    Watchdog watchdog(25, &metrics.counter("service.watchdog.overdue"));
     uint64_t fires_before =
         failpoint::Registry::instance().totalFires();
 
-    // Telemetry wrapper for responses produced on the submitting
-    // thread (shed answers, admission-failpoint errors): same scope,
-    // digest, and opt-in trace_id token as pooled requests.
-    auto inlineResponse = [&](const Request &request,
-                              const std::function<std::string()> &fn) {
-        if (plane == nullptr)
-            return fn();
-        telemetry::TraceContext ctx = telemetry::newTrace();
-        auto started = Deadline::Clock::now();
-        std::string response;
-        {
-            telemetry::TraceScope scope(ctx);
-            response = fn();
-            recordOutcome(*plane, request, ctx, scope.notes(),
-                          response, wallMicrosSince(started));
+    // Answer request i inside its own trace scope, then run the one
+    // epilogue every response takes -- pooled, shed and admission
+    // error alike: count the outcome (the three counters sum to the
+    // batch size, asserted by the fault fuzz oracle), feed the plane,
+    // render, and append the opt-in trace_id token.
+    auto serve = [&](size_t i, auto &&produce) {
+        const Request &request = requests[i];
+        // The request runs whole on this thread, so a thread-local
+        // trace scope covers every layer it enters; the span arg
+        // links the Perfetto track to the same id.
+        telemetry::TraceContext ctx;
+        std::optional<telemetry::TraceScope> scope;
+        if (plane != nullptr) {
+            ctx = telemetry::newTrace();
+            scope.emplace(ctx);
         }
-        if (plane->trace_ids)
-            response += " trace_id=" + traceIdHex(ctx.id);
-        return response;
+        trace::Span span("service.request");
+        span.arg("index", static_cast<int64_t>(request.index));
+        if (ctx.valid())
+            span.arg("trace_id", static_cast<int64_t>(ctx.id));
+        auto started = Deadline::Clock::now();
+        Outcome outcome = produce();
+        if (outcome.kind == Kind::Error)
+            errors.inc();
+        else if (outcome.kind == Kind::Optimal)
+            optimal.inc();
+        else
+            degraded.inc();
+        responses[i] = render(request.index, outcome);
+        if (plane != nullptr) {
+            recordOutcome(*plane, request, ctx, scope->notes(), outcome,
+                          wallMicrosSince(started));
+            if (plane->trace_ids)
+                responses[i] += " trace_id=" + traceIdHex(ctx.id);
+        }
     };
 
     std::vector<std::future<void>> futures;
@@ -742,33 +778,25 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
         // Admission decision happens on the submitting thread, before
         // the request touches the queue: a shed request is answered
         // inline with the certified ov_o floor and never enqueued.
-        const Request &to_submit = requests[i];
-        if (admission != nullptr && !to_submit.native &&
-            !to_submit.tune && to_submit.error.empty()) {
+        const Request &request = requests[i];
+        if (admission != nullptr && !request.native && !request.tune &&
+            request.error.empty()) {
             try {
                 failpoint::fire("admission");
             } catch (const std::exception &e) {
-                std::string message = e.what();
-                responses[i] = inlineResponse(to_submit, [&] {
-                    return "error " +
-                           std::to_string(to_submit.index) + " " +
-                           message;
-                });
+                serve(i, [&] { return failure(e.what()); });
                 continue;
             }
             if (!admission->admit(depth.value())) {
-                responses[i] = inlineResponse(to_submit, [&] {
-                    return shedRequest(to_submit);
-                });
+                serve(i, [&] { return answer(request, shedFloor); });
                 continue;
             }
         }
         depth.add(1);
         auto enqueued = Deadline::Clock::now();
-        futures.push_back(pool.submit([&service, &requests, &responses,
-                                       &watchdog, &depth, &queue_wait,
-                                       plane, enqueued, i] {
-            const Request &request = requests[i];
+        futures.push_back(pool.submit([&service, &requests, &watchdog,
+                                       &depth, &queue_wait, &serve,
+                                       enqueued, i] {
             int64_t wait_us =
                 std::chrono::duration_cast<std::chrono::microseconds>(
                     Deadline::Clock::now() - enqueued)
@@ -776,65 +804,32 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
             queue_wait.observe(
                 wait_us < 0 ? 0 : static_cast<uint64_t>(wait_us));
             TRACE_COUNTER("service.queue_wait", "us", wait_us);
-            // The request runs whole on this pool thread, so a
-            // thread-local trace scope covers every layer it enters;
-            // the span arg links the Perfetto track to the same id.
-            telemetry::TraceContext ctx;
-            std::optional<telemetry::TraceScope> scope;
-            if (plane != nullptr) {
-                ctx = telemetry::newTrace();
-                scope.emplace(ctx);
-            }
-            trace::Span span("service.request");
-            span.arg("index", static_cast<int64_t>(request.index));
-            if (ctx.valid())
-                span.arg("trace_id", static_cast<int64_t>(ctx.id));
-            auto started = Deadline::Clock::now();
-            // Per-request error isolation: whatever this request
-            // throws -- an armed fail point, even an internal error
-            // -- becomes its own error line; the batch always runs
-            // to completion.
-            try {
-                failpoint::fire("task_start");
-                watchdog.start(i, request.deadline_ms);
-                responses[i] = runRequest(service, request);
-            } catch (const std::exception &e) {
-                responses[i] = "error " +
-                               std::to_string(request.index) + " " +
-                               e.what();
-            }
-            watchdog.finish(i);
-            depth.sub(1);
-            if (plane != nullptr) {
-                recordOutcome(*plane, request, ctx, scope->notes(),
-                              responses[i], wallMicrosSince(started));
-                if (plane->trace_ids)
-                    responses[i] += " trace_id=" + traceIdHex(ctx.id);
-            }
+            serve(i, [&] {
+                // Per-request error isolation: whatever this request
+                // throws -- an armed fail point, even an internal
+                // error -- becomes its own error line; the batch
+                // always runs to completion.
+                Outcome outcome;
+                try {
+                    failpoint::fire("task_start");
+                    watchdog.start(i, requests[i].deadline_ms);
+                    outcome = answerThroughService(service, requests[i]);
+                } catch (const std::exception &e) {
+                    outcome = failure(e.what());
+                }
+                watchdog.finish(i);
+                depth.sub(1);
+                return outcome;
+            });
         }));
     }
     // Drain every future before unwinding (tasks capture locals).
     for (auto &f : futures)
         f.get();
 
-    // Classify every response exactly once; the three counters sum
-    // to the batch size (asserted by the fault fuzz oracle).
-    Counter &optimal = service.metrics().counter("service.optimal");
-    Counter &degraded =
-        service.metrics().counter("service.degraded");
-    Counter &errors =
-        service.metrics().counter("service.request_errors");
-    for (const std::string &response : responses) {
-        if (response.rfind("error ", 0) == 0)
-            errors.inc();
-        else if (response.find(" degraded=") != std::string::npos)
-            degraded.inc();
-        else
-            optimal.inc();
-    }
     uint64_t fires_after = failpoint::Registry::instance().totalFires();
     if (fires_after > fires_before)
-        service.metrics().counter("service.failpoint_fires")
+        metrics.counter("service.failpoint_fires")
             .inc(fires_after - fires_before);
     return responses;
 }
@@ -842,25 +837,16 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
 std::vector<std::string>
 runBatchDirect(const std::vector<Request> &requests, uint64_t max_visits)
 {
+    SolveFn direct = [max_visits](const Request &r, const Stencil &s) {
+        SearchBudget budget;
+        budget.max_nodes = max_visits;
+        budget.deadline = Deadline::afterMillis(r.deadline_ms);
+        return solveDirect(s, r.objective, r.isg_lo, r.isg_hi, budget);
+    };
     std::vector<std::string> responses;
     responses.reserve(requests.size());
-    for (const Request &r : requests) {
-        if (r.native) {
-            responses.push_back(runNativeRequest(r));
-            continue;
-        }
-        if (r.tune) {
-            responses.push_back(runTuneRequest(r));
-            continue;
-        }
-        responses.push_back(answerRequest(r, [&](const Stencil &s) {
-            SearchBudget budget;
-            budget.max_nodes = max_visits;
-            budget.deadline = Deadline::afterMillis(r.deadline_ms);
-            return solveDirect(s, r.objective, r.isg_lo, r.isg_hi,
-                               budget);
-        }));
-    }
+    for (const Request &r : requests)
+        responses.push_back(render(r.index, answer(r, direct)));
     return responses;
 }
 

@@ -29,6 +29,13 @@
  * ov_o).  A malformed or throwing request yields an error response
  * and the batch keeps going; the error text is part of the
  * deterministic contract.
+ *
+ * Every answer path -- service, direct, shed, native, tune, parse
+ * error, admission fault, a throwing pool task -- returns one typed
+ * outcome (optimal, degraded, shed, or error, with its cause), and
+ * one file-local render() is the only producer of response text.
+ * Counters, flight digests and outcome logs read the typed outcome,
+ * never the rendered line.
  */
 
 #ifndef UOV_SERVICE_EXECUTOR_H
@@ -147,7 +154,8 @@ std::string runRequest(QueryService &service, const Request &request);
  * byte-determinism contract (which is scoped to shortest/storage);
  * everything before the first _ns field is deterministic.  A missing
  * host compiler or an unplannable stencil becomes an "error <idx>"
- * response, like any other input-dependent failure.
+ * response, like any other input-dependent failure.  @p request is a
+ * parsed 'query native' line (a parse error is echoed).
  */
 std::string runNativeRequest(const Request &request);
 
@@ -173,7 +181,8 @@ std::string runNativeRequest(const Request &request);
  *         best_measured={...} verified=ok
  *
  * With no compiler the tail is " measure=unavailable"; with an
- * expired deadline, " measure=deadline".
+ * expired deadline, " measure=deadline".  @p request is a parsed
+ * 'query tune' line (a parse error is echoed).
  */
 std::string runTuneRequest(const Request &request);
 
@@ -254,9 +263,10 @@ std::string shedRequest(const Request &request);
  * admission-error responses included) runs inside a fresh TraceScope:
  * one 64-bit trace id links the structured log lines, the
  * flight-recorder digest, the SLO sample, and the "service.request"
- * Perfetto span for that request.  All pointers optional; a
- * default-constructed plane still mints trace ids (log/span linkage
- * without a recorder).
+ * Perfetto span for that request, and each non-optimal outcome is
+ * logged at Info level (the logger's level gates the line).  All
+ * pointers optional; a default-constructed plane still mints trace
+ * ids (log/span linkage without a recorder).
  *
  * Determinism: recording is observation-only.  Response bytes are
  * unchanged unless @p trace_ids opts in, which appends the
@@ -267,18 +277,8 @@ struct TelemetryPlane
 {
     telemetry::FlightRecorder *flight = nullptr;
     telemetry::SloTracker *slo = nullptr;
-    bool trace_ids = false;    ///< append " trace_id=..." to responses
-    bool log_outcomes = false; ///< Info log per non-optimal outcome
+    bool trace_ids = false; ///< append " trace_id=..." to responses
 };
-
-/**
- * Classify one response line the way the executor's metrics do:
- * "error " prefix -> Error; " degraded=shed" -> Shed; any other
- * " degraded=" -> Degraded; else Optimal.  Exposed for tests and the
- * flight recorder.
- */
-telemetry::FlightDigest::Outcome
-classifyResponse(const std::string &response);
 
 /**
  * Answer a batch on @p pool (requests fan out; identical in-flight
@@ -289,9 +289,10 @@ classifyResponse(const std::string &response);
  * Error isolation: every exception a request raises -- bad input, an
  * armed fail point, even an internal error -- becomes that request's
  * "error <idx> ..." line; the batch always completes.  Each response
- * is classified into exactly one of the "service.optimal",
- * "service.degraded", or "service.request_errors" counters, so the
- * three always sum to the batch size.
+ * is counted from its typed outcome, as it finishes, in exactly one
+ * of the "service.optimal", "service.degraded", or
+ * "service.request_errors" counters, so the three always sum to the
+ * batch size.
  *
  * @p admission, when non-null, applies overload shedding to solve
  * requests (see AdmissionController); the fail-point site "admission"

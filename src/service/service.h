@@ -33,12 +33,15 @@
 
 #include "service/answer.h"
 #include "service/canonical.h"
-#include "service/metrics.h"
 #include "service/result_cache.h"
 #include "service/store.h"
+#include "support/metrics.h"
 
 namespace uov {
 namespace service {
+
+/** The registry type callers name through this namespace. */
+using uov::MetricsRegistry;
 
 /** Service configuration. */
 struct ServiceOptions

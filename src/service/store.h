@@ -63,7 +63,7 @@
 
 #include "service/answer.h"
 #include "service/canonical.h"
-#include "service/metrics.h"
+#include "support/metrics.h"
 
 namespace uov {
 namespace service {

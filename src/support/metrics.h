@@ -6,8 +6,8 @@
  * under one mutex.
  *
  * Promoted from src/service so the span tracer (support/trace) and the
- * query service share one registry type; src/service/metrics.h remains
- * as a thin alias header for existing includes.
+ * query service share one registry type; service/service.h re-exports
+ * MetricsRegistry as uov::service::MetricsRegistry.
  *
  * Dumps are deterministic in *structure*: metrics are kept in a
  * sorted map, so the table and JSON renderings list them in name

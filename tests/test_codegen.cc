@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <dlfcn.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -44,9 +45,12 @@ using KernelFn = void (*)(double *);
 std::vector<double>
 runGenerated(const LoopNest &nest, const GeneratedCode &code)
 {
+    // ctest runs each case in its own process, concurrently: the pid
+    // keeps two processes from compiling into the same files.
     static int counter = 0;
     std::string dir = ::testing::TempDir() + "uov_codegen_" +
-                      std::to_string(counter++);
+                      std::to_string(static_cast<long>(::getpid())) +
+                      "_" + std::to_string(counter++);
     std::filesystem::create_directories(dir);
     std::string so = compileToSharedObject(code, dir);
 
@@ -60,6 +64,7 @@ runGenerated(const LoopNest &nest, const GeneratedCode &code)
         static_cast<size_t>(outputCellCount(nest)), -1.0);
     fn(out.data());
     dlclose(handle);
+    std::filesystem::remove_all(dir);
     return out;
 }
 

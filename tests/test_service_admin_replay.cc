@@ -2,10 +2,11 @@
  * @file
  * The telemetry plane's service-level acceptance tests: arming the
  * plane must not change a single response byte, the flight recorder
- * must hold a digest (with a matching trace id) for every degraded,
- * shed, or error response, the SLO tracker and classification
- * counters must reconcile with the batch, and the periodic store
- * compaction hook must fire on schedule without disturbing answers.
+ * must hold a digest (with a matching trace id, outcome and cause)
+ * for every response -- pooled, shed, or admission error alike --
+ * the SLO tracker and outcome counters must reconcile with the
+ * batch, and the periodic store compaction hook must fire on
+ * schedule without disturbing answers.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "fuzz/workload.h"
 #include "service/executor.h"
 #include "service/store.h"
+#include "support/failpoint.h"
 #include "support/logging.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/slo.h"
@@ -102,22 +104,53 @@ traceToken(const std::string &response)
     return response.substr(pos + 10);
 }
 
-TEST(ClassifyResponse, PartitionsTheResponseSpace)
+/** A response line's outcome and cause as a client reads them. */
+struct WireOutcome
 {
-    EXPECT_EQ(classifyResponse("error 3 bad deadline"),
-              FlightDigest::Outcome::Error);
-    EXPECT_EQ(classifyResponse(
-                  "answer 1 best=(1, 1) value=2 degraded=shed"),
-              FlightDigest::Outcome::Shed);
-    EXPECT_EQ(classifyResponse("answer 2 best=(1, 1) value=2 "
-                               "degraded=deadline cert=a"),
-              FlightDigest::Outcome::Degraded);
-    EXPECT_EQ(classifyResponse(
-                  "answer 4 best=(1, 1) value=2 initial=4"),
-              FlightDigest::Outcome::Optimal);
-    // "shed" must be the whole token, not a prefix match.
-    EXPECT_EQ(classifyResponse("answer 5 x degraded=shedlike"),
-              FlightDigest::Outcome::Degraded);
+    FlightDigest::Outcome outcome = FlightDigest::Outcome::Optimal;
+    std::string cause; ///< error message or degraded reason
+};
+
+/**
+ * Read a response line (trace_id token stripped) the way a client
+ * would: "error <idx> <message>" is an Error; a " degraded=<reason>"
+ * token is Shed when the reason is "shed", else Degraded; anything
+ * else is Optimal.
+ */
+WireOutcome
+readWire(const std::string &line)
+{
+    using Outcome = FlightDigest::Outcome;
+    if (line.rfind("error ", 0) == 0) {
+        size_t sp = line.find(' ', 6);
+        return {Outcome::Error,
+                sp == std::string::npos ? "" : line.substr(sp + 1)};
+    }
+    size_t pos = line.find(" degraded=");
+    if (pos == std::string::npos)
+        return {};
+    size_t begin = pos + 10;
+    std::string reason =
+        line.substr(begin, line.find(' ', begin) - begin);
+    return {reason == "shed" ? Outcome::Shed : Outcome::Degraded,
+            reason};
+}
+
+/** The digest's cause field holds at most kCauseBytes - 1 bytes. */
+std::string
+digestCause(const std::string &cause)
+{
+    return cause.substr(0, FlightDigest::kCauseBytes - 1);
+}
+
+/** Each request's digest, keyed by request index. */
+std::map<uint64_t, FlightDigest>
+digestsByRequest(const telemetry::FlightRecorder &flight)
+{
+    std::map<uint64_t, FlightDigest> by_request;
+    for (const FlightDigest &d : flight.snapshot())
+        by_request[d.request_index] = d;
+    return by_request;
 }
 
 TEST(AdminReplay, ArmedPlaneIsByteIdenticalToBaseline)
@@ -210,16 +243,19 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
         EXPECT_EQ(token, traceIdHex(d.trace_id))
             << responses[i];
 
-        // The digest's outcome matches the classifier (the trace_id
-        // token is appended after classification, so strip it).
-        std::string bare =
-            responses[i].substr(0, responses[i].rfind(" trace_id="));
-        EXPECT_EQ(d.outcome, classifyResponse(bare)) << responses[i];
+        // The digest's outcome and cause match what the wire says
+        // (the trace_id token follows the answer, so strip it).
+        WireOutcome wire = readWire(
+            responses[i].substr(0, responses[i].rfind(" trace_id=")));
+        EXPECT_EQ(d.outcome, wire.outcome) << responses[i];
+        EXPECT_EQ(d.causeStr(), digestCause(wire.cause))
+            << responses[i];
         if (d.outcome != FlightDigest::Outcome::Optimal) {
             ++non_optimal;
             // Error digests explain themselves.
-            if (d.outcome == FlightDigest::Outcome::Error)
+            if (d.outcome == FlightDigest::Outcome::Error) {
                 EXPECT_FALSE(d.causeStr().empty()) << responses[i];
+            }
         }
     }
     // The hand-written tail guarantees at least one degraded line and
@@ -231,6 +267,102 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
     EXPECT_EQ(r.total, reqs.size());
     EXPECT_EQ(r.errors,
               metrics.counter("service.request_errors").value());
+}
+
+// Shed answers are produced on the submitting thread, concurrently
+// with pooled requests, yet take the same epilogue: each one has a
+// Shed digest, an SLO sample, and a count.
+TEST(AdminReplay, ShedAnswersCarryShedDigestsUnderOverload)
+{
+    std::vector<Request> reqs = mixedBatch(60);
+
+    telemetry::FlightRecorder flight(1024);
+    telemetry::SloTracker slo;
+    TelemetryPlane plane;
+    plane.flight = &flight;
+    plane.slo = &slo;
+
+    MetricsRegistry metrics;
+    QueryService svc(cappedOptions(), metrics);
+    ThreadPool pool(2);
+    AdmissionOptions ao;
+    ao.high_water = 1; // shed nearly everything
+    AdmissionController admission(ao, metrics);
+    std::vector<std::string> responses =
+        runBatch(svc, reqs, pool, &admission, &plane);
+
+    std::map<uint64_t, FlightDigest> by_request =
+        digestsByRequest(flight);
+    ASSERT_EQ(by_request.size(), reqs.size());
+    size_t shed_lines = 0;
+    for (size_t i = 0; i < responses.size(); ++i) {
+        const FlightDigest &d = by_request.at(i + 1);
+        WireOutcome wire = readWire(responses[i]);
+        EXPECT_EQ(d.outcome, wire.outcome) << responses[i];
+        EXPECT_EQ(d.causeStr(), digestCause(wire.cause))
+            << responses[i];
+        if (responses[i].find(" degraded=shed") != std::string::npos) {
+            ++shed_lines;
+            EXPECT_EQ(d.outcome, FlightDigest::Outcome::Shed)
+                << responses[i];
+            EXPECT_EQ(d.causeStr(), "shed") << responses[i];
+        }
+    }
+    uint64_t shed = metrics.counter("service.shed.responses").value();
+    EXPECT_GT(shed, 0u) << "batch never crossed the high-water mark";
+    EXPECT_EQ(shed_lines, shed);
+    telemetry::SloTracker::Report r = slo.report();
+    EXPECT_EQ(r.total, reqs.size());
+    EXPECT_EQ(r.shed, shed);
+    EXPECT_EQ(metrics.counter("service.optimal").value() +
+                  metrics.counter("service.degraded").value() +
+                  metrics.counter("service.request_errors").value(),
+              reqs.size());
+}
+
+// An admission fault is answered inline as an error line; its digest
+// carries the same message the client reads.
+TEST(AdminReplay, AdmissionFaultDigestsCarryTheWireMessage)
+{
+    std::vector<Request> reqs = mixedBatch(30);
+
+    telemetry::FlightRecorder flight(1024);
+    telemetry::SloTracker slo;
+    TelemetryPlane plane;
+    plane.flight = &flight;
+    plane.slo = &slo;
+
+    MetricsRegistry metrics;
+    QueryService svc(cappedOptions(), metrics);
+    ThreadPool pool(2);
+    AdmissionOptions ao;
+    ao.high_water = 1000; // admission runs, shedding never engages
+    AdmissionController admission(ao, metrics);
+
+    failpoint::ScopedFailPoints scope;
+    failpoint::Config config;
+    config.probability = 1.0;
+    config.action = failpoint::Action::Throw;
+    failpoint::Registry::instance().arm("admission", config);
+    std::vector<std::string> responses =
+        runBatch(svc, reqs, pool, &admission, &plane);
+
+    std::map<uint64_t, FlightDigest> by_request =
+        digestsByRequest(flight);
+    ASSERT_EQ(by_request.size(), reqs.size());
+    for (size_t i = 0; i < responses.size(); ++i) {
+        const FlightDigest &d = by_request.at(i + 1);
+        ASSERT_EQ(responses[i].rfind("error ", 0), 0u) << responses[i];
+        EXPECT_EQ(d.outcome, FlightDigest::Outcome::Error)
+            << responses[i];
+        std::string prefix = "error " + std::to_string(i + 1) + " ";
+        EXPECT_EQ(d.causeStr(),
+                  digestCause(responses[i].substr(prefix.size())))
+            << responses[i];
+    }
+    EXPECT_EQ(slo.report().errors, reqs.size());
+    EXPECT_EQ(metrics.counter("service.request_errors").value(),
+              reqs.size());
 }
 
 TEST(AdminReplay, StoreCompactionFiresOnTheAppendSchedule)

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "service/metrics.h"
+#include "support/metrics.h"
 
 namespace uov {
 namespace service {

@@ -105,17 +105,22 @@ TEST(FlightRecorder, JsonCarriesHexIdsAndOutcomes)
 // The seqlock contract: concurrent readers racing writers see only
 // whole digests.  Writers stamp correlated fields (trace_id, key_hash
 // and nodes all derived from the same index); any torn read breaks
-// the correlation.
+// the correlation.  The writers hold off until the reader is inside
+// its loop, so even on a loaded host the write phase cannot finish
+// before the first snapshot starts.
 TEST(FlightRecorder, ConcurrentSnapshotsSeeWholeDigests)
 {
     FlightRecorder rec(16);
     constexpr int kWriters = 4;
     constexpr uint64_t kPerWriter = 10'000;
     std::atomic<bool> stop{false};
+    std::atomic<bool> reading{false};
 
     std::vector<std::thread> writers;
     for (int w = 0; w < kWriters; ++w)
-        writers.emplace_back([&rec, w] {
+        writers.emplace_back([&rec, &reading, w] {
+            while (!reading.load(std::memory_order_acquire))
+                std::this_thread::yield();
             for (uint64_t i = 0; i < kPerWriter; ++i) {
                 uint64_t idx = w * kPerWriter + i;
                 rec.record(digestWithIndex(idx));
@@ -125,6 +130,7 @@ TEST(FlightRecorder, ConcurrentSnapshotsSeeWholeDigests)
     std::thread reader([&] {
         uint64_t snapshots = 0;
         while (!stop.load(std::memory_order_relaxed)) {
+            reading.store(true, std::memory_order_release);
             std::vector<FlightDigest> snap = rec.snapshot();
             uint64_t prev_seq = 0;
             for (const FlightDigest &d : snap) {
