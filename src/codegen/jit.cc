@@ -1,9 +1,14 @@
 #include "codegen/jit.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -82,15 +87,44 @@ jit_detail::runHostCompiler(const std::string &compiler,
                             const std::string &so_path)
 {
     std::string log_path = so_path + ".log";
-    std::ostringstream cmd;
-    cmd << "'" << compiler << "'";
-    for (const auto &f : flags)
-        cmd << " " << f;
-    cmd << " -shared -fPIC -o '" << so_path << "' '" << c_path
-        << "' 2> '" << log_path << "'";
-    int rc = std::system(cmd.str().c_str());
+    std::vector<std::string> args{compiler};
+    args.insert(args.end(), flags.begin(), flags.end());
+    args.insert(args.end(), {"-shared", "-fPIC", "-o", so_path, c_path});
+
+    // Spawn the compiler directly: no shell ever reads the paths, so
+    // no character in them (a quote in $TMPDIR, say) can break or
+    // change the command.  Its stderr goes to the log.
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, STDERR_FILENO,
+                                     log_path.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0666);
+    pid_t pid = -1;
+    int rc = -1; // the wait status, as std::system reported it
+    int err = ::posix_spawn(&pid, compiler.c_str(), &actions, nullptr,
+                            argv.data(), environ);
+    posix_spawn_file_actions_destroy(&actions);
+    std::string spawn_error;
+    if (err == 0) {
+        while (::waitpid(pid, &rc, 0) < 0 && errno == EINTR) {
+        }
+    } else {
+        spawn_error = std::string("cannot run compiler: ") +
+                      std::strerror(err) + "\n";
+    }
     if (rc != 0) {
-        std::string stderr_text = slurp(log_path);
+        // The command as a shell would spell it, for the reader.
+        std::ostringstream cmd;
+        cmd << "'" << compiler << "'";
+        for (const auto &f : flags)
+            cmd << " " << f;
+        cmd << " -shared -fPIC -o '" << so_path << "' '" << c_path
+            << "' 2> '" << log_path << "'";
+        std::string stderr_text = spawn_error + slurp(log_path);
         std::error_code ec;
         fs::remove(so_path, ec);
         throw UovError("JIT compilation failed (rc=" +

@@ -75,7 +75,11 @@ unimodularCompletion(const IVec &v)
     IVec w = v;
 
     // Zero out w[d-1] ... w[1] using 2x2 unimodular row transforms on
-    // (U, w).  Invariant: U * v == w.
+    // (U, w).  Invariant: U * v == w.  Each transform rewrites rows i-1
+    // and i of U in place, in the operation order of the full product
+    // T * U it stands for, so U -- and any overflow error -- is exactly
+    // that product's.  The storage objective projects on rows 1..d-1,
+    // so these rows decide search answers.
     for (size_t i = d - 1; i >= 1; --i) {
         int64_t a = w[i - 1];
         int64_t b = w[i];
@@ -87,12 +91,19 @@ unimodularCompletion(const IVec &v)
         int64_t r = checkedNeg(b / e.g);
         int64_t s = a / e.g;
         // [p q; r s] has determinant p*s - q*r = (x*a + y*b)/g = 1.
-        IMatrix t = IMatrix::identity(d);
-        t(i - 1, i - 1) = p;
-        t(i - 1, i) = q;
-        t(i, i - 1) = r;
-        t(i, i) = s;
-        u = t * u;
+        int64_t *top = &u(i - 1, 0); // rows are contiguous (row-major)
+        int64_t *bot = &u(i, 0);
+        const IVec old_top_row(top, d), old_bot_row(bot, d);
+        const int64_t *old_top = old_top_row.data();
+        const int64_t *old_bot = old_bot_row.data();
+        for (size_t c = 0; c < d; ++c)
+            top[c] = checkedMul(p, old_top[c]);
+        for (size_t c = 0; c < d; ++c)
+            top[c] = checkedAdd(top[c], checkedMul(q, old_bot[c]));
+        for (size_t c = 0; c < d; ++c)
+            bot[c] = checkedMul(r, old_top[c]);
+        for (size_t c = 0; c < d; ++c)
+            bot[c] = checkedAdd(bot[c], checkedMul(s, old_bot[c]));
         int64_t new_top = checkedAdd(checkedMul(p, a), checkedMul(q, b));
         int64_t new_bot = checkedAdd(checkedMul(r, a), checkedMul(s, b));
         w[i - 1] = new_top;
@@ -102,15 +113,16 @@ unimodularCompletion(const IVec &v)
 
     // After folding everything into w[0], primitivity gives w[0] = +-1.
     if (w[0] == -1) {
-        IMatrix t = IMatrix::identity(d);
-        t(0, 0) = -1;
-        u = t * u;
+        int64_t *top = &u(0, 0);
+        for (size_t c = 0; c < d; ++c)
+            top[c] = checkedMul(-1, top[c]);
         w[0] = 1;
     }
     UOV_CHECK(w[0] == 1, "completion folds to e0, got " << w.str());
-    UOV_CHECK((u * v)[0] == 1, "U*v == e0 head");
+    IVec uv = u * v;
+    UOV_CHECK(uv[0] == 1, "U*v == e0 head");
     for (size_t i = 1; i < d; ++i)
-        UOV_CHECK((u * v)[i] == 0, "U*v == e0 tail");
+        UOV_CHECK(uv[i] == 0, "U*v == e0 tail");
     UOV_CHECK(u.isUnimodular(), "completion is unimodular");
     return u;
 }

@@ -52,10 +52,7 @@ IVec
 IMatrix::row(size_t r) const
 {
     UOV_CHECK(r < _rows, "row out of range");
-    std::vector<int64_t> v(_cols);
-    for (size_t c = 0; c < _cols; ++c)
-        v[c] = _data[idx(r, c)];
-    return IVec(std::move(v));
+    return IVec(_data.data() + idx(r, 0), _cols);
 }
 
 IVec

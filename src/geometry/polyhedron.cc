@@ -1,6 +1,7 @@
 #include "geometry/polyhedron.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 
 #include "support/checked.h"
@@ -171,6 +172,73 @@ solveSquare(std::vector<RationalVec> m, RationalVec rhs)
     return x;
 }
 
+/**
+ * Append each vertex as its positive common denominator followed by
+ * its numerators over it.  False when a value does not fit int64.
+ */
+bool
+appendIntegerVertices(const std::vector<RationalVec> &verts,
+                      std::vector<int64_t> &out)
+{
+    out.reserve(verts.size() * (verts[0].size() + 1));
+    for (const RationalVec &v : verts) {
+        int64_t den = 1;
+        for (const Rational &x : v)
+            if (__builtin_mul_overflow(den / std::gcd(den, x.den()),
+                                       x.den(), &den))
+                return false;
+        out.push_back(den);
+        for (const Rational &x : v) {
+            int64_t num = 0;
+            if (__builtin_mul_overflow(x.num(), den / x.den(), &num))
+                return false;
+            out.push_back(num);
+        }
+    }
+    return true;
+}
+
+/**
+ * acc += a * b with checkedMul/checkedAdd's overflow tests, returning
+ * false instead of throwing -- also when the direction component b,
+ * the product or the sum is INT64_MIN: dotRI rejects those as well (a
+ * Rational numerator must be negatable), and ceilDiv negates.
+ */
+inline bool
+mulAddFits(int64_t &acc, int64_t a, int64_t b)
+{
+    int64_t term = 0;
+    return b != INT64_MIN && !__builtin_mul_overflow(a, b, &term) &&
+           term != INT64_MIN && !__builtin_add_overflow(acc, term, &acc) &&
+           acc != INT64_MIN;
+}
+
+/**
+ * [ceil(min), floor(max)] of (num . dir) / den over an integer vertex
+ * table; exact because floor and ceil are monotone.  False when the
+ * table is empty or a step does not fit (see mulAddFits).
+ */
+bool
+integerRange(const std::vector<int64_t> &table, const IVec &dir,
+             int64_t &lo, int64_t &hi)
+{
+    const size_t d = dir.dim();
+    const int64_t *x = dir.data();
+    lo = INT64_MAX;
+    hi = INT64_MIN;
+    for (size_t at = 0; at < table.size(); at += d + 1) {
+        const int64_t den = table[at];
+        const int64_t *num = &table[at + 1];
+        int64_t dot = 0;
+        for (size_t c = 0; c < d; ++c)
+            if (!mulAddFits(dot, num[c], x[c]))
+                return false;
+        hi = std::max(hi, floorDiv(dot, den));
+        lo = std::min(lo, ceilDiv(dot, den));
+    }
+    return !table.empty();
+}
+
 } // namespace
 
 void
@@ -231,6 +299,8 @@ Polyhedron::computeVertices() const
 
     UOV_REQUIRE(!verts.empty(), "polyhedron is empty or unbounded (no "
                                 "vertices found)");
+    if (!appendIntegerVertices(verts, _intVertices))
+        _intVertices.clear();
     _vertices = std::move(verts);
     _verticesValid = true;
 }
@@ -269,11 +339,22 @@ Polyhedron::minDot(const IVec &dir) const
     return best;
 }
 
+void
+Polyhedron::projectedRange(const IVec &dir, int64_t &lo, int64_t &hi) const
+{
+    vertices(); // fills both tables
+    if (dir.dim() == dim() && integerRange(_intVertices, dir, lo, hi))
+        return;
+    // The exact path decides, and throws its own error if it fails too.
+    hi = maxDot(dir).floor();
+    lo = minDot(dir).ceil();
+}
+
 int64_t
 Polyhedron::projectionCount(const IVec &dir) const
 {
-    int64_t hi = maxDot(dir).floor();
-    int64_t lo = minDot(dir).ceil();
+    int64_t lo = 0, hi = 0;
+    projectedRange(dir, lo, hi);
     return hi < lo ? 0 : checkedAdd(checkedSub(hi, lo), 1);
 }
 
@@ -329,8 +410,7 @@ Polyhedron::boundingBox(IVec &lo, IVec &hi) const
     for (size_t c = 0; c < d; ++c) {
         IVec axis(d);
         axis[c] = 1;
-        lo[c] = minDot(axis).ceil();
-        hi[c] = maxDot(axis).floor();
+        projectedRange(axis, lo[c], hi[c]);
     }
 }
 

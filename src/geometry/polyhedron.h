@@ -9,6 +9,18 @@
  * construction from constraints, boxes or 2-D vertex lists, exact
  * rational vertex enumeration, dot-product ranges, projection widths,
  * and minimum width (the paper's P_M).
+ *
+ * The vertices are kept twice.  The exact rational table behind
+ * vertices(), maxDot() and minDot() is the reference.  An integer
+ * table -- per vertex one positive common denominator and d
+ * numerators, in one flat array -- serves projectionCount() and
+ * boundingBox(), which the branch-and-bound search calls for every
+ * candidate OV.  Floor and ceil are monotone, so floor(max) ==
+ * max(floor) and the integer answer is the rational one.  A step that
+ * overflows int64, or lands on INT64_MIN (which no Rational numerator
+ * holds), hands the query to the rational path; on integer vertices --
+ * every box and 2-D hull -- both paths therefore fail on exactly the
+ * same inputs, with the same error (DESIGN.md section 6).
  */
 
 #ifndef UOV_GEOMETRY_POLYHEDRON_H
@@ -101,10 +113,19 @@ class Polyhedron
 
     void computeVertices() const;
 
+    /**
+     * [ceil(minDot), floor(maxDot)] of dir . x, from the integer table
+     * when every step fits int64, else from the rational vertices.
+     */
+    void projectedRange(const IVec &dir, int64_t &lo, int64_t &hi) const;
+
     IMatrix _a;
     IVec _b;
     mutable bool _verticesValid = false;
     mutable std::vector<RationalVec> _vertices;
+    /** Per vertex: den > 0, then num[0..d-1] with vertex == num / den;
+     *  empty when some vertex does not fit int64 that way. */
+    mutable std::vector<int64_t> _intVertices;
 };
 
 } // namespace uov

@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for storage-cell counting (Figures 3 and 6, Tables 1/2
- * storage columns) and the known-bounds search radius.
+ * storage columns), the pinned 3-D/4-D objective, and the known-bounds
+ * search radius.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/storage_count.h"
+#include "geometry/lattice.h"
 #include "support/error.h"
 
 namespace uov {
@@ -134,6 +136,72 @@ TEST(StorageCount, KnownBoundsRadiusFigure3AdmitsLongerWinner)
         {IVec{1, 1}, IVec{1, 6}, IVec{10, 4}, IVec{10, 9}});
     int64_t r_sq = knownBoundsRadiusSquared(IVec{3, 0}, isg);
     EXPECT_GE(r_sq, (IVec{3, 1}).normSquared());
+}
+
+TEST(StorageCount, PinnedObjectiveIn3DAnd4D)
+{
+    // In 3 or more dimensions the objective multiplies projections on
+    // rows 1..d-1 of unimodularCompletion(ov / g).  Any other valid
+    // completion would also map ov to e0, but would change these
+    // counts and with them which OV the bounded search returns, so
+    // both the counts and the exact rows are pinned.
+    Polyhedron box3 = Polyhedron::box(IVec{-3, 0, -2}, IVec{4, 5, 6});
+    Polyhedron box4 =
+        Polyhedron::box(IVec{-1, 0, -2, 1}, IVec{3, 4, 2, 5});
+    struct Pin
+    {
+        IVec ov;
+        int64_t cells;
+        IMatrix u;
+    };
+    const Pin pins[] = {
+        {IVec{2, -4, 6}, 1344, IMatrix({{0, 1, 1}, {-1, 1, 1}, {0, -3, -2}})},
+        {IVec{3, 0, -6}, 414, IMatrix({{1, 0, 0}, {-2, 0, -1}, {0, 1, 0}})},
+        {IVec{1, -2, 3}, 672, IMatrix({{0, 1, 1}, {-1, 1, 1}, {0, -3, -2}})},
+        {IVec{4, 6, -2}, 1440, IMatrix({{0, 0, -1}, {-1, 0, -2}, {0, 1, 3}})},
+        {IVec{0, 3, -6}, 456, IMatrix({{0, 1, 0}, {-1, 0, 0}, {0, 2, 1}})},
+        {IVec{5, -3, 2}, 2555,
+         IMatrix({{0, -1, -1}, {-1, -5, -5}, {0, -2, -3}})},
+        {IVec{1, 1, -1}, 224, IMatrix({{0, 0, -1}, {-1, 0, -1}, {0, 1, 1}})},
+        {IVec{0, 0, 2}, 96, IMatrix({{0, 0, 1}, {-1, 0, 0}, {0, -1, 0}})},
+        {IVec{2, -4, 6, 8}, 15834,
+         IMatrix({{0, 0, -1, 1},
+                  {-1, 0, -1, 1},
+                  {0, -1, 2, -2},
+                  {0, 0, -4, 3}})},
+        {IVec{1, -2, 3, -5}, 16269,
+         IMatrix({{0, 0, 2, 1},
+                  {-1, 0, 2, 1},
+                  {0, -1, -4, -2},
+                  {0, 0, 5, 3}})},
+        {IVec{3, 0, -3, 6}, 1755,
+         IMatrix({{0, 0, -1, 0},
+                  {-1, 0, -1, 0},
+                  {0, -1, 0, 0},
+                  {0, 0, -2, -1}})},
+        {IVec{0, 2, -2, 4}, 1170,
+         IMatrix({{0, 0, -1, 0},
+                  {-1, 0, 0, 0},
+                  {0, -1, -1, 0},
+                  {0, 0, -2, -1}})},
+        {IVec{1, 1, 1, 1}, 729,
+         IMatrix({{0, 0, 0, 1},
+                  {-1, 0, 0, 1},
+                  {0, -1, 0, 1},
+                  {0, 0, -1, 1}})},
+        {IVec{-2, 3, 0, 1}, 1105,
+         IMatrix({{0, 0, 0, 1},
+                  {-1, 0, 0, -2},
+                  {0, -1, 0, 3},
+                  {0, 0, -1, 0}})},
+    };
+    for (const Pin &pin : pins) {
+        const Polyhedron &box = pin.ov.dim() == 3 ? box3 : box4;
+        EXPECT_EQ(storageCellCount(pin.ov, box), pin.cells) << pin.ov.str();
+        EXPECT_EQ(unimodularCompletion(pin.ov.dividedBy(pin.ov.content())),
+                  pin.u)
+            << pin.ov.str();
+    }
 }
 
 } // namespace

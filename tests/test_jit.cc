@@ -7,6 +7,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -201,6 +202,31 @@ TEST(Jit, LoadAndResolveSymbols)
     JitKernel moved = std::move(kernel);
     EXPECT_TRUE(static_cast<bool>(moved));
     EXPECT_FALSE(static_cast<bool>(kernel));
+}
+
+TEST(Jit, TmpdirWithQuoteAndSpaceCompilesAndRuns)
+{
+    if (!JitCompiler::hostCompilerAvailable())
+        GTEST_SKIP() << "no host C compiler on PATH";
+    // The default object cache lives under $TMPDIR, and the compiler
+    // runs without a shell, so a quote or a space in that path is just
+    // another path character.
+    std::string dir = ::testing::TempDir() + "uov jit q'dir " +
+                      std::to_string(static_cast<long>(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    {
+        ScopedEnv tmpdir("TMPDIR", dir.c_str());
+        JitCompiler jit;
+        std::string so_path = jit.compile(kTrivialKernel);
+        EXPECT_EQ(so_path.rfind(dir, 0), 0u) << so_path;
+        EXPECT_EQ(jit.compilesInvoked(), 1u);
+        JitKernel kernel = jit.load(so_path);
+        double out = 0.0;
+        kernel.fn<void (*)(double *)>("jit_trivial")(&out);
+        EXPECT_EQ(out, 42.0);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Jit, CompileAndLoadGeneratedKernel)
