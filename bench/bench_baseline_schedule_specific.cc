@@ -84,7 +84,7 @@ main(int argc, char **argv)
         int count = 0;
         for (const auto &h : waves) {
             ExecutionResult r = runWithOvStorage(
-                comp, WavefrontSchedule(h), lo, hi, ov);
+                comp, AffineSchedule({h}), lo, hi, ov);
             if (r.correct())
                 ++count;
         }
@@ -161,7 +161,7 @@ main(int argc, char **argv)
                 .best_objective;
         for (const IVec &h : {IVec{2, 1}, IVec{1, 1}, IVec{1, 3}}) {
             LiveRangeResult lr =
-                maxLiveValues(WavefrontSchedule(h), llo, lhi, st);
+                maxLiveValues(AffineSchedule({h}), llo, lhi, st);
             ScheduleSpecificResult sp =
                 bestOvForLinearSchedule(h, st, lisg);
             l.addRow()
@@ -171,7 +171,8 @@ main(int argc, char **argv)
                 .cell(formatCount(uov_cells));
         }
         LiveRangeResult lex_lr =
-            maxLiveValues(LexSchedule::identity(2), llo, lhi, st);
+            maxLiveValues(TiledSchedule(IMatrix::identity(2)), llo, lhi,
+                          st);
         l.addRow()
             .cell("lex (original)")
             .cell(lex_lr.max_live)

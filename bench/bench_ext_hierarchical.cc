@@ -79,9 +79,11 @@ main(int argc, char **argv)
         int64_t l2_factor = std::max<int64_t>(
             2, machine.l2.size_bytes / 8 / l1_tile);
 
-        TiledSchedule one_level({tile_t, l1_tile}, skew, "L1-tile");
-        HierarchicalTiledSchedule two_level(
-            {tile_t, l1_tile}, {steps / tile_t, l2_factor}, skew,
+        TiledSchedule one_level(skew, {{tile_t, l1_tile}}, "L1-tile");
+        TiledSchedule two_level(
+            skew,
+            {{tile_t * (steps / tile_t), l1_tile * l2_factor},
+             {tile_t, l1_tile}},
             "L1-in-L2");
 
         Table t("5-point stencil, OV storage, L=" + formatCount(len) +
@@ -99,8 +101,8 @@ main(int argc, char **argv)
                   2);
         t.addRow()
             .cell("untiled (lex)")
-            .cell(simulateSchedule(LexSchedule::identity(2), five, lo,
-                                   hi, len, machine),
+            .cell(simulateSchedule(TiledSchedule(IMatrix::identity(2)),
+                                   five, lo, hi, len, machine),
                   2);
         bench::emit(t, opt);
     }

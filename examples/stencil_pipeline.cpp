@@ -52,12 +52,12 @@ main()
     IVec lo{0, 0}, hi{t_steps, len - 1};
 
     std::vector<std::unique_ptr<Schedule>> schedules;
-    schedules.push_back(
-        std::make_unique<LexSchedule>(LexSchedule::identity(2)));
     schedules.push_back(std::make_unique<TiledSchedule>(
-        TiledSchedule({8, 32}, skew, "skew-tile")));
-    schedules.push_back(
-        std::make_unique<WavefrontSchedule>(IVec{3, 1}));
+        TiledSchedule(IMatrix::identity(2), {}, "lex")));
+    schedules.push_back(std::make_unique<TiledSchedule>(
+        TiledSchedule(skew, {{8, 32}}, "skew-tile")));
+    schedules.push_back(std::make_unique<AffineSchedule>(
+        AffineSchedule({IVec{3, 1}}, "wavefront(3, 1)")));
     schedules.push_back(
         std::make_unique<RandomTopoSchedule>(stencil, 2026));
 

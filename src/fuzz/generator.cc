@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "schedule/builder.h"
 #include "schedule/legality.h"
 #include "support/error.h"
 
@@ -126,11 +127,9 @@ randomLegalSchedule(SplitMix64 &rng, const Stencil &stencil,
         if (cone_safe) {
             auto h = stencil.positiveFunctional();
             if (h && wavefrontLegal(*h, stencil))
-                return std::make_unique<WavefrontSchedule>(*h);
-            std::vector<size_t> perm(d);
-            for (size_t k = 0; k < d; ++k)
-                perm[k] = k;
-            return std::make_unique<LexSchedule>(std::move(perm));
+                return std::make_unique<AffineSchedule>(
+                    std::vector<IVec>{*h});
+            return std::make_unique<TiledSchedule>(IMatrix::identity(d));
         }
         return std::make_unique<RandomTopoSchedule>(stencil, topo_seed);
     };
@@ -145,7 +144,7 @@ randomLegalSchedule(SplitMix64 &rng, const Stencil &stencil,
             for (size_t k = 0; k < d; ++k)
                 perm[k] = k; // identity: the original program order
         }
-        return std::make_unique<LexSchedule>(std::move(perm));
+        return ScheduleBuilder(d).reorder(perm).buildSchedule();
     }
 
     if (kind == 2) {
@@ -155,7 +154,8 @@ randomLegalSchedule(SplitMix64 &rng, const Stencil &stencil,
             for (size_t k = 0; k < d; ++k)
                 w[k] += rng.nextInRange(0, 2);
             if (wavefrontLegal(w, stencil))
-                return std::make_unique<WavefrontSchedule>(w);
+                return std::make_unique<AffineSchedule>(
+                    std::vector<IVec>{w});
         }
         return fallback();
     }
@@ -172,7 +172,9 @@ randomLegalSchedule(SplitMix64 &rng, const Stencil &stencil,
             IMatrix t = skewToNonNegative(stencil);
             if (tilingLegal(t, stencil))
                 return std::make_unique<TiledSchedule>(
-                    std::move(sizes), std::move(t), "fuzz-skew-tiled");
+                    std::move(t),
+                    std::vector<std::vector<int64_t>>{std::move(sizes)},
+                    "fuzz-skew-tiled");
         }
         return fallback();
     }

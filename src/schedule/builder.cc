@@ -210,40 +210,10 @@ ScheduleBuilder::legal(const Stencil &stencil) const
 }
 
 std::unique_ptr<Schedule>
-ScheduleBuilder::buildSchedule(const IVec &lo, const IVec &hi) const
+ScheduleBuilder::buildSchedule() const
 {
-    UOV_REQUIRE(_depth >= 1 && lo.dim() == _depth &&
-                    hi.dim() == _depth,
-                "buildSchedule: box rank does not match builder depth "
-                    << _depth);
-    bool identity = _transform == IMatrix::identity(_depth);
-    if (!tiled()) {
-        if (identity)
-            return std::make_unique<LexSchedule>(
-                LexSchedule::identity(_depth));
-        return std::make_unique<TransformedSchedule>(_transform,
-                                                     str());
-    }
-    // Untiled dimensions become one tile covering the transformed
-    // extent of the box: per row, the extremal value of t_kj * q_j is
-    // attained at lo_j or hi_j independently per coordinate.
-    std::vector<int64_t> sizes(_depth);
-    for (size_t k = 0; k < _depth; ++k) {
-        if (_tiles[k] > 0) {
-            sizes[k] = _tiles[k];
-            continue;
-        }
-        int64_t min_y = 0, max_y = 0;
-        for (size_t j = 0; j < _depth; ++j) {
-            int64_t a = _transform(k, j) * lo[j];
-            int64_t b = _transform(k, j) * hi[j];
-            min_y += std::min(a, b);
-            max_y += std::max(a, b);
-        }
-        sizes[k] = max_y - min_y + 1;
-    }
-    return std::make_unique<TiledSchedule>(std::move(sizes),
-                                           _transform, str());
+    return std::make_unique<TiledSchedule>(
+        _transform, std::vector<std::vector<int64_t>>{_tiles}, str());
 }
 
 std::optional<LoweredSchedule>

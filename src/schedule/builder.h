@@ -73,7 +73,7 @@ class ScheduleBuilder
 
     /**
      * Permute the loops: perm[k] names the original dimension iterated
-     * at nest level k (LexSchedule convention).
+     * at nest level k (outermost first).
      * @throws UovUserError unless perm is a permutation of 0..d-1
      */
     ScheduleBuilder &reorder(const std::vector<size_t> &perm);
@@ -143,13 +143,13 @@ class ScheduleBuilder
     bool legal(const Stencil &stencil) const;
 
     /**
-     * Materialize as a Schedule object over [lo, hi] (for simulators
-     * and the empirical oracle).  Untiled dimensions become one tile
-     * spanning the whole transformed extent of the box.  Unroll/jam
-     * factors do not change the visit order, so they do not appear.
+     * Materialize the transform and tile sizes as a one-level
+     * TiledSchedule (for simulators and the empirical oracle); an
+     * untiled dimension is one tile spanning the box.  Unroll/jam
+     * factors are not part of it: unroll keeps the visit order, and
+     * the simulator replays a jam's reordered bodies itself.
      */
-    std::unique_ptr<Schedule> buildSchedule(const IVec &lo,
-                                            const IVec &hi) const;
+    std::unique_ptr<Schedule> buildSchedule() const;
 
     /**
      * Lower to the exact CodegenOptions fields of a GenSchedule form

@@ -65,7 +65,7 @@ computeReference(const StencilComputation &comp, const IVec &lo,
                  const IVec &hi)
 {
     ExpandedArray<uint64_t> values(lo, hi);
-    LexSchedule order = LexSchedule::identity(lo.dim());
+    TiledSchedule order(IMatrix::identity(lo.dim()));
     std::vector<uint64_t> inputs(comp.stencil.size());
     order.forEach(lo, hi, [&](const IVec &q) {
         for (size_t i = 0; i < comp.stencil.size(); ++i) {

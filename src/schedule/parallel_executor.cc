@@ -35,7 +35,7 @@ runParallelWavefront(const StencilComputation &comp, const IVec &lo,
     // Bucket the points by wave.
     std::map<int64_t, std::vector<IVec>> waves;
     {
-        LexSchedule order = LexSchedule::identity(lo.dim());
+        TiledSchedule order(IMatrix::identity(lo.dim()));
         order.forEach(lo, hi, [&](const IVec &q) {
             waves[h.dot(q)].push_back(q);
         });

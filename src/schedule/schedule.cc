@@ -1,7 +1,6 @@
 #include "schedule/schedule.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <unordered_map>
 
@@ -13,40 +12,26 @@ namespace uov {
 
 namespace {
 
-/** Odometer enumeration of [lo, hi] with dimension order perm. */
+/** Odometer enumeration of [lo, hi] in lexicographic order. */
 template <typename Visit>
 void
-scanBoxPermuted(const IVec &lo, const IVec &hi,
-                const std::vector<size_t> &perm, Visit visit)
+scanBox(const IVec &lo, const IVec &hi, Visit visit)
 {
     size_t d = lo.dim();
     IVec p = lo;
-    // Initialize to lows; iterate innermost = perm[d-1] fastest.
     for (;;) {
         visit(p);
         size_t level = d;
-        bool done = false;
-        while (level-- > 0) {
-            size_t dim = perm[level];
-            if (p[dim] < hi[dim]) {
-                ++p[dim];
+        for (;;) {
+            if (level-- == 0)
+                return;
+            if (p[level] < hi[level]) {
+                ++p[level];
                 break;
             }
-            p[dim] = lo[dim];
-            if (level == 0)
-                done = true;
+            p[level] = lo[level];
         }
-        if (done)
-            break;
     }
-}
-
-std::vector<size_t>
-identityPerm(size_t d)
-{
-    std::vector<size_t> perm(d);
-    std::iota(perm.begin(), perm.end(), 0);
-    return perm;
 }
 
 /** Bounding box of T*[lo, hi] from its transformed corners. */
@@ -61,8 +46,8 @@ transformedBounds(const IMatrix &t, const IVec &lo, const IVec &hi,
         int64_t mn = 0, mx = 0;
         for (size_t c = 0; c < d; ++c) {
             int64_t a = t(r, c);
-            mn = checkedAdd(mn, a * (a >= 0 ? lo[c] : hi[c]));
-            mx = checkedAdd(mx, a * (a >= 0 ? hi[c] : lo[c]));
+            mn = checkedAdd(mn, checkedMul(a, a >= 0 ? lo[c] : hi[c]));
+            mx = checkedAdd(mx, checkedMul(a, a >= 0 ? hi[c] : lo[c]));
         }
         tlo[r] = mn;
         thi[r] = mx;
@@ -78,110 +63,82 @@ inBox(const IVec &p, const IVec &lo, const IVec &hi)
     return true;
 }
 
+/**
+ * Scan the box [blo, bhi] of the transformed space through tile levels
+ * levels[level..], calling scan(ylo, yhi) on each innermost box in
+ * execution order.  A level grids its box at multiples of its sizes
+ * (one tile per untiled dimension) and clips every tile to the box;
+ * the grid spans exactly the tiles that meet a non-empty box, so no
+ * clipped tile is empty.
+ */
+template <typename Scan>
+void
+scanTiles(const std::vector<std::vector<int64_t>> &levels, size_t level,
+          const IVec &blo, const IVec &bhi, Scan &scan)
+{
+    if (level == levels.size()) {
+        scan(blo, bhi);
+        return;
+    }
+    const std::vector<int64_t> &sizes = levels[level];
+    size_t d = blo.dim();
+    IVec grid_lo(d), grid_hi(d);
+    for (size_t c = 0; c < d; ++c) {
+        if (sizes[c] > 0) {
+            grid_lo[c] = floorDiv(blo[c], sizes[c]);
+            grid_hi[c] = floorDiv(bhi[c], sizes[c]);
+        }
+    }
+    scanBox(grid_lo, grid_hi, [&](const IVec &tile) {
+        IVec ylo = blo, yhi = bhi;
+        for (size_t c = 0; c < d; ++c) {
+            if (sizes[c] > 0) {
+                int64_t first = checkedMul(tile[c], sizes[c]);
+                ylo[c] = std::max(blo[c], first);
+                yhi[c] = std::min(bhi[c],
+                                  checkedAdd(first, sizes[c] - 1));
+            }
+        }
+        scanTiles(levels, level + 1, ylo, yhi, scan);
+    });
+}
+
 } // namespace
 
-LexSchedule::LexSchedule(std::vector<size_t> perm) : _perm(std::move(perm))
-{
-    std::vector<size_t> sorted = _perm;
-    std::sort(sorted.begin(), sorted.end());
-    for (size_t i = 0; i < sorted.size(); ++i)
-        UOV_REQUIRE(sorted[i] == i,
-                    "permutation is not a bijection on 0.."
-                        << sorted.size() - 1);
-}
-
-LexSchedule
-LexSchedule::identity(size_t d)
-{
-    return LexSchedule(identityPerm(d));
-}
-
-std::string
-LexSchedule::name() const
-{
-    std::ostringstream oss;
-    oss << "lex(";
-    for (size_t i = 0; i < _perm.size(); ++i) {
-        if (i)
-            oss << ",";
-        oss << _perm[i];
-    }
-    oss << ")";
-    return oss.str();
-}
-
-void
-LexSchedule::forEach(const IVec &lo, const IVec &hi,
-                     const IterationVisitor &visit) const
-{
-    UOV_REQUIRE(lo.dim() == _perm.size(), "schedule depth mismatch");
-    scanBoxPermuted(lo, hi, _perm, visit);
-}
-
-TransformedSchedule::TransformedSchedule(IMatrix transform,
-                                         std::string label)
-    : _t(std::move(transform)), _label(std::move(label))
+TiledSchedule::TiledSchedule(IMatrix transform,
+                             std::vector<std::vector<int64_t>> levels,
+                             std::string label)
+    : _t(std::move(transform)), _levels(std::move(levels)),
+      _label(std::move(label))
 {
     UOV_REQUIRE(_t.rows() == _t.cols(), "transform must be square");
     UOV_REQUIRE(_t.isUnimodular(),
                 "schedule transform must be unimodular to enumerate "
                 "every iteration exactly once");
+    for (const auto &sizes : _levels) {
+        UOV_REQUIRE(sizes.size() == _t.rows(),
+                    "tile level has " << sizes.size()
+                                      << " sizes for a depth-"
+                                      << _t.rows() << " transform");
+        for (int64_t s : sizes)
+            UOV_REQUIRE(s >= 0,
+                        "tile sizes must be >= 0 (0 = not tiled), got "
+                            << s);
+    }
     _t_inv = _t.inverseUnimodular();
-}
-
-std::string
-TransformedSchedule::name() const
-{
-    return _label.empty() ? "transformed" + _t.str() : _label;
-}
-
-void
-TransformedSchedule::forEach(const IVec &lo, const IVec &hi,
-                             const IterationVisitor &visit) const
-{
-    UOV_REQUIRE(lo.dim() == _t.rows(), "schedule depth mismatch");
-    IVec tlo, thi;
-    transformedBounds(_t, lo, hi, tlo, thi);
-    scanBoxPermuted(tlo, thi, identityPerm(lo.dim()),
-                    [&](const IVec &y) {
-                        IVec q = _t_inv * y;
-                        if (inBox(q, lo, hi))
-                            visit(q);
-                    });
-}
-
-TiledSchedule::TiledSchedule(std::vector<int64_t> tile_sizes,
-                             IMatrix transform, std::string label)
-    : _sizes(std::move(tile_sizes)), _t(std::move(transform)),
-      _label(std::move(label))
-{
-    UOV_REQUIRE(_t.rows() == _t.cols() && _t.rows() == _sizes.size(),
-                "tile sizes / transform shape mismatch");
-    UOV_REQUIRE(_t.isUnimodular(), "tiling transform must be unimodular");
-    for (int64_t s : _sizes)
-        UOV_REQUIRE(s >= 1, "tile sizes must be positive");
-    _t_inv = _t.inverseUnimodular();
-}
-
-TiledSchedule
-TiledSchedule::rectangular(std::vector<int64_t> tile_sizes)
-{
-    size_t d = tile_sizes.size();
-    return TiledSchedule(std::move(tile_sizes), IMatrix::identity(d),
-                         "tiled-rect");
 }
 
 std::string
 TiledSchedule::name() const
 {
     std::ostringstream oss;
-    oss << (_label.empty() ? std::string("tiled") : _label) << "[";
-    for (size_t i = 0; i < _sizes.size(); ++i) {
-        if (i)
-            oss << "x";
-        oss << _sizes[i];
+    oss << (_label.empty() ? "scan" + _t.str() : _label);
+    for (const auto &sizes : _levels) {
+        oss << "[";
+        for (size_t i = 0; i < sizes.size(); ++i)
+            oss << (i ? "x" : "") << sizes[i];
+        oss << "]";
     }
-    oss << "]";
     return oss.str();
 }
 
@@ -189,158 +146,18 @@ void
 TiledSchedule::forEach(const IVec &lo, const IVec &hi,
                        const IterationVisitor &visit) const
 {
-    size_t d = lo.dim();
-    UOV_REQUIRE(d == _sizes.size(), "schedule depth mismatch");
+    UOV_REQUIRE(lo.dim() == _t.rows() && hi.dim() == _t.rows(),
+                "schedule depth mismatch");
     IVec tlo, thi;
     transformedBounds(_t, lo, hi, tlo, thi);
-
-    // Tile index space.
-    IVec tile_lo(d), tile_hi(d);
-    for (size_t c = 0; c < d; ++c) {
-        tile_lo[c] = floorDiv(tlo[c], _sizes[c]);
-        tile_hi[c] = floorDiv(thi[c], _sizes[c]);
-    }
-
-    scanBoxPermuted(tile_lo, tile_hi, identityPerm(d),
-                    [&](const IVec &tile) {
-        // Intra-tile bounds in transformed space, clipped to the hull.
-        IVec ylo(d), yhi(d);
-        for (size_t c = 0; c < d; ++c) {
-            ylo[c] = std::max(tlo[c], tile[c] * _sizes[c]);
-            yhi[c] = std::min(thi[c], tile[c] * _sizes[c] +
-                                          _sizes[c] - 1);
-        }
-        bool empty = false;
-        for (size_t c = 0; c < d; ++c)
-            if (ylo[c] > yhi[c])
-                empty = true;
-        if (empty)
-            return;
-        scanBoxPermuted(ylo, yhi, identityPerm(d), [&](const IVec &y) {
+    auto scan = [&](const IVec &ylo, const IVec &yhi) {
+        scanBox(ylo, yhi, [&](const IVec &y) {
             IVec q = _t_inv * y;
             if (inBox(q, lo, hi))
                 visit(q);
         });
-    });
-}
-
-HierarchicalTiledSchedule::HierarchicalTiledSchedule(
-    std::vector<int64_t> inner_sizes, std::vector<int64_t> outer_factors,
-    IMatrix transform, std::string label)
-    : _inner(std::move(inner_sizes)), _t(std::move(transform)),
-      _label(std::move(label))
-{
-    UOV_REQUIRE(_t.rows() == _t.cols() && _t.rows() == _inner.size() &&
-                    outer_factors.size() == _inner.size(),
-                "hierarchical tiling shape mismatch");
-    UOV_REQUIRE(_t.isUnimodular(), "tiling transform must be unimodular");
-    _outer.resize(_inner.size());
-    for (size_t c = 0; c < _inner.size(); ++c) {
-        UOV_REQUIRE(_inner[c] >= 1 && outer_factors[c] >= 1,
-                    "tile sizes and factors must be positive");
-        _outer[c] = checkedMul(_inner[c], outer_factors[c]);
-    }
-    _t_inv = _t.inverseUnimodular();
-}
-
-std::string
-HierarchicalTiledSchedule::name() const
-{
-    std::ostringstream oss;
-    oss << (_label.empty() ? std::string("hier-tiled") : _label) << "[";
-    for (size_t i = 0; i < _inner.size(); ++i) {
-        if (i)
-            oss << "x";
-        oss << _inner[i] << "/" << _outer[i];
-    }
-    oss << "]";
-    return oss.str();
-}
-
-void
-HierarchicalTiledSchedule::forEach(const IVec &lo, const IVec &hi,
-                                   const IterationVisitor &visit) const
-{
-    size_t d = lo.dim();
-    UOV_REQUIRE(d == _inner.size(), "schedule depth mismatch");
-    IVec tlo, thi;
-    transformedBounds(_t, lo, hi, tlo, thi);
-
-    auto perm = identityPerm(d);
-
-    // Outer super-tile grid.
-    IVec olo(d), ohi(d);
-    for (size_t c = 0; c < d; ++c) {
-        olo[c] = floorDiv(tlo[c], _outer[c]);
-        ohi[c] = floorDiv(thi[c], _outer[c]);
-    }
-    scanBoxPermuted(olo, ohi, perm, [&](const IVec &outer) {
-        // Inner tile grid clipped to this super-tile.
-        IVec ylo(d), yhi(d);
-        for (size_t c = 0; c < d; ++c) {
-            ylo[c] = std::max(tlo[c], outer[c] * _outer[c]);
-            yhi[c] = std::min(thi[c],
-                              outer[c] * _outer[c] + _outer[c] - 1);
-        }
-        for (size_t c = 0; c < d; ++c)
-            if (ylo[c] > yhi[c])
-                return;
-        IVec ilo(d), ihi(d);
-        for (size_t c = 0; c < d; ++c) {
-            ilo[c] = floorDiv(ylo[c], _inner[c]);
-            ihi[c] = floorDiv(yhi[c], _inner[c]);
-        }
-        scanBoxPermuted(ilo, ihi, perm, [&](const IVec &inner) {
-            IVec plo(d), phi(d);
-            for (size_t c = 0; c < d; ++c) {
-                plo[c] = std::max(ylo[c], inner[c] * _inner[c]);
-                phi[c] = std::min(yhi[c], inner[c] * _inner[c] +
-                                              _inner[c] - 1);
-            }
-            for (size_t c = 0; c < d; ++c)
-                if (plo[c] > phi[c])
-                    return;
-            scanBoxPermuted(plo, phi, perm, [&](const IVec &y) {
-                IVec q = _t_inv * y;
-                if (inBox(q, lo, hi))
-                    visit(q);
-            });
-        });
-    });
-}
-
-WavefrontSchedule::WavefrontSchedule(IVec h) : _h(std::move(h))
-{
-    UOV_REQUIRE(!_h.isZero(), "zero wavefront vector");
-}
-
-std::string
-WavefrontSchedule::name() const
-{
-    return "wavefront" + _h.str();
-}
-
-void
-WavefrontSchedule::forEach(const IVec &lo, const IVec &hi,
-                           const IterationVisitor &visit) const
-{
-    size_t d = lo.dim();
-    UOV_REQUIRE(d == _h.dim(), "schedule depth mismatch");
-
-    // Range of h . q over the box.
-    int64_t wmin = 0, wmax = 0;
-    for (size_t c = 0; c < d; ++c) {
-        int64_t a = _h[c];
-        wmin = checkedAdd(wmin, a * (a >= 0 ? lo[c] : hi[c]));
-        wmax = checkedAdd(wmax, a * (a >= 0 ? hi[c] : lo[c]));
-    }
-    // O(waves * volume): fine for the test/demo scale this targets.
-    for (int64_t w = wmin; w <= wmax; ++w) {
-        scanBoxPermuted(lo, hi, identityPerm(d), [&](const IVec &q) {
-            if (_h.dot(q) == w)
-                visit(q);
-        });
-    }
+    };
+    scanTiles(_levels, 0, tlo, thi, scan);
 }
 
 AffineSchedule::AffineSchedule(std::vector<IVec> rows, std::string label)
@@ -384,10 +201,9 @@ AffineSchedule::forEach(const IVec &lo, const IVec &hi,
 {
     UOV_REQUIRE(lo.dim() == _rows[0].dim(), "schedule depth mismatch");
     // Materialize and sort: simple and correct for the demo/test
-    // scale this class targets (like WavefrontSchedule).
+    // scale this class targets.
     std::vector<IVec> points;
-    scanBoxPermuted(lo, hi, identityPerm(lo.dim()),
-                    [&](const IVec &q) { points.push_back(q); });
+    scanBox(lo, hi, [&](const IVec &q) { points.push_back(q); });
     std::stable_sort(points.begin(), points.end(),
                      [&](const IVec &a, const IVec &b) {
                          auto ta = timeOf(a);
@@ -442,8 +258,7 @@ RandomTopoSchedule::forEach(const IVec &lo, const IVec &hi,
 
     // Collect box points and index them.
     std::vector<IVec> points;
-    scanBoxPermuted(lo, hi, identityPerm(d),
-                    [&](const IVec &q) { points.push_back(q); });
+    scanBox(lo, hi, [&](const IVec &q) { points.push_back(q); });
     std::unordered_map<IVec, size_t, IVecHash> index;
     for (size_t i = 0; i < points.size(); ++i)
         index.emplace(points[i], i);

@@ -4,10 +4,11 @@
  *
  * The UOV's defining property is schedule-independence: the storage
  * mapping stays correct under *any* legal schedule.  This module
- * provides the schedule family the claim is tested against --
- * lexicographic orders under loop permutation, unimodular (skewed)
- * transformations, rectangular tiling of a transformed space,
- * wavefronts, and random topological orders of the dependence graph.
+ * provides the schedule family the claim is tested against: one box
+ * scan covering loop permutations, unimodular (skewed) transformations
+ * and multi-level tiling of a transformed space; affine time mappings,
+ * wavefronts included; and random topological orders of the
+ * dependence graph.
  */
 
 #ifndef UOV_SCHEDULE_SCHEDULE_H
@@ -42,142 +43,53 @@ class Schedule
 };
 
 /**
- * Lexicographic order with a loop permutation: perm[k] names the
- * original dimension iterated at nest level k (outermost first).
- * perm = identity is the original program order; a 2-D swap is loop
- * interchange.
- */
-class LexSchedule : public Schedule
-{
-  public:
-    explicit LexSchedule(std::vector<size_t> perm);
-
-    /** Original program order for depth d. */
-    static LexSchedule identity(size_t d);
-
-    std::string name() const override;
-    void forEach(const IVec &lo, const IVec &hi,
-                 const IterationVisitor &visit) const override;
-
-    const std::vector<size_t> &perm() const { return _perm; }
-
-  private:
-    std::vector<size_t> _perm;
-};
-
-/**
- * Unimodular transformation schedule: execute points in lexicographic
- * order of y = T*q.  T unimodular makes this a bijection on Z^d, so
- * every box point appears exactly once (points whose preimage falls
- * outside the box are skipped).  Skewing and reversal-free interchange
- * compose here.
- */
-class TransformedSchedule : public Schedule
-{
-  public:
-    explicit TransformedSchedule(IMatrix transform,
-                                 std::string label = "");
-
-    std::string name() const override;
-    void forEach(const IVec &lo, const IVec &hi,
-                 const IterationVisitor &visit) const override;
-
-    const IMatrix &transform() const { return _t; }
-
-  private:
-    IMatrix _t;
-    IMatrix _t_inv;
-    std::string _label;
-};
-
-/**
- * Rectangular tiling of a (possibly skewed) iteration space: the
- * transformed space y = T*q is partitioned into tiles of the given
- * sizes; tiles execute in lexicographic order of their index, points
- * within a tile in lexicographic order of y (Section 2's "atomic units
- * of execution").
+ * Box scan of a unimodular transformed space y = T*q, tiled at any
+ * number of levels (Section 2's "atomic units of execution"; the
+ * hierarchical tiling of Section 7's future work).  levels[0] is the
+ * outermost tile grid and each level holds one tile size per
+ * dimension, 0 meaning "not tiled at this level".  Each level cuts the
+ * current box into the tiles of its grid, clipped to the box, and runs
+ * them in lexicographic order of tile index; the innermost boxes are
+ * scanned in lexicographic order of y, visiting T^-1 y whenever it
+ * lies in [lo, hi].  T unimodular makes this a bijection on Z^d, so
+ * every box point appears exactly once.
+ *
+ * With no levels this is a plain lexicographic order of y: T = I is
+ * the original program order, a permutation matrix a loop interchange
+ * (ScheduleBuilder::reorder), a skew a skewed sweep.  With levels
+ * it is legal when tilingLegal(T, stencil) holds, whatever the number
+ * of levels.
  */
 class TiledSchedule : public Schedule
 {
   public:
-    TiledSchedule(std::vector<int64_t> tile_sizes, IMatrix transform,
-                  std::string label = "");
-
-    /** Untransformed rectangular tiling. */
-    static TiledSchedule rectangular(std::vector<int64_t> tile_sizes);
-
-    std::string name() const override;
-    void forEach(const IVec &lo, const IVec &hi,
-                 const IterationVisitor &visit) const override;
-
-    const IMatrix &transform() const { return _t; }
-    const std::vector<int64_t> &tileSizes() const { return _sizes; }
-
-  private:
-    std::vector<int64_t> _sizes;
-    IMatrix _t;
-    IMatrix _t_inv;
-    std::string _label;
-};
-
-/**
- * Two-level (hierarchical) tiling: inner tiles for one memory level
- * grouped into outer super-tiles for the next (the paper's Section 7
- * future work, citing Carter/Ferrante hierarchical tiling).  Outer
- * tiles execute lexicographically, inner tiles within an outer tile
- * lexicographically, points within an inner tile lexicographically --
- * all in the (optionally skewed) transformed space, legal under the
- * same component-wise non-negativity condition as single-level tiling.
- */
-class HierarchicalTiledSchedule : public Schedule
-{
-  public:
     /**
-     * @param inner_sizes inner (e.g. L1) tile edge lengths
-     * @param outer_factors outer tile size in units of inner tiles
-     * @param transform unimodular skew applied first
+     * @throws UovUserError unless @p transform is square and
+     *         unimodular and every level holds one size >= 0 per
+     *         dimension
      */
-    HierarchicalTiledSchedule(std::vector<int64_t> inner_sizes,
-                              std::vector<int64_t> outer_factors,
-                              IMatrix transform,
-                              std::string label = "");
+    explicit TiledSchedule(IMatrix transform,
+                           std::vector<std::vector<int64_t>> levels = {},
+                           std::string label = "");
 
     std::string name() const override;
+
+    /** @throws UovOverflowError when a transformed bound or tile
+     *          corner of the box leaves int64 */
     void forEach(const IVec &lo, const IVec &hi,
                  const IterationVisitor &visit) const override;
 
   private:
-    std::vector<int64_t> _inner;
-    std::vector<int64_t> _outer; ///< in elements (inner * factor)
     IMatrix _t;
     IMatrix _t_inv;
+    std::vector<std::vector<int64_t>> _levels;
     std::string _label;
-};
-
-/**
- * Wavefront schedule: points ordered by h . q, ties broken
- * lexicographically.  Legal iff h . v > 0 for every dependence; models
- * the fine-grained parallel schedules the UOV must survive.
- */
-class WavefrontSchedule : public Schedule
-{
-  public:
-    explicit WavefrontSchedule(IVec h);
-
-    std::string name() const override;
-    void forEach(const IVec &lo, const IVec &hi,
-                 const IterationVisitor &visit) const override;
-
-    const IVec &waveVector() const { return _h; }
-
-  private:
-    IVec _h;
 };
 
 /**
  * Multi-dimensional affine schedule: points ordered lexicographically
  * by (h_1.q, ..., h_r.q), remaining ties broken by lexicographic
- * point order.  Generalizes WavefrontSchedule (r = 1) and subsumes
+ * point order.  One row is a wavefront h.q; more rows subsume
  * non-unimodular time mappings like ((2,1).q, (0,1).q).  Legal iff
  * every dependence maps to a lexicographically positive tuple.
  */

@@ -244,7 +244,7 @@ SimEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
         // Everything else visits points one per body; the builder's
         // Schedule object supplies the order (lex, skewed, tiled,
         // reordered) exactly as the empirical legality oracle sees it.
-        auto schedule = cand.schedule.buildSchedule(lo, hi);
+        auto schedule = cand.schedule.buildSchedule();
         schedule->forEach(lo, hi, [&](const IVec &q) {
             stream.point(q);
             stream.flush();

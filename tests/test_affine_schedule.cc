@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for multi-dimensional affine schedules: enumeration order,
- * legality, agreement with WavefrontSchedule in the 1-D case, the
- * r-dimensional OV-legality rule vs the empirical oracle, and UOV
- * correctness under affine schedules.
+ * legality, the r-dimensional OV-legality rule vs the empirical
+ * oracle, and UOV correctness under affine schedules.  One-row
+ * (wavefront) visit orders are pinned in test_schedule.cc.
  */
 
 #include <gtest/gtest.h>
@@ -42,18 +42,6 @@ TEST(AffineSchedule, OrderFollowsTimeTuples)
     EXPECT_EQ(order[1], (IVec{1, 0}));
     EXPECT_EQ(order[2], (IVec{0, 1}));
     EXPECT_EQ(order[3], (IVec{1, 1}));
-}
-
-TEST(AffineSchedule, OneRowMatchesWavefront)
-{
-    IVec h{3, 1};
-    AffineSchedule affine({h});
-    WavefrontSchedule wave(h);
-    std::vector<IVec> a, w;
-    IVec lo{0, 0}, hi{4, 6};
-    affine.forEach(lo, hi, [&](const IVec &q) { a.push_back(q); });
-    wave.forEach(lo, hi, [&](const IVec &q) { w.push_back(q); });
-    EXPECT_EQ(a, w);
 }
 
 TEST(AffineSchedule, RespectsStencilWhenLegal)

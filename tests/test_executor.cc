@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "core/uov.h"
+#include "schedule/builder.h"
 #include "schedule/executor.h"
 #include "schedule/legality.h"
 
@@ -25,15 +26,14 @@ std::vector<std::unique_ptr<Schedule>>
 legalSchedules2D(const Stencil &stencil)
 {
     std::vector<std::unique_ptr<Schedule>> out;
-    out.push_back(std::make_unique<LexSchedule>(LexSchedule::identity(2)));
+    out.push_back(std::make_unique<TiledSchedule>(IMatrix::identity(2)));
     if (permutationLegal({1, 0}, stencil))
-        out.push_back(std::make_unique<LexSchedule>(
-            std::vector<size_t>{1, 0}));
+        out.push_back(ScheduleBuilder(2).reorder({1, 0}).buildSchedule());
     if (tilingLegal(IMatrix::identity(2), stencil)) {
         out.push_back(std::make_unique<TiledSchedule>(
-            TiledSchedule::rectangular({3, 3})));
+            TiledSchedule(IMatrix::identity(2), {{3, 3}})));
         out.push_back(std::make_unique<TiledSchedule>(
-            TiledSchedule::rectangular({2, 5})));
+            TiledSchedule(IMatrix::identity(2), {{2, 5}})));
     }
     // Skewed tiling (always constructible when time advances).
     bool time_advances = true;
@@ -43,18 +43,18 @@ legalSchedules2D(const Stencil &stencil)
     if (time_advances) {
         IMatrix skew = skewToNonNegative(stencil);
         out.push_back(std::make_unique<TiledSchedule>(
-            TiledSchedule({3, 4}, skew, "skew-tile")));
+            TiledSchedule(skew, {{3, 4}}, "skew-tile")));
     }
     // A legal wavefront: h = (K, 1) with K large enough.
     int64_t k = 1 + stencil.maxAbsCoord();
     if (wavefrontLegal(IVec{k, 1}, stencil))
-        out.push_back(std::make_unique<WavefrontSchedule>(IVec{k, 1}));
+        out.push_back(std::make_unique<AffineSchedule>(
+            std::vector<IVec>{IVec{k, 1}}));
     // Two-level hierarchy and a 2-D affine time mapping.
     if (time_advances) {
         IMatrix skew = skewToNonNegative(stencil);
-        out.push_back(std::make_unique<HierarchicalTiledSchedule>(
-            std::vector<int64_t>{2, 3}, std::vector<int64_t>{2, 2},
-            skew, "hier"));
+        out.push_back(std::make_unique<TiledSchedule>(
+            TiledSchedule(skew, {{4, 6}, {2, 3}}, "hier")));
     }
     {
         AffineSchedule affine({IVec{1, 0}, IVec{0, 1}});
@@ -162,13 +162,15 @@ TEST(Executor, NonUniversalOvIsScheduleDependent)
     StencilComputation comp(stencil);
     // Compatible schedule: correct.
     ExecutionResult good = runWithOvStorage(
-        comp, LexSchedule({1, 0}), IVec{0, 0}, IVec{6, 6}, ov);
+        comp, *ScheduleBuilder(2).reorder({1, 0}).buildSchedule(),
+        IVec{0, 0}, IVec{6, 6}, ov);
     EXPECT_TRUE(good.correct());
     EXPECT_EQ(good.clobbers, 0u);
 
     // Original row-major schedule: cells clobbered, values wrong.
     ExecutionResult bad = runWithOvStorage(
-        comp, LexSchedule::identity(2), IVec{0, 0}, IVec{6, 6}, ov);
+        comp, TiledSchedule(IMatrix::identity(2)), IVec{0, 0},
+        IVec{6, 6}, ov);
     EXPECT_FALSE(bad.correct());
     EXPECT_GT(bad.clobbers, 0u);
 }
@@ -222,11 +224,10 @@ TEST(Executor, ThreeDimensionalUovRun)
     ASSERT_TRUE(UovOracle(stencil).isUov(IVec{2, 0, 0}));
 
     std::vector<std::unique_ptr<Schedule>> scheds;
-    scheds.push_back(
-        std::make_unique<LexSchedule>(LexSchedule::identity(3)));
+    scheds.push_back(std::make_unique<TiledSchedule>(IMatrix::identity(3)));
     IMatrix skew = skewToNonNegative(stencil);
     scheds.push_back(std::make_unique<TiledSchedule>(
-        TiledSchedule({2, 3, 3}, skew, "skew-tile-3d")));
+        TiledSchedule(skew, {{2, 3, 3}}, "skew-tile-3d")));
     scheds.push_back(
         std::make_unique<RandomTopoSchedule>(stencil, 5));
 

@@ -20,8 +20,7 @@ namespace {
 TEST(HierarchicalTiling, EnumeratesCompletely)
 {
     IVec lo{0, 0}, hi{10, 13};
-    HierarchicalTiledSchedule sched({2, 3}, {2, 2},
-                                    IMatrix::identity(2));
+    TiledSchedule sched(IMatrix::identity(2), {{4, 6}, {2, 3}});
     std::set<std::vector<int64_t>> seen;
     uint64_t count = 0;
     sched.forEach(lo, hi, [&](const IVec &q) {
@@ -35,12 +34,11 @@ TEST(HierarchicalTiling, SkewedIsLegalForFivePoint)
 {
     Stencil five = stencils::fivePoint();
     IMatrix skew = skewToNonNegative(five);
-    HierarchicalTiledSchedule sched({2, 4}, {2, 3}, skew, "hier");
+    TiledSchedule sched(skew, {{4, 12}, {2, 4}}, "hier");
     EXPECT_TRUE(scheduleRespectsStencil(sched, IVec{0, 0}, IVec{8, 8},
                                         five));
     // Unskewed rectangular hierarchy is illegal for this stencil.
-    HierarchicalTiledSchedule rect({2, 4}, {2, 3},
-                                   IMatrix::identity(2));
+    TiledSchedule rect(IMatrix::identity(2), {{4, 12}, {2, 4}});
     EXPECT_FALSE(scheduleRespectsStencil(rect, IVec{0, 0}, IVec{8, 8},
                                          five));
 }
@@ -52,7 +50,7 @@ TEST(HierarchicalTiling, UovSurvivesHierarchy)
     Stencil five = stencils::fivePoint();
     IMatrix skew = skewToNonNegative(five);
     StencilComputation comp(five);
-    HierarchicalTiledSchedule sched({2, 4}, {2, 3}, skew, "hier");
+    TiledSchedule sched(skew, {{4, 12}, {2, 4}}, "hier");
     ExecutionResult r = runWithOvStorage(comp, sched, IVec{0, 0},
                                          IVec{9, 11}, IVec{2, 0});
     EXPECT_TRUE(r.correct());
@@ -63,19 +61,17 @@ TEST(HierarchicalTiling, ThreeDimensional)
 {
     Stencil heat = stencils::heat3D();
     IMatrix skew = skewToNonNegative(heat);
-    HierarchicalTiledSchedule sched({2, 3, 3}, {2, 2, 2}, skew,
-                                    "hier3d");
+    TiledSchedule sched(skew, {{4, 6, 6}, {2, 3, 3}}, "hier3d");
     EXPECT_TRUE(scheduleRespectsStencil(sched, IVec{0, 0, 0},
                                         IVec{4, 5, 5}, heat));
 }
 
 TEST(HierarchicalTiling, RejectsBadShapes)
 {
-    EXPECT_THROW(HierarchicalTiledSchedule({2}, {2, 2},
-                                           IMatrix::identity(2)),
+    EXPECT_THROW(TiledSchedule(IMatrix::identity(2), {{4, 4}, {2}}),
                  UovUserError);
-    EXPECT_THROW(HierarchicalTiledSchedule({2, 0}, {2, 2},
-                                           IMatrix::identity(2)),
+    // 0 means "not tiled at this level"; a negative size is an error.
+    EXPECT_THROW(TiledSchedule(IMatrix::identity(2), {{4, 4}, {2, -1}}),
                  UovUserError);
 }
 

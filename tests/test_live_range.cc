@@ -10,6 +10,7 @@
 #include "analysis/live_range.h"
 #include "core/search.h"
 #include "mapping/storage_mapping.h"
+#include "schedule/builder.h"
 #include "schedule/legality.h"
 #include "schedule/schedule_specific.h"
 
@@ -22,8 +23,8 @@ TEST(LiveRange, SimpleExampleUnderLexMatchesStorageOptimized)
     // original schedule is about one row plus the diagonal carry.
     int64_t n = 12, m = 9;
     Stencil s = stencils::simpleExample();
-    LiveRangeResult r = maxLiveValues(LexSchedule::identity(2),
-                                      IVec{1, 1}, IVec{n, m}, s);
+    LiveRangeResult r = maxLiveValues(
+        TiledSchedule(IMatrix::identity(2)), IVec{1, 1}, IVec{n, m}, s);
     EXPECT_GE(r.max_live, m);
     EXPECT_LE(r.max_live, m + 2);
     EXPECT_EQ(r.points, static_cast<uint64_t>(n * m));
@@ -35,9 +36,9 @@ TEST(LiveRange, FivePointUnderLexMatchesStorageOptimized)
     // Table 1's L+3: the in-place row plus three temporaries.
     int64_t steps = 8, len = 32;
     Stencil s = stencils::fivePoint();
-    LiveRangeResult r = maxLiveValues(LexSchedule::identity(2),
-                                      IVec{1, 0}, IVec{steps, len - 1},
-                                      s);
+    LiveRangeResult r =
+        maxLiveValues(TiledSchedule(IMatrix::identity(2)), IVec{1, 0},
+                      IVec{steps, len - 1}, s);
     EXPECT_GE(r.max_live, len - 2);
     EXPECT_LE(r.max_live, len + 3);
 }
@@ -54,13 +55,12 @@ TEST(LiveRange, LowerBoundsEveryMapping)
     StorageMapping sm = StorageMapping::create(uov.best_uov, isg);
 
     std::vector<std::unique_ptr<Schedule>> scheds;
+    scheds.push_back(std::make_unique<TiledSchedule>(IMatrix::identity(2)));
+    scheds.push_back(ScheduleBuilder(2).reorder({1, 0}).buildSchedule());
     scheds.push_back(
-        std::make_unique<LexSchedule>(LexSchedule::identity(2)));
-    scheds.push_back(
-        std::make_unique<LexSchedule>(std::vector<size_t>{1, 0}));
-    scheds.push_back(std::make_unique<WavefrontSchedule>(IVec{2, 1}));
+        std::make_unique<AffineSchedule>(std::vector<IVec>{IVec{2, 1}}));
     scheds.push_back(std::make_unique<TiledSchedule>(
-        TiledSchedule::rectangular({4, 4})));
+        TiledSchedule(IMatrix::identity(2), {{4, 4}})));
     scheds.push_back(std::make_unique<RandomTopoSchedule>(s, 3));
 
     for (const auto &sched : scheds) {
@@ -79,7 +79,7 @@ TEST(LiveRange, ScheduleSpecificOvSitsNearItsBound)
     ScheduleSpecificResult spec =
         bestOvForLinearSchedule(h, s, Polyhedron::box(lo, hi));
     LiveRangeResult bound =
-        maxLiveValues(WavefrontSchedule(h), lo, hi, s);
+        maxLiveValues(AffineSchedule({h}), lo, hi, s);
     EXPECT_GE(spec.objective, bound.max_live);
     EXPECT_LE(spec.objective, 3 * bound.max_live);
 }
@@ -91,9 +91,10 @@ TEST(LiveRange, WavefrontNeedsMoreLiveThanLexHere)
     Stencil s = stencils::simpleExample();
     IVec lo{1, 1}, hi{16, 16};
     int64_t lex =
-        maxLiveValues(LexSchedule::identity(2), lo, hi, s).max_live;
+        maxLiveValues(TiledSchedule(IMatrix::identity(2)), lo, hi, s)
+            .max_live;
     int64_t wave =
-        maxLiveValues(WavefrontSchedule(IVec{1, 1}), lo, hi, s)
+        maxLiveValues(AffineSchedule({IVec{1, 1}}), lo, hi, s)
             .max_live;
     EXPECT_GT(wave, lex);
 }
@@ -103,8 +104,8 @@ TEST(LiveRange, NoConsumersMeansOneLiveValue)
     // A stencil whose only dependence leaves the tiny box: every
     // value dies immediately.
     Stencil s({IVec{5, 0}});
-    LiveRangeResult r = maxLiveValues(LexSchedule::identity(2),
-                                      IVec{0, 0}, IVec{3, 3}, s);
+    LiveRangeResult r = maxLiveValues(
+        TiledSchedule(IMatrix::identity(2)), IVec{0, 0}, IVec{3, 3}, s);
     EXPECT_EQ(r.max_live, 1);
 }
 

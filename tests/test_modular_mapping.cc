@@ -113,7 +113,7 @@ TEST(ModuliSearch, ScheduleSpecificModuliAreSmall)
     // And it is empirically safe under that schedule...
     ModularMapping m(spec.moduli, lo);
     EXPECT_TRUE(mappingSafeUnder(
-        WavefrontSchedule(h), lo, hi, s,
+        AffineSchedule({h}), lo, hi, s,
         [&](const IVec &q) { return m(q); }));
 }
 
@@ -130,7 +130,7 @@ TEST(ModuliSearch, ScheduleSpecificModuliBreakElsewhere)
 
     bool broke_somewhere = false;
     for (const IVec &h2 : {IVec{1, 2}, IVec{1, 3}, IVec{3, 1}}) {
-        if (!mappingSafeUnder(WavefrontSchedule(h2), lo, hi, s,
+        if (!mappingSafeUnder(AffineSchedule({h2}), lo, hi, s,
                               [&](const IVec &q) { return m(q); }))
             broke_somewhere = true;
     }
@@ -145,7 +145,7 @@ TEST(ModuliSearch, UniversalModuliSafeEverywhere)
     ModularMapping m(r.moduli, lo);
     for (const IVec &h : {IVec{2, 1}, IVec{1, 2}, IVec{5, 1}}) {
         EXPECT_TRUE(mappingSafeUnder(
-            WavefrontSchedule(h), lo, hi, s,
+            AffineSchedule({h}), lo, hi, s,
             [&](const IVec &q) { return m(q); }))
             << h.str();
     }

@@ -14,7 +14,7 @@
 #include "analysis/multi.h"
 #include "mapping/expanded_array.h"
 #include "mapping/ov_array.h"
-#include "schedule/schedule.h"
+#include "schedule/builder.h"
 
 namespace uov {
 namespace {
@@ -123,13 +123,12 @@ legalSchedules()
     // Stencil of the whole nest: {(1,0),(0,1),(1,1)} -- rectangular
     // tiling legal, interchange legal.
     std::vector<std::unique_ptr<Schedule>> out;
-    out.push_back(
-        std::make_unique<LexSchedule>(LexSchedule::identity(2)));
-    out.push_back(
-        std::make_unique<LexSchedule>(std::vector<size_t>{1, 0}));
+    out.push_back(std::make_unique<TiledSchedule>(IMatrix::identity(2)));
+    out.push_back(ScheduleBuilder(2).reorder({1, 0}).buildSchedule());
     out.push_back(std::make_unique<TiledSchedule>(
-        TiledSchedule::rectangular({3, 5})));
-    out.push_back(std::make_unique<WavefrontSchedule>(IVec{2, 1}));
+        TiledSchedule(IMatrix::identity(2), {{3, 5}})));
+    out.push_back(
+        std::make_unique<AffineSchedule>(std::vector<IVec>{IVec{2, 1}}));
     out.push_back(std::make_unique<RandomTopoSchedule>(
         stencils::proteinMatching(), 17));
     out.push_back(std::make_unique<RandomTopoSchedule>(
@@ -169,8 +168,8 @@ TEST(MultiExecutor, TooAggressiveEOvFails)
     // aggressive (D[i-1][j] and D[i-1][j-1] are still needed) and
     // must clobber under some schedule -- including the original one.
     int64_t n = 12;
-    MultiRun r = runMulti(LexSchedule::identity(2), n, IVec{0, 1},
-                          IVec{0, 1});
+    MultiRun r = runMulti(TiledSchedule(IMatrix::identity(2)), n,
+                          IVec{0, 1}, IVec{0, 1});
     EXPECT_GT(r.mismatches + r.clobbers, 0u);
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/uov.h"
+#include "schedule/builder.h"
 #include "schedule/executor.h"
 #include "schedule/legality.h"
 #include "schedule/ov_legality.h"
@@ -79,15 +80,13 @@ TEST(OvLegalityEmpirical, Figure1cStorageOptimizedPattern)
     // for both canonical orders.
     Stencil s = stencils::simpleExample();
     IVec lo{0, 0}, hi{6, 6};
-    EXPECT_FALSE(ovLegalForSchedule(LexSchedule::identity(2), lo, hi,
-                                    IVec{1, 0}, s));
-    EXPECT_FALSE(ovLegalForSchedule(LexSchedule({1, 0}), lo, hi,
-                                    IVec{1, 0}, s));
+    TiledSchedule row_major(IMatrix::identity(2));
+    auto col_major = ScheduleBuilder(2).reorder({1, 0}).buildSchedule();
+    EXPECT_FALSE(ovLegalForSchedule(row_major, lo, hi, IVec{1, 0}, s));
+    EXPECT_FALSE(ovLegalForSchedule(*col_major, lo, hi, IVec{1, 0}, s));
     // The UOV is safe under both.
-    EXPECT_TRUE(ovLegalForSchedule(LexSchedule::identity(2), lo, hi,
-                                   IVec{1, 1}, s));
-    EXPECT_TRUE(ovLegalForSchedule(LexSchedule({1, 0}), lo, hi,
-                                   IVec{1, 1}, s));
+    EXPECT_TRUE(ovLegalForSchedule(row_major, lo, hi, IVec{1, 1}, s));
+    EXPECT_TRUE(ovLegalForSchedule(*col_major, lo, hi, IVec{1, 1}, s));
 }
 
 TEST(OvLegalityEmpirical, ScheduleDependentOvMatchesExecutor)
@@ -99,17 +98,17 @@ TEST(OvLegalityEmpirical, ScheduleDependentOvMatchesExecutor)
     IVec lo{0, 0}, hi{6, 6};
     StencilComputation comp(s);
 
-    LexSchedule row_major = LexSchedule::identity(2);
-    LexSchedule col_major({1, 0});
+    TiledSchedule row_major(IMatrix::identity(2));
+    auto col_major = ScheduleBuilder(2).reorder({1, 0}).buildSchedule();
 
     bool oracle_row = ovLegalForSchedule(row_major, lo, hi, ov, s);
-    bool oracle_col = ovLegalForSchedule(col_major, lo, hi, ov, s);
+    bool oracle_col = ovLegalForSchedule(*col_major, lo, hi, ov, s);
     EXPECT_FALSE(oracle_row);
     EXPECT_TRUE(oracle_col);
 
     EXPECT_EQ(runWithOvStorage(comp, row_major, lo, hi, ov).correct(),
               oracle_row);
-    EXPECT_EQ(runWithOvStorage(comp, col_major, lo, hi, ov).correct(),
+    EXPECT_EQ(runWithOvStorage(comp, *col_major, lo, hi, ov).correct(),
               oracle_col);
 }
 
@@ -123,7 +122,7 @@ TEST(OvLegalityEmpirical, AgreesWithLinearRuleOnWavefronts)
              {IVec{2, 0}, IVec{1, 0}, IVec{3, 1}, IVec{1, 2}}) {
             bool algebraic = ovLegalForLinearSchedule(h, ov, s);
             bool empirical = ovLegalForSchedule(
-                WavefrontSchedule(h), lo, hi, ov, s);
+                AffineSchedule({h}), lo, hi, ov, s);
             // The algebraic rule is conservative about ties; whenever
             // it accepts, the empirical order must too.
             if (algebraic) {

@@ -48,7 +48,7 @@ TEST(ParallelExecutor, MatchesSequentialChecksum)
     Stencil s = stencils::fivePoint();
     StencilComputation comp(s);
     ExecutionResult seq = runWithOvStorage(
-        comp, WavefrontSchedule(IVec{3, 1}), IVec{0, 0}, IVec{11, 11},
+        comp, AffineSchedule({IVec{3, 1}}), IVec{0, 0}, IVec{11, 11},
         IVec{2, 0});
     ParallelExecutionResult par = runParallelWavefront(
         comp, IVec{0, 0}, IVec{11, 11}, IVec{3, 1}, IVec{2, 0}, 4);

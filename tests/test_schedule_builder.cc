@@ -126,16 +126,15 @@ TEST(ScheduleBuilder, BuildScheduleCoversTheBoxExactlyOnce)
     size_t points = 6 * 8;
 
     ScheduleBuilder lex(2);
-    expectCoversBoxOnce(*lex.buildSchedule(lo, hi), lo, hi, points);
+    expectCoversBoxOnce(*lex.buildSchedule(), lo, hi, points);
 
     ScheduleBuilder swapped(2);
     swapped.reorder({1, 0});
-    expectCoversBoxOnce(*swapped.buildSchedule(lo, hi), lo, hi,
-                        points);
+    expectCoversBoxOnce(*swapped.buildSchedule(), lo, hi, points);
 
     ScheduleBuilder tiled(2);
     tiled.skewToNonNegative(stencils::fivePoint()).tile({2, 3});
-    expectCoversBoxOnce(*tiled.buildSchedule(lo, hi), lo, hi, points);
+    expectCoversBoxOnce(*tiled.buildSchedule(), lo, hi, points);
 }
 
 TEST(ScheduleBuilder, BuildScheduleRespectsDependenceOrder)
@@ -150,7 +149,7 @@ TEST(ScheduleBuilder, BuildScheduleRespectsDependenceOrder)
 
     IVec lo{0, 0}, hi{4, 4};
     std::vector<IVec> order;
-    b.buildSchedule(lo, hi)->forEach(
+    b.buildSchedule()->forEach(
         lo, hi, [&](const IVec &p) { order.push_back(p); });
     auto rank = [&](const IVec &p) {
         for (size_t i = 0; i < order.size(); ++i)
@@ -171,6 +170,24 @@ TEST(ScheduleBuilder, BuildScheduleRespectsDependenceOrder)
                     << p.str();
         }
     }
+}
+
+TEST(ScheduleBuilder, UntiledDimensionIsOneSweep)
+{
+    // Tiling only dimension 0 leaves dimension 1 one tile spanning the
+    // box, even when the box's low corner is not a multiple of its
+    // extent: row 0 whole, then row 1 whole.
+    ScheduleBuilder b(2);
+    b.split(0, 2);
+    IVec lo{0, -3}, hi{1, 4};
+    std::vector<IVec> order;
+    b.buildSchedule()->forEach(
+        lo, hi, [&](const IVec &p) { order.push_back(p); });
+    std::vector<IVec> expected;
+    for (int64_t i = 0; i <= 1; ++i)
+        for (int64_t j = -3; j <= 4; ++j)
+            expected.push_back(IVec{i, j});
+    EXPECT_EQ(order, expected);
 }
 
 TEST(ScheduleBuilder, LowersToRegisterTiledAndSkewedTiled)

@@ -63,12 +63,12 @@ TEST(ScheduleSpecific, ResultWorksUnderItsScheduleOnly)
     StencilComputation comp(s);
     IVec lo{0, 0}, hi{8, 8};
     ExecutionResult good = runWithOvStorage(
-        comp, WavefrontSchedule(IVec{2, 1}), lo, hi, ov);
+        comp, AffineSchedule({IVec{2, 1}}), lo, hi, ov);
     EXPECT_TRUE(good.correct());
     EXPECT_EQ(good.clobbers, 0u);
 
     ExecutionResult bad = runWithOvStorage(
-        comp, WavefrontSchedule(IVec{3, 1}), lo, hi, ov);
+        comp, AffineSchedule({IVec{3, 1}}), lo, hi, ov);
     EXPECT_FALSE(bad.correct());
 
     // While the UOV survives both.
@@ -76,7 +76,7 @@ TEST(ScheduleSpecific, ResultWorksUnderItsScheduleOnly)
         BranchBoundSearch(s, SearchObjective::ShortestVector).run();
     for (const IVec &hh : {IVec{2, 1}, IVec{3, 1}}) {
         ExecutionResult r = runWithOvStorage(
-            comp, WavefrontSchedule(hh), lo, hi, uov.best_uov);
+            comp, AffineSchedule({hh}), lo, hi, uov.best_uov);
         EXPECT_TRUE(r.correct()) << hh.str();
     }
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,6 +143,185 @@ TEST(Tuner, ObserverSeesEveryEvaluationInOrder)
     EXPECT_EQ(calls, res.evaluated);
     EXPECT_TRUE(monotone) << "evaluation order must follow "
                              "enumeration order";
+}
+
+TEST(Tuner, SimScoresPinned)
+{
+    // Every candidate's SimEvaluator score, to 17 significant digits,
+    // recorded when lex, permuted, skewed and tiled visit orders each
+    // had a Schedule class of their own: the unified scan must leave
+    // every simulated cycle count as it was.  The 3-D nest enumerates
+    // the simulator-only loop permutations too.
+    struct Pin
+    {
+        const char *candidate;
+        const char *score;
+    };
+    auto expectScores = [](LoopNest nest, bool lowerable_only,
+                           const std::vector<Pin> &pins) {
+        tune::TuneOptions opt;
+        opt.lowerable_only = lowerable_only;
+        tune::Tuner tuner(std::move(nest), opt);
+        tuner.run();
+        ASSERT_EQ(tuner.candidates().size(), pins.size());
+        ASSERT_EQ(tuner.scores().size(), pins.size());
+        for (size_t i = 0; i < pins.size(); ++i) {
+            EXPECT_EQ(tuner.candidates()[i].str(), pins[i].candidate);
+            std::ostringstream oss;
+            oss << std::setprecision(17) << tuner.scores()[i];
+            EXPECT_EQ(oss.str(), pins[i].score) << pins[i].candidate;
+        }
+    };
+
+    // A 2-D five-point nest.
+    const std::vector<Pin> five = {
+        {"storage=ov uov=(2, 0) schedule=lex", "99785.360000012501"},
+        {"storage=ov uov=(2, 0) schedule=unroll(2)", "75455.680000005988"},
+        {"storage=ov uov=(2, 0) schedule=unroll(4)", "63259.840000002885"},
+        {"storage=ov uov=(2, 0) schedule=unroll(8)", "57161.92000000141"},
+        {"storage=ov uov=(2, 0) schedule=unroll(16)", "54112.96000000069"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(4,16)",
+         "99785.360000012501"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(8,32)",
+         "99785.360000012297"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(16,64)",
+         "99785.360000012239"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(32,128)",
+         "99785.360000012239"},
+        {"storage=ov uov=(5, 0) schedule=lex", "107933.36000001372"},
+        {"storage=ov uov=(5, 0) schedule=unroll(2)", "83603.680000006818"},
+        {"storage=ov uov=(5, 0) schedule=unroll(4)", "71407.840000003402"},
+        {"storage=ov uov=(5, 0) schedule=unroll(8)", "65309.920000001694"},
+        {"storage=ov uov=(5, 0) schedule=unroll(16)", "62260.96000000085"},
+        {"storage=ov uov=(5, 0) schedule=skew_nonneg;tile(4,16)",
+         "107933.36000001313"},
+        {"storage=ov uov=(5, 0) schedule=skew_nonneg;tile(8,32)",
+         "107933.36000001288"},
+        {"storage=ov uov=(5, 0) schedule=skew_nonneg;tile(16,64)",
+         "107933.36000001279"},
+        {"storage=ov uov=(5, 0) schedule=skew_nonneg;tile(32,128)",
+         "107933.36000001288"},
+        {"storage=expanded schedule=lex", "176687.35999998223"},
+        {"storage=expanded schedule=unroll(2)", "152357.67999999793"},
+        {"storage=expanded schedule=unroll(4)", "140161.84000000122"},
+        {"storage=expanded schedule=unroll(8)", "134063.92000000115"},
+        {"storage=expanded schedule=unroll(16)", "131014.96000000078"},
+        {"storage=expanded schedule=skew_nonneg;tile(4,16)",
+         "176687.35999998217"},
+        {"storage=expanded schedule=skew_nonneg;tile(8,32)",
+         "176687.35999998247"},
+        {"storage=expanded schedule=skew_nonneg;tile(16,64)",
+         "176687.35999997775"},
+        {"storage=expanded schedule=skew_nonneg;tile(32,128)",
+         "176687.3599999772"},
+    };
+    expectScores(nestFromStencil(stencils::fivePoint(), IVec{0, 0},
+                                 IVec{31, 255}),
+                 true, five);
+
+    // A 2-D three-point nest with negative lows.
+    const std::vector<Pin> three = {
+        {"storage=ov uov=(2, 0) schedule=lex", "431666.84000014816"},
+        {"storage=ov uov=(2, 0) schedule=unroll(2)", "334746.83999997639"},
+        {"storage=ov uov=(2, 0) schedule=unroll(4)", "286286.83999995014"},
+        {"storage=ov uov=(2, 0) schedule=unroll(8)", "262056.83999996254"},
+        {"storage=ov uov=(2, 0) schedule=unroll(16)", "251395.63999997982"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(4,16)",
+         "431666.84000014723"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(8,32)",
+         "431666.84000014653"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(16,64)",
+         "431666.84000014665"},
+        {"storage=ov uov=(2, 0) schedule=skew_nonneg;tile(32,128)",
+         "431666.84000014677"},
+        {"storage=ov uov=(3, 0) schedule=lex", "666489.83999975643"},
+        {"storage=ov uov=(3, 0) schedule=unroll(2)", "569569.84000003769"},
+        {"storage=ov uov=(3, 0) schedule=unroll(4)", "521109.84000006586"},
+        {"storage=ov uov=(3, 0) schedule=unroll(8)", "496879.84000003"},
+        {"storage=ov uov=(3, 0) schedule=unroll(16)", "486218.64000001585"},
+        {"storage=ov uov=(3, 0) schedule=skew_nonneg;tile(4,16)",
+         "499189.84000023722"},
+        {"storage=ov uov=(3, 0) schedule=skew_nonneg;tile(8,32)",
+         "470509.84000020078"},
+        {"storage=ov uov=(3, 0) schedule=skew_nonneg;tile(16,64)",
+         "456169.84000018227"},
+        {"storage=ov uov=(3, 0) schedule=skew_nonneg;tile(32,128)",
+         "451389.84000017028"},
+        {"storage=expanded schedule=lex", "897389.83999931393"},
+        {"storage=expanded schedule=unroll(2)", "800469.83999973454"},
+        {"storage=expanded schedule=unroll(4)", "752009.83999989077"},
+        {"storage=expanded schedule=unroll(8)", "727779.839999952"},
+        {"storage=expanded schedule=unroll(16)", "717118.63999997487"},
+        {"storage=expanded schedule=skew_nonneg;tile(4,16)",
+         "899655.83999929344"},
+        {"storage=expanded schedule=skew_nonneg;tile(8,32)",
+         "900701.83999928681"},
+        {"storage=expanded schedule=skew_nonneg;tile(16,64)",
+         "900877.83999925724"},
+        {"storage=expanded schedule=skew_nonneg;tile(32,128)",
+         "901191.83999925794"},
+    };
+    expectScores(
+        nestFromStencil(Stencil({IVec{1, -1}, IVec{1, 0}, IVec{1, 1}}),
+                        IVec{-7, -300}, IVec{40, 700}),
+        true, three);
+
+    // A 3-D nest whose every loop permutation is legal.
+    const std::vector<Pin> cube = {
+        {"storage=ov uov=(1, 0, 1) schedule=lex", "265211.4399998071"},
+        {"storage=ov uov=(1, 0, 1) schedule=jam(2)", "226812.71999991732"},
+        {"storage=ov uov=(1, 0, 1) schedule=jam(4)", "207613.35999996515"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(2)", "214748.71999992547"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(2);jam(2)",
+         "193389.359999971"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(2);jam(4)",
+         "182709.67999998797"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(4)", "189517.35999997283"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(4);jam(2)",
+         "176677.67999998954"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(4);jam(4)",
+         "170257.83999999566"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(8)", "176901.67999998957"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(8);jam(2)",
+         "168321.83999999598"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(8);jam(4)",
+         "164031.9199999983"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(16)", "170593.83999999566"},
+        {"storage=ov uov=(1, 0, 1) schedule=unroll(16);jam(2)",
+         "164143.91999999832"},
+        {"storage=ov uov=(1, 0, 1) schedule=reorder(0,2,1)",
+         "258731.43999979954"},
+        {"storage=ov uov=(1, 0, 1) schedule=reorder(1,0,2)",
+         "271979.43999983836"},
+        {"storage=ov uov=(1, 0, 1) schedule=reorder(1,2,0)",
+         "263835.43999981444"},
+        {"storage=ov uov=(1, 0, 1) schedule=reorder(2,0,1)",
+         "256635.43999981697"},
+        {"storage=ov uov=(1, 0, 1) schedule=reorder(2,1,0)",
+         "256635.43999981729"},
+        {"storage=expanded schedule=lex", "977085.43999947095"},
+        {"storage=expanded schedule=jam(2)", "943006.71999975108"},
+        {"storage=expanded schedule=jam(4)", "925967.35999987938"},
+        {"storage=expanded schedule=unroll(2)", "926622.71999975876"},
+        {"storage=expanded schedule=unroll(2);jam(2)", "909583.35999988334"},
+        {"storage=expanded schedule=unroll(2);jam(4)", "901063.67999994266"},
+        {"storage=expanded schedule=unroll(4)", "901391.35999988532"},
+        {"storage=expanded schedule=unroll(4);jam(2)", "892871.67999994371"},
+        {"storage=expanded schedule=unroll(4);jam(4)", "888611.83999997214"},
+        {"storage=expanded schedule=unroll(8)", "888775.67999994417"},
+        {"storage=expanded schedule=unroll(8);jam(2)", "884515.83999997249"},
+        {"storage=expanded schedule=unroll(8);jam(4)", "882385.9199999863"},
+        {"storage=expanded schedule=unroll(16)", "882467.83999997261"},
+        {"storage=expanded schedule=unroll(16);jam(2)", "880337.9199999863"},
+        {"storage=expanded schedule=reorder(0,2,1)", "977085.43999947107"},
+        {"storage=expanded schedule=reorder(1,0,2)", "977085.43999943021"},
+        {"storage=expanded schedule=reorder(1,2,0)", "1239165.4399999054"},
+        {"storage=expanded schedule=reorder(2,0,1)", "1239165.4399998691"},
+        {"storage=expanded schedule=reorder(2,1,0)", "1239165.4399998707"},
+    };
+    expectScores(nestFromStencil(Stencil({IVec{1, 0, 0}, IVec{0, 0, 1}}),
+                                 IVec{0, 0, 0}, IVec{15, 31, 63}),
+                 false, cube);
 }
 
 TEST(TuneService, ParsesTheTuneVerb)
