@@ -12,40 +12,22 @@
  *   $ ./uovc --multi nest.txt        # per-array plans, multi-statement
  */
 
-#include <dlfcn.h>
-
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 
 #include "analysis/multi.h"
 #include "analysis/pipeline.h"
 #include "codegen/codegen.h"
+#include "codegen/jit.h"
 #include "driver/nest_parser.h"
 #include "support/error.h"
+#include "support/flags.h"
 
 using namespace uov;
 
 namespace {
-
-void
-usage()
-{
-    std::cout <<
-        "usage: uovc [options] [nest-file]\n"
-        "  reads the nest from the file, or stdin when omitted\n"
-        "options:\n"
-        "  --objective shortest|storage   UOV search objective\n"
-        "  --layout interleaved|blocked   non-prime OV layout\n"
-        "  --emit-c                       print generated C\n"
-        "  --tiled TxS                    skewed-tiled codegen\n"
-        "  --run                          compile the generated C with\n"
-        "                                 the host cc, dlopen it, run\n"
-        "                                 it, and print a checksum\n"
-        "  --multi                        per-array multi-statement plan\n"
-        "  --example                      print an example nest file\n";
-}
 
 const char *kExample =
     "# 5-point stencil over time (paper Section 5)\n"
@@ -65,62 +47,58 @@ int
 main(int argc, char **argv)
 {
     PlanOptions popts;
-    bool emit_c = false, multi = false, run = false;
+    bool emit_c = false, multi = false, run = false, example = false;
     std::vector<int64_t> tiles;
-    std::string path;
+    std::vector<std::string> paths;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else if (a == "--example") {
-            std::cout << kExample;
-            return 0;
-        } else if (a == "--objective") {
-            std::string v = i + 1 < argc ? argv[++i] : "";
-            if (v == "shortest") {
-                popts.objective = SearchObjective::ShortestVector;
-            } else if (v == "storage") {
-                popts.objective = SearchObjective::BoundedStorage;
-            } else {
-                std::cerr << "bad --objective '" << v << "'\n";
-                return 2;
-            }
-        } else if (a == "--layout") {
-            std::string v = i + 1 < argc ? argv[++i] : "";
-            if (v == "interleaved") {
-                popts.layout = ModLayout::Interleaved;
-            } else if (v == "blocked") {
-                popts.layout = ModLayout::Blocked;
-            } else {
-                std::cerr << "bad --layout '" << v << "'\n";
-                return 2;
-            }
-        } else if (a == "--emit-c") {
-            emit_c = true;
-        } else if (a == "--run") {
-            run = true;
-        } else if (a == "--multi") {
-            multi = true;
-        } else if (a == "--tiled") {
-            std::string v = i + 1 < argc ? argv[++i] : "";
-            auto x = v.find('x');
-            if (x == std::string::npos) {
-                std::cerr << "bad --tiled '" << v << "', want TxS\n";
-                return 2;
-            }
-            tiles = {std::stoll(v.substr(0, x)),
-                     std::stoll(v.substr(x + 1))};
-        } else if (!a.empty() && a[0] == '-') {
-            std::cerr << "unknown option '" << a << "'\n";
-            usage();
-            return 2;
-        } else {
-            path = a;
-        }
+    FlagTable flags("uovc",
+                    "usage: uovc [options] [nest-file]\n"
+                    "  reads the nest from the file, or stdin when omitted\n"
+                    "options:\n",
+                    33);
+    flags.add("--objective shortest|storage", "UOV search objective",
+              [&](const std::string &v) {
+                  if (v != "shortest" && v != "storage")
+                      throw FlagError("bad --objective '" + v + "'");
+                  popts.objective = v == "shortest"
+                                        ? SearchObjective::ShortestVector
+                                        : SearchObjective::BoundedStorage;
+              })
+        .add("--layout interleaved|blocked", "non-prime OV layout",
+             [&](const std::string &v) {
+                 if (v != "interleaved" && v != "blocked")
+                     throw FlagError("bad --layout '" + v + "'");
+                 popts.layout = v == "blocked" ? ModLayout::Blocked
+                                               : ModLayout::Interleaved;
+             })
+        .add("--emit-c", "print generated C", [&](auto &) { emit_c = true; })
+        .add("--tiled TxS", "skewed-tiled codegen",
+             [&](const std::string &v) {
+                 auto x = v.find('x');
+                 if (x == std::string::npos)
+                     throw FlagError("bad --tiled '" + v + "', want TxS");
+                 tiles.assign(2, 0);
+                 if (!parseWholeNumber(v.substr(0, x), tiles[0]) ||
+                     !parseWholeNumber(v.substr(x + 1), tiles[1]))
+                     throw std::invalid_argument(v);
+             })
+        .add("--run",
+             "compile the generated C with\n"
+             "the host cc, dlopen it, run\n"
+             "it, and print a checksum",
+             [&](auto &) { run = true; })
+        .add("--multi", "per-array multi-statement plan",
+             [&](auto &) { multi = true; })
+        .add("--example", "print an example nest file",
+             [&](auto &) { example = true; });
+    if (std::optional<int> rc = flags.run(argc, argv, &paths))
+        return *rc;
+    if (example) {
+        std::cout << kExample;
+        return 0;
     }
 
+    std::string path = paths.empty() ? "" : paths.back();
     try {
         LoopNest nest = [&] {
             if (path.empty())
@@ -154,26 +132,19 @@ main(int argc, char **argv)
             if (run) {
                 auto dir = std::filesystem::temp_directory_path() /
                            ("uovc_" + nest.name());
-                std::filesystem::create_directories(dir);
-                std::string so =
-                    compileToSharedObject(code, dir.string());
-                void *handle =
-                    dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
-                UOV_REQUIRE(handle, "dlopen failed: " << dlerror());
-                using KernelFn = void (*)(double *);
-                auto fn = reinterpret_cast<KernelFn>(
-                    dlsym(handle, code.function_name.c_str()));
-                UOV_REQUIRE(fn, "dlsym failed: " << dlerror());
-                std::vector<double> out(static_cast<size_t>(
-                    nest.hi()[1] - nest.lo()[1] + 1));
-                fn(out.data());
+                JitOptions jit;
+                jit.cache_dir = dir.string();
+                JitKernel kernel = JitCompiler(jit).compileAndLoad(code);
+                std::vector<double> out(
+                    static_cast<size_t>(outputCellCount(nest)));
+                kernel.fn<void (*)(double *)>(code.function_name)(
+                    out.data());
                 double checksum = 0;
                 for (double v : out)
                     checksum += v;
-                std::cout << "ran " << so << ": output row of "
+                std::cout << "ran " << kernel.path() << ": output row of "
                           << out.size() << " values, checksum "
                           << checksum << "\n";
-                dlclose(handle);
             }
         }
         return 0;

@@ -1,16 +1,12 @@
 #include "codegen/codegen.h"
 
 #include <cctype>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
-#include "codegen/jit.h"
 #include "codegen/regcost.h"
 #include "mapping/expanded_array.h"
 #include "schedule/legality.h"
 #include "support/error.h"
-#include "support/logging.h"
 
 namespace uov {
 
@@ -582,28 +578,6 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
     out.unroll = unroll;
     out.jam = jam;
     return out;
-}
-
-std::string
-compileToSharedObject(const GeneratedCode &code,
-                      const std::string &work_dir)
-{
-    std::string compiler = JitCompiler::findHostCompiler();
-    UOV_REQUIRE(!compiler.empty(),
-                "no host C compiler found (set UOV_CC or put cc, "
-                "gcc, or clang on PATH)");
-    std::string base = work_dir + "/" + code.function_name;
-    std::string c_path = base + ".c";
-    std::string so_path = base + ".so";
-    {
-        std::ofstream f(c_path);
-        UOV_REQUIRE(f.good(), "cannot write " << c_path);
-        f << code.source;
-    }
-    jit_detail::runHostCompiler(compiler, {"-O2", "-ffp-contract=off"},
-                                c_path, so_path);
-    UOV_LOG_INFO("compiled " << so_path);
-    return so_path;
 }
 
 } // namespace uov

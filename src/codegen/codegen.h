@@ -108,17 +108,6 @@ std::vector<double> interpretKernel(const LoopNest &nest);
 /** Elements in the output row (1 when the nest is 1-D). */
 int64_t outputCellCount(const LoopNest &nest);
 
-/**
- * Helper for tests/examples: compile @p code with the host C compiler
- * into a shared object under @p work_dir and return the .so path.
- * Unlike JitCompiler this never caches: the output lands at
- * <work_dir>/<function_name>.so unconditionally.
- * @throws UovError when no compiler is available or compilation fails
- *         (the message carries the compiler's stderr)
- */
-std::string compileToSharedObject(const GeneratedCode &code,
-                                  const std::string &work_dir);
-
 } // namespace uov
 
 #endif // UOV_CODEGEN_CODEGEN_H

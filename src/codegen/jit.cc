@@ -78,13 +78,12 @@ slurp(const std::string &path)
     return oss.str();
 }
 
-} // namespace
-
+/** Compile @p c_path into the shared object @p so_path.  @throws
+ *  UovError carrying the command line and the compiler's stderr */
 void
-jit_detail::runHostCompiler(const std::string &compiler,
-                            const std::vector<std::string> &flags,
-                            const std::string &c_path,
-                            const std::string &so_path)
+runHostCompiler(const std::string &compiler,
+                const std::vector<std::string> &flags,
+                const std::string &c_path, const std::string &so_path)
 {
     std::string log_path = so_path + ".log";
     std::vector<std::string> args{compiler};
@@ -134,6 +133,8 @@ jit_detail::runHostCompiler(const std::string &compiler,
     std::error_code ec;
     fs::remove(log_path, ec);
 }
+
+} // namespace
 
 JitKernel::~JitKernel()
 {
@@ -280,7 +281,7 @@ JitCompiler::compile(const std::string &source)
     std::string tmp_path =
         so_path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
     ++_compiles;
-    jit_detail::runHostCompiler(_compiler, _flags, c_path, tmp_path);
+    runHostCompiler(_compiler, _flags, c_path, tmp_path);
     fs::rename(tmp_path, so_path, ec);
     if (ec) {
         fs::remove(tmp_path, ec);

@@ -33,22 +33,6 @@ namespace uov {
 
 struct GeneratedCode;
 
-namespace jit_detail {
-
-/**
- * Run @p compiler on @p c_path producing the shared object
- * @p so_path (adds -shared -fPIC).  Shared by JitCompiler and the
- * uncached compileToSharedObject test helper.
- * @throws UovError on failure, message carrying the command line and
- *         the compiler's captured stderr
- */
-void runHostCompiler(const std::string &compiler,
-                     const std::vector<std::string> &flags,
-                     const std::string &c_path,
-                     const std::string &so_path);
-
-} // namespace jit_detail
-
 /** A dlopen'ed shared object; unloads (dlclose) on destruction. */
 class JitKernel
 {

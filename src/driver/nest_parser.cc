@@ -1,9 +1,11 @@
 #include "driver/nest_parser.h"
 
+#include <iterator>
 #include <optional>
 #include <sstream>
 
 #include "support/error.h"
+#include "support/flags.h"
 
 namespace uov {
 
@@ -36,31 +38,23 @@ Access
 parseAccess(const std::string &text, int line_no)
 {
     auto lb = text.find('[');
-    auto rb = text.rfind(']');
-    if (lb == std::string::npos || rb == std::string::npos || rb < lb)
+    if (lb == std::string::npos || text.back() != ']')
         fail(line_no, "expected NAME[o1,o2,...], got '" + text + "'");
     std::string name = text.substr(0, lb);
     if (name.empty())
         fail(line_no, "empty array name in '" + text + "'");
+    std::string inside = text.substr(lb + 1, text.size() - lb - 2);
+    if (inside.empty())
+        fail(line_no, "access '" + text + "' has no offsets");
 
     std::vector<int64_t> offsets;
-    std::stringstream ss(text.substr(lb + 1, rb - lb - 1));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-        try {
-            size_t used = 0;
-            offsets.push_back(std::stoll(tok, &used));
-            while (used < tok.size()) {
-                if (tok[used] != ' ' && tok[used] != '\t')
-                    fail(line_no, "bad offset '" + tok + "'");
-                ++used;
-            }
-        } catch (const std::logic_error &) {
+    for (size_t begin = 0, comma = 0; comma != std::string::npos;
+         begin = comma + 1) {
+        comma = inside.find(',', begin);
+        std::string tok = inside.substr(begin, comma - begin);
+        if (!parseWholeNumber(tok, offsets.emplace_back()))
             fail(line_no, "bad offset '" + tok + "'");
-        }
     }
-    if (offsets.empty())
-        fail(line_no, "access '" + text + "' has no offsets");
     return uniformAccess(name, IVec(std::move(offsets)));
 }
 
@@ -88,56 +82,52 @@ parseNest(std::istream &in)
     int line_no = 0;
     while (std::getline(in, raw)) {
         ++line_no;
-        std::string line = cleanLine(raw);
-        if (line.empty())
+        std::istringstream ss(cleanLine(raw));
+        std::vector<std::string> tok{
+            std::istream_iterator<std::string>(ss), {}};
+        if (tok.empty())
             continue;
-        std::stringstream ss(line);
-        std::string keyword;
-        ss >> keyword;
+        const std::string &keyword = tok[0];
+        // Every keyword but bounds takes exactly one field.
+        auto field = [&](const std::string &what) -> const std::string & {
+            if (tok.size() < 2)
+                fail(line_no, keyword + " needs " + what);
+            if (tok.size() > 2)
+                fail(line_no, "unexpected token '" + tok[2] + "'");
+            return tok[1];
+        };
 
         if (keyword == "nest") {
-            ss >> name;
-            if (name.empty())
-                fail(line_no, "nest needs a name");
+            name = field("a name");
         } else if (keyword == "bounds") {
-            std::vector<int64_t> los, his;
-            std::string range;
-            while (ss >> range) {
-                auto dots = range.find("..");
-                if (dots == std::string::npos)
-                    fail(line_no, "bad range '" + range +
-                                      "', expected lo..hi");
-                try {
-                    los.push_back(std::stoll(range.substr(0, dots)));
-                    his.push_back(std::stoll(range.substr(dots + 2)));
-                } catch (const std::logic_error &) {
-                    fail(line_no, "bad range '" + range + "'");
-                }
-            }
-            if (los.empty())
+            if (tok.size() == 1)
                 fail(line_no, "bounds needs at least one range");
+            std::vector<int64_t> los(tok.size() - 1), his(tok.size() - 1);
+            for (size_t i = 1; i < tok.size(); ++i) {
+                auto dots = tok[i].find("..");
+                if (dots == std::string::npos ||
+                    !parseWholeNumber(tok[i].substr(0, dots), los[i - 1]) ||
+                    !parseWholeNumber(tok[i].substr(dots + 2), his[i - 1]))
+                    fail(line_no, "bad range '" + tok[i] +
+                                      "', expected lo..hi");
+            }
             lo = IVec(std::move(los));
             hi = IVec(std::move(his));
         } else if (keyword == "statement") {
             flush_statement(line_no);
             current.emplace();
-            ss >> current->name;
-            if (current->name.empty())
-                fail(line_no, "statement needs a name");
+            current->name = field("a name");
         } else if (keyword == "write") {
             if (!current)
                 fail(line_no, "'write' outside a statement block");
             if (!current->write.array.empty())
                 fail(line_no, "statement already has a write");
-            std::string rest;
-            ss >> rest;
-            current->write = parseAccess(rest, line_no);
+            current->write = parseAccess(field("an access"), line_no);
         } else if (keyword == "read") {
             if (!current)
                 fail(line_no, "'read' outside a statement block");
-            std::string rest;
-            ss >> rest;
-            current->reads.push_back(parseAccess(rest, line_no));
+            current->reads.push_back(
+                parseAccess(field("an access"), line_no));
         } else {
             fail(line_no, "unknown keyword '" + keyword + "'");
         }

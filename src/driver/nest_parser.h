@@ -15,7 +15,8 @@
  *       read  B[-1,2]
  *
  * Accesses are uniform: NAME[o1,o2,...] means NAME[q + (o1,o2,...)].
- * Multiple `statement` blocks build multi-assignment nests.
+ * Multiple `statement` blocks build multi-assignment nests.  A line
+ * holds exactly its fields, and every integer is one whole token.
  */
 
 #ifndef UOV_DRIVER_NEST_PARSER_H

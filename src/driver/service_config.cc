@@ -1,0 +1,136 @@
+#include "driver/service_config.h"
+
+#include "support/version.h"
+
+namespace uov {
+namespace service {
+
+FlagTable
+serviceFlags(ServiceConfig &c)
+{
+    auto assign = [](std::string &f) { return [&f](auto &v) { f = v; }; };
+    auto enable = [](bool &f) { return [&f](auto &) { f = true; }; };
+    FlagTable flags("uovd",
+                    std::string("uovd ") + buildVersion() +
+                        " -- UOV query service\nusage: uovd [options]\n",
+                    20);
+    flags.add("--input FILE", "read queries from FILE (default: stdin)",
+              assign(c.input_path))
+        .add("--output FILE", "write responses to FILE (default: stdout)",
+             assign(c.output_path))
+        .add("--nest FILE",
+             "add queries for a nest description\n"
+             "(repeatable; runs before --input/stdin\n"
+             "only when given, stdin is then skipped)",
+             [&c](const std::string &v) { c.nest_paths.push_back(v); })
+        .number("--threads N", "worker threads (default: hardware)", c.threads)
+        .number("--cache-bytes N", "result cache budget (default 64 MiB)",
+                c.service.cache_bytes)
+        .number("--cache-shards N", "cache stripe count (default 16)",
+                c.service.cache_shards)
+        .add("--no-cache", "disable the result cache",
+             [&c](auto &) { c.service.cache_bytes = 0; })
+        .number("--max-visits N", "branch-and-bound visit cap per query",
+                c.service.max_visits)
+        .add("--store FILE",
+             "persistent result store: append-only\n"
+             "checksummed log, preloaded at startup so\n"
+             "a restarted daemon answers its corpus\n"
+             "with zero searches (torn tails truncated)",
+             assign(c.service.store_path))
+        .number("--shed-high N",
+                "shed load past N queued requests: answer\n"
+                "with the certified ov_o floor\n"
+                "(degraded=shed) instead of queueing\n"
+                "(0 = disabled, the default)",
+                c.admission.high_water)
+        .number("--shed-low N",
+                "stop shedding once the queue drains to N\n"
+                "(default: shed-high / 2; the hysteresis\n"
+                "band)",
+                c.admission.low_water)
+        .number("--store-compact-every N",
+                "compact the store after every N\n"
+                "acknowledged appends (0 = never)",
+                c.service.store_compact_every)
+        .add("--admin-port N",
+             "serve the admin plane on 127.0.0.1:N\n"
+             "(/metrics /healthz /readyz /slo /flight\n"
+             "/spans /quitquitquit; 0 = ephemeral, the\n"
+             "bound port is printed to stderr)",
+             [&c](const std::string &v) {
+                 int64_t port = -1;
+                 if (!parseWholeNumber(v, port))
+                     throw std::invalid_argument(v);
+                 if (port < 0 || port > 65535)
+                     throw FlagError("--admin-port must be in [0, 65535]");
+                 c.admin_port = port;
+             })
+        .add("--admin-port-file F", "also write the bound port to F",
+             assign(c.admin_port_file))
+        .add("--admin-hold",
+             "after answering the batch, keep serving\n"
+             "the admin plane until GET /quitquitquit",
+             enable(c.admin_hold))
+        .number("--flight-size K",
+                "flight-recorder ring capacity\n"
+                "(default 256 request digests)",
+                c.flight_size)
+        .add("--trace-ids",
+             "append ' trace_id=<16 hex>' to every\n"
+             "response line (opt-in: the token is\n"
+             "per-run unique, so it is exempt from the\n"
+             "byte-determinism contract)",
+             enable(c.trace_ids))
+        .number("--slo-window-s N", "SLO rolling window (default 60 s)",
+                c.slo.window_s)
+        // Three latency targets share one description, and so do three
+        // ratio ceilings (indented to sit under its text).
+        .number("--slo-p50-us N", "SLO latency targets in microseconds",
+                c.slo.p50_us)
+        .number("--slo-p99-us N", "(0 disables that percentile's target)",
+                c.slo.p99_us)
+        .number("--slo-p999-us N", "", c.slo.p999_us)
+        .number("--slo-max-degraded R",
+                "SLO outcome-ratio ceilings in [0,1]", c.slo.max_degraded)
+        .number("--slo-max-shed R", "    (negative disables that ceiling)",
+                c.slo.max_shed)
+        .number("--slo-max-error R", "", c.slo.max_error)
+        .add("--log-json", "structured JSON log lines on stderr",
+             enable(c.log_json))
+        .add("--log-level L",
+             "error|warn|info|debug (default warn;\n"
+             "info narrates request outcomes when the\n"
+             "admin plane is armed)",
+             [&c](const std::string &v) {
+                 for (LogLevel level : {LogLevel::Error, LogLevel::Warn,
+                                        LogLevel::Info, LogLevel::Debug}) {
+                     if (v == logLevelName(level)) {
+                         c.log_level = level;
+                         return;
+                     }
+                 }
+                 throw FlagError("bad --log-level '" + v + "'");
+             })
+        .number("--request-deadline-ms N",
+                "default per-request deadline\n"
+                "(lines may override with 'deadline_ms N';\n"
+                "-1 = unbounded, 0 = degrade immediately)",
+                c.request_deadline_ms)
+        .add("--metrics", "dump the metrics table to stderr at exit",
+             enable(c.dump_metrics))
+        .add("--metrics-json F", "dump metrics as JSON to F ('-' = stderr)",
+             assign(c.metrics_json_path))
+        .add("--trace FILE",
+             "record a span trace of the batch and\n"
+             "write Chrome trace-event JSON to FILE\n"
+             "(open in Perfetto; summary on stderr;\n"
+             "UOV_TRACE=FILE is the env equivalent)",
+             assign(c.trace_path))
+        .add("--version", "print the build version and exit",
+             enable(c.version));
+    return flags;
+}
+
+} // namespace service
+} // namespace uov

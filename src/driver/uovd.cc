@@ -37,15 +37,15 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "analysis/dependence.h"
 #include "driver/nest_parser.h"
+#include "driver/service_config.h"
 #include "service/executor.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -58,94 +58,6 @@ using namespace uov;
 using namespace uov::service;
 
 namespace {
-
-void
-usage(std::ostream &os)
-{
-    os <<
-        "uovd " << buildVersion() << " -- UOV query service\n"
-        "usage: uovd [options]\n"
-        "  --input FILE      read queries from FILE (default: stdin)\n"
-        "  --output FILE     write responses to FILE (default: stdout)\n"
-        "  --nest FILE       add queries for a nest description\n"
-        "                    (repeatable; runs before --input/stdin\n"
-        "                    only when given, stdin is then skipped)\n"
-        "  --threads N       worker threads (default: hardware)\n"
-        "  --cache-bytes N   result cache budget (default 64 MiB)\n"
-        "  --cache-shards N  cache stripe count (default 16)\n"
-        "  --no-cache        disable the result cache\n"
-        "  --max-visits N    branch-and-bound visit cap per query\n"
-        "  --store FILE      persistent result store: append-only\n"
-        "                    checksummed log, preloaded at startup so\n"
-        "                    a restarted daemon answers its corpus\n"
-        "                    with zero searches (torn tails truncated)\n"
-        "  --shed-high N     shed load past N queued requests: answer\n"
-        "                    with the certified ov_o floor\n"
-        "                    (degraded=shed) instead of queueing\n"
-        "                    (0 = disabled, the default)\n"
-        "  --shed-low N      stop shedding once the queue drains to N\n"
-        "                    (default: shed-high / 2; the hysteresis\n"
-        "                    band)\n"
-        "  --store-compact-every N  compact the store after every N\n"
-        "                    acknowledged appends (0 = never)\n"
-        "  --admin-port N    serve the admin plane on 127.0.0.1:N\n"
-        "                    (/metrics /healthz /readyz /slo /flight\n"
-        "                    /spans /quitquitquit; 0 = ephemeral, the\n"
-        "                    bound port is printed to stderr)\n"
-        "  --admin-port-file F  also write the bound port to F\n"
-        "  --admin-hold      after answering the batch, keep serving\n"
-        "                    the admin plane until GET /quitquitquit\n"
-        "  --flight-size K   flight-recorder ring capacity\n"
-        "                    (default 256 request digests)\n"
-        "  --trace-ids       append ' trace_id=<16 hex>' to every\n"
-        "                    response line (opt-in: the token is\n"
-        "                    per-run unique, so it is exempt from the\n"
-        "                    byte-determinism contract)\n"
-        "  --slo-window-s N  SLO rolling window (default 60 s)\n"
-        "  --slo-p50-us N    SLO latency targets in microseconds\n"
-        "  --slo-p99-us N    (0 disables that percentile's target)\n"
-        "  --slo-p999-us N\n"
-        "  --slo-max-degraded R  SLO outcome-ratio ceilings in [0,1]\n"
-        "  --slo-max-shed R      (negative disables that ceiling)\n"
-        "  --slo-max-error R\n"
-        "  --log-json        structured JSON log lines on stderr\n"
-        "  --log-level L     error|warn|info|debug (default warn;\n"
-        "                    info narrates request outcomes when the\n"
-        "                    admin plane is armed)\n"
-        "  --request-deadline-ms N  default per-request deadline\n"
-        "                    (lines may override with 'deadline_ms N';\n"
-        "                    -1 = unbounded, 0 = degrade immediately)\n"
-        "  --metrics         dump the metrics table to stderr at exit\n"
-        "  --metrics-json F  dump metrics as JSON to F ('-' = stderr)\n"
-        "  --trace FILE      record a span trace of the batch and\n"
-        "                    write Chrome trace-event JSON to FILE\n"
-        "                    (open in Perfetto; summary on stderr;\n"
-        "                    UOV_TRACE=FILE is the env equivalent)\n"
-        "  --version         print the build version and exit\n";
-}
-
-/**
- * Parse a numeric flag value into @p out as one whole token that fits
- * its type: trailing junk is rejected (as the protocol's integers
- * are), and so is a negative count, instead of wrapping.  Throws
- * std::logic_error, which the flag loop reports as a bad value.
- */
-template <typename T>
-void
-parseNumber(T &out, const std::string &tok)
-{
-    size_t used = 0;
-    if constexpr (std::is_floating_point_v<T>) {
-        out = std::stod(tok, &used);
-    } else {
-        long long v = std::stoll(tok, &used);
-        if (!std::in_range<T>(v))
-            throw std::out_of_range(tok);
-        out = static_cast<T>(v);
-    }
-    if (used != tok.size())
-        throw std::invalid_argument(tok);
-}
 
 /** Statement-0 stencil + nest bounds, as protocol request objects. */
 std::vector<Request>
@@ -174,130 +86,17 @@ requestsFromNest(const LoopNest &nest, size_t &next_index,
 int
 main(int argc, char **argv)
 {
-    std::string input_path, output_path, metrics_json_path, trace_path;
-    std::string admin_port_file;
-    std::vector<std::string> nest_paths;
-    unsigned threads = 0;
-    bool dump_metrics = false;
-    bool admin_hold = false;
-    bool trace_ids = false;
-    int64_t request_deadline_ms = -1;
-    int64_t admin_port = -1; ///< -1 = no admin plane; 0 = ephemeral
-    size_t flight_size = 256;
-    ServiceOptions options;
-    AdmissionOptions admission_options;
-    telemetry::SloOptions slo_options;
-
-    auto next_arg = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc) {
-            std::cerr << "uovd: " << flag << " needs a value\n";
-            exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto number = [&](auto &out) {
-            parseNumber(out, next_arg(i, a.c_str()));
-        };
-        try {
-            if (a == "--help" || a == "-h") {
-                usage(std::cout);
-                return 0;
-            } else if (a == "--version") {
-                std::cout << "uovd " << buildVersion() << "\n";
-                return 0;
-            } else if (a == "--input") {
-                input_path = next_arg(i, "--input");
-            } else if (a == "--output") {
-                output_path = next_arg(i, "--output");
-            } else if (a == "--nest") {
-                nest_paths.push_back(next_arg(i, "--nest"));
-            } else if (a == "--threads") {
-                number(threads);
-            } else if (a == "--cache-bytes") {
-                number(options.cache_bytes);
-            } else if (a == "--cache-shards") {
-                number(options.cache_shards);
-            } else if (a == "--no-cache") {
-                options.cache_bytes = 0;
-            } else if (a == "--max-visits") {
-                number(options.max_visits);
-            } else if (a == "--store") {
-                options.store_path = next_arg(i, "--store");
-            } else if (a == "--shed-high") {
-                number(admission_options.high_water);
-            } else if (a == "--shed-low") {
-                number(admission_options.low_water);
-            } else if (a == "--request-deadline-ms") {
-                number(request_deadline_ms);
-            } else if (a == "--store-compact-every") {
-                number(options.store_compact_every);
-            } else if (a == "--admin-port") {
-                number(admin_port);
-                if (admin_port < 0 || admin_port > 65535) {
-                    std::cerr << "uovd: --admin-port must be in "
-                                 "[0, 65535]\n";
-                    return 2;
-                }
-            } else if (a == "--admin-port-file") {
-                admin_port_file = next_arg(i, "--admin-port-file");
-            } else if (a == "--admin-hold") {
-                admin_hold = true;
-            } else if (a == "--flight-size") {
-                number(flight_size);
-            } else if (a == "--trace-ids") {
-                trace_ids = true;
-            } else if (a == "--slo-window-s") {
-                number(slo_options.window_s);
-            } else if (a == "--slo-p50-us") {
-                number(slo_options.p50_us);
-            } else if (a == "--slo-p99-us") {
-                number(slo_options.p99_us);
-            } else if (a == "--slo-p999-us") {
-                number(slo_options.p999_us);
-            } else if (a == "--slo-max-degraded") {
-                number(slo_options.max_degraded);
-            } else if (a == "--slo-max-shed") {
-                number(slo_options.max_shed);
-            } else if (a == "--slo-max-error") {
-                number(slo_options.max_error);
-            } else if (a == "--log-json") {
-                Logger::instance().setJsonMode(true);
-            } else if (a == "--log-level") {
-                std::string lvl = next_arg(i, "--log-level");
-                if (lvl == "error")
-                    Logger::instance().level(LogLevel::Error);
-                else if (lvl == "warn")
-                    Logger::instance().level(LogLevel::Warn);
-                else if (lvl == "info")
-                    Logger::instance().level(LogLevel::Info);
-                else if (lvl == "debug")
-                    Logger::instance().level(LogLevel::Debug);
-                else {
-                    std::cerr << "uovd: bad --log-level '" << lvl
-                              << "'\n";
-                    return 2;
-                }
-            } else if (a == "--metrics") {
-                dump_metrics = true;
-            } else if (a == "--metrics-json") {
-                metrics_json_path = next_arg(i, "--metrics-json");
-            } else if (a == "--trace") {
-                trace_path = next_arg(i, "--trace");
-            } else {
-                std::cerr << "uovd: unknown option '" << a << "'\n";
-                usage(std::cerr);
-                return 2;
-            }
-        } catch (const std::logic_error &) {
-            std::cerr << "uovd: bad numeric value for " << a << "\n";
-            return 2;
-        }
+    ServiceConfig config;
+    if (std::optional<int> rc = serviceFlags(config).run(argc, argv))
+        return *rc;
+    if (config.version) {
+        std::cout << "uovd " << buildVersion() << "\n";
+        return 0;
     }
+    Logger::instance().setJsonMode(config.log_json);
+    Logger::instance().level(config.log_level);
 
-    if (!trace_path.empty()) {
+    if (!config.trace_path.empty()) {
         trace::Tracer::setCurrentThreadName("uovd-main");
         trace::Tracer::instance().enable();
     }
@@ -306,7 +105,7 @@ main(int argc, char **argv)
     // when only nests were given and no explicit --input).
     std::vector<Request> requests;
     size_t next_index = 0;
-    for (const auto &path : nest_paths) {
+    for (const auto &path : config.nest_paths) {
         // A bad nest file is one failed request, not a dead batch:
         // it degrades to the same per-line error protocol malformed
         // query lines use.
@@ -324,26 +123,26 @@ main(int argc, char **argv)
         try {
             LoopNest nest = parseNest(in);
             auto reqs = requestsFromNest(nest, next_index,
-                                         request_deadline_ms);
+                                         config.request_deadline_ms);
             requests.insert(requests.end(), reqs.begin(), reqs.end());
         } catch (const UovError &e) {
             nest_error(e.what());
         }
     }
-    if (nest_paths.empty() || !input_path.empty()) {
+    if (config.nest_paths.empty() || !config.input_path.empty()) {
         std::ifstream file;
         std::istream *in = &std::cin;
-        if (!input_path.empty() && input_path != "-") {
-            file.open(input_path);
+        if (!config.input_path.empty() && config.input_path != "-") {
+            file.open(config.input_path);
             if (!file) {
-                std::cerr << "uovd: cannot open input '" << input_path
-                          << "'\n";
+                std::cerr << "uovd: cannot open input '"
+                          << config.input_path << "'\n";
                 return 2;
             }
             in = &file;
         }
         std::vector<Request> parsed =
-            parseRequests(*in, request_deadline_ms);
+            parseRequests(*in, config.request_deadline_ms);
         for (Request &r : parsed) {
             r.index = ++next_index;
             requests.push_back(std::move(r));
@@ -351,39 +150,39 @@ main(int argc, char **argv)
     }
 
     MetricsRegistry metrics;
-    QueryService svc(options, metrics);
-    ThreadPool pool(threads);
+    QueryService svc(config.service, metrics);
+    ThreadPool pool(config.threads);
     std::unique_ptr<AdmissionController> admission;
-    if (admission_options.high_water > 0)
+    if (config.admission.high_water > 0)
         admission = std::make_unique<AdmissionController>(
-            admission_options, metrics);
+            config.admission, metrics);
 
     // The live telemetry plane: the flight recorder, SLO window, and
     // request trace scopes are armed by --admin-port or --trace-ids;
     // the admin socket itself only by --admin-port.
-    bool plane_armed = admin_port >= 0 || trace_ids;
+    bool plane_armed = config.admin_port >= 0 || config.trace_ids;
     std::unique_ptr<telemetry::FlightRecorder> flight;
     std::unique_ptr<telemetry::SloTracker> slo;
     std::unique_ptr<telemetry::AdminServer> admin;
     TelemetryPlane plane;
     if (plane_armed) {
         telemetry::installLoggerTraceIds();
-        flight =
-            std::make_unique<telemetry::FlightRecorder>(flight_size);
-        slo = std::make_unique<telemetry::SloTracker>(slo_options);
+        flight = std::make_unique<telemetry::FlightRecorder>(
+            config.flight_size);
+        slo = std::make_unique<telemetry::SloTracker>(config.slo);
         plane.flight = flight.get();
         plane.slo = slo.get();
-        plane.trace_ids = trace_ids;
+        plane.trace_ids = config.trace_ids;
     }
-    if (admin_port >= 0) {
+    if (config.admin_port >= 0) {
         telemetry::AdminHooks hooks;
         hooks.metrics = &metrics;
         hooks.flight = flight.get();
         hooks.slo = slo.get();
-        bool store_configured = !options.store_path.empty();
+        bool store_configured = !config.service.store_path.empty();
         hooks.health = [&svc, &metrics, adm = admission.get(),
                         store_configured,
-                        high_water = admission_options.high_water] {
+                        high_water = config.admission.high_water] {
             telemetry::HealthStatus h;
             h.store_configured = store_configured;
             h.store_ok = svc.store() != nullptr;
@@ -402,18 +201,18 @@ main(int argc, char **argv)
         };
         try {
             admin = std::make_unique<telemetry::AdminServer>(
-                std::move(hooks), static_cast<uint16_t>(admin_port));
+                std::move(hooks), static_cast<uint16_t>(config.admin_port));
         } catch (const UovError &e) {
             std::cerr << "uovd: " << e.what() << "\n";
             return 2;
         }
         std::cerr << "uovd: admin plane on 127.0.0.1:"
                   << admin->port() << "\n";
-        if (!admin_port_file.empty()) {
-            std::ofstream pf(admin_port_file);
+        if (!config.admin_port_file.empty()) {
+            std::ofstream pf(config.admin_port_file);
             if (!pf) {
                 std::cerr << "uovd: cannot open admin port file '"
-                          << admin_port_file << "'\n";
+                          << config.admin_port_file << "'\n";
                 return 2;
             }
             pf << admin->port() << "\n";
@@ -429,14 +228,14 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!trace_path.empty()) {
+    if (!config.trace_path.empty()) {
         // Disabling before export also tells a UOV_TRACE env session
         // (support/trace static teardown) that this trace was already
         // written; workers are idle once runBatch returned.
         trace::Tracer &tracer = trace::Tracer::instance();
         tracer.disable();
         std::string trace_error;
-        if (!tracer.exportToFile(trace_path, &trace_error)) {
+        if (!tracer.exportToFile(config.trace_path, &trace_error)) {
             std::cerr << "uovd: " << trace_error << "\n";
             return 2;
         }
@@ -445,50 +244,45 @@ main(int argc, char **argv)
 
     std::ofstream out_file;
     std::ostream *out = &std::cout;
-    if (!output_path.empty() && output_path != "-") {
-        out_file.open(output_path);
+    if (!config.output_path.empty() && config.output_path != "-") {
+        out_file.open(config.output_path);
         if (!out_file) {
-            std::cerr << "uovd: cannot open output '" << output_path
-                      << "'\n";
+            std::cerr << "uovd: cannot open output '"
+                      << config.output_path << "'\n";
             return 2;
         }
         out = &out_file;
     }
-    size_t error_lines = 0;
-    for (const auto &line : responses) {
+    for (const auto &line : responses)
         *out << line << "\n";
-        if (line.rfind("error ", 0) == 0)
-            ++error_lines;
-    }
     out->flush();
 
     // --admin-hold: the batch is answered and flushed; keep the admin
     // plane up so scrapers and dashboards can inspect the run, until
     // a GET /quitquitquit lets the process exit.
-    if (admin != nullptr && admin_hold) {
+    if (admin != nullptr && config.admin_hold) {
         std::cerr << "uovd: holding; GET /quitquitquit on the admin "
                      "port to exit\n";
         admin->waitQuit();
     }
 
-    if (dump_metrics)
+    if (config.dump_metrics)
         metrics.table().print(std::cerr);
-    if (!metrics_json_path.empty()) {
-        if (metrics_json_path == "-") {
+    if (!config.metrics_json_path.empty()) {
+        if (config.metrics_json_path == "-") {
             std::cerr << metrics.json() << "\n";
         } else {
-            std::ofstream mf(metrics_json_path);
+            std::ofstream mf(config.metrics_json_path);
             if (!mf) {
                 std::cerr << "uovd: cannot open metrics output '"
-                          << metrics_json_path << "'\n";
+                          << config.metrics_json_path << "'\n";
                 return 2;
             }
             mf << metrics.json() << "\n";
         }
     }
-    // Partial failure is success: only an all-error batch (every
-    // request drew an error line) exits nonzero.
-    bool all_errored = !responses.empty() &&
-                       error_lines == responses.size();
-    return all_errored ? 1 : 0;
+    // Partial failure is success: only an all-error batch exits
+    // nonzero.  runBatch counts each response's typed outcome once.
+    uint64_t errors = metrics.counter("service.request_errors").value();
+    return !requests.empty() && errors == requests.size() ? 1 : 0;
 }

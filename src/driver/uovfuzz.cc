@@ -20,41 +20,16 @@
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "fuzz/fuzzer.h"
-#include "support/error.h"
+#include "support/flags.h"
 #include "support/version.h"
 
 using namespace uov;
 using namespace uov::fuzz;
-
-namespace {
-
-void
-usage()
-{
-    std::cout <<
-        "uovfuzz " << buildVersion()
-              << " -- differential fuzzing driver\n"
-        "usage: uovfuzz [options]\n"
-        "  --seed N        master seed for the random sweep "
-        "(default 1)\n"
-        "  --iters N       random cases to run (default 100)\n"
-        "  --oracle NAME   membership|search|mapping|streaming|"
-        "service|fault|codegen|tune|durability\n"
-        "                  (default: all)\n"
-        "  --shrink        minimize failing cases (default)\n"
-        "  --no-shrink     report failures unminimized\n"
-        "  --replay SEED   regenerate one case from its seed and run\n"
-        "                  the chosen oracle(s) on it\n"
-        "  --corpus DIR    replay every *.nest file in DIR first\n"
-        "  --corpus-file F replay one nest file\n"
-        "  --quiet         suppress progress output\n";
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -63,74 +38,58 @@ main(int argc, char **argv)
     opt.log = &std::cerr;
     std::vector<uint64_t> replays;
 
-    auto next_arg = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc) {
-            std::cerr << "uovfuzz: " << flag << " needs a value\n";
-            exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        try {
-            if (a == "--help" || a == "-h") {
-                usage();
-                return 0;
-            } else if (a == "--seed") {
-                opt.seed = std::stoull(next_arg(i, "--seed"));
-            } else if (a == "--iters") {
-                opt.iters = std::stoull(next_arg(i, "--iters"));
-            } else if (a == "--oracle") {
-                std::string name = next_arg(i, "--oracle");
-                opt.only = parseOracleName(name);
-                if (!opt.only && name != "all") {
-                    std::cerr << "uovfuzz: unknown oracle '" << name
-                              << "'\n";
-                    return 2;
-                }
-            } else if (a == "--shrink") {
-                opt.shrink = true;
-            } else if (a == "--no-shrink") {
-                opt.shrink = false;
-            } else if (a == "--replay") {
-                replays.push_back(
-                    std::stoull(next_arg(i, "--replay")));
-            } else if (a == "--corpus") {
-                std::string dir = next_arg(i, "--corpus");
-                std::vector<std::string> files;
-                for (const auto &e :
-                     std::filesystem::directory_iterator(dir)) {
-                    if (e.path().extension() == ".nest")
-                        files.push_back(e.path().string());
-                }
-                std::sort(files.begin(), files.end());
-                if (files.empty()) {
-                    std::cerr << "uovfuzz: no *.nest files in '"
-                              << dir << "'\n";
-                    return 2;
-                }
-                opt.corpus_files.insert(opt.corpus_files.end(),
-                                        files.begin(), files.end());
-            } else if (a == "--corpus-file") {
-                opt.corpus_files.push_back(
-                    next_arg(i, "--corpus-file"));
-            } else if (a == "--quiet") {
-                opt.log = nullptr;
-            } else {
-                std::cerr << "uovfuzz: unknown option '" << a << "'\n";
-                usage();
-                return 2;
-            }
-        } catch (const std::logic_error &) {
-            std::cerr << "uovfuzz: bad numeric value for " << a
-                      << "\n";
-            return 2;
-        } catch (const std::filesystem::filesystem_error &e) {
-            std::cerr << "uovfuzz: " << e.what() << "\n";
-            return 2;
-        }
-    }
+    std::string names;
+    for (OracleKind k : kAllOracleKinds)
+        names += std::string(names.empty() ? "" : "|") + oracleName(k);
+    FlagTable flags("uovfuzz",
+                    std::string("uovfuzz ") + buildVersion() +
+                        " -- differential fuzzing driver\n"
+                        "usage: uovfuzz [options]\n",
+                    18);
+    flags.number("--seed N",
+                 "master seed for the random sweep (default 1)", opt.seed)
+        .number("--iters N", "random cases to run (default 100)", opt.iters)
+        .add("--oracle NAME", names + "\n(default: all)",
+             [&](const std::string &name) {
+                 opt.only = parseOracleName(name);
+                 if (!opt.only && name != "all")
+                     throw FlagError("unknown oracle '" + name + "'");
+             })
+        .add("--shrink", "minimize failing cases (default)",
+             [&](auto &) { opt.shrink = true; })
+        .add("--no-shrink", "report failures unminimized",
+             [&](auto &) { opt.shrink = false; })
+        .add("--replay SEED",
+             "regenerate one case from its seed and run\n"
+             "the chosen oracle(s) on it",
+             [&](const std::string &v) {
+                 if (!parseWholeNumber(v, replays.emplace_back()))
+                     throw std::invalid_argument(v);
+             })
+        .add("--corpus DIR", "replay every *.nest file in DIR first",
+             [&](const std::string &dir) {
+                 std::vector<std::string> files;
+                 try {
+                     for (const auto &e :
+                          std::filesystem::directory_iterator(dir)) {
+                         if (e.path().extension() == ".nest")
+                             files.push_back(e.path().string());
+                     }
+                 } catch (const std::filesystem::filesystem_error &e) {
+                     throw FlagError(e.what());
+                 }
+                 if (files.empty())
+                     throw FlagError("no *.nest files in '" + dir + "'");
+                 std::sort(files.begin(), files.end());
+                 opt.corpus_files.insert(opt.corpus_files.end(),
+                                         files.begin(), files.end());
+             })
+        .add("--corpus-file F", "replay one nest file",
+             [&](const std::string &f) { opt.corpus_files.push_back(f); })
+        .add("--quiet", "suppress progress output",
+             [&](auto &) { opt.log = nullptr; });
+    if (std::optional<int> rc = flags.run(argc, argv))
+        return *rc;
 
     // --replay: run the selected oracle(s) on exact regenerated
     // cases instead of a sweep.
@@ -139,16 +98,9 @@ main(int argc, char **argv)
         for (uint64_t seed : replays) {
             FuzzCase c = makeCase(seed, opt.gen);
             std::cout << "case " << c.str() << "\n";
-            std::vector<OracleKind> kinds;
-            if (opt.only) {
-                kinds.push_back(*opt.only);
-            } else {
-                kinds = {OracleKind::Membership, OracleKind::Search,
-                         OracleKind::Mapping, OracleKind::Streaming,
-                         OracleKind::Service, OracleKind::Fault,
-                         OracleKind::Codegen};
-            }
-            for (OracleKind k : kinds) {
+            for (OracleKind k : kAllOracleKinds) {
+                if (opt.only && *opt.only != k)
+                    continue;
                 auto v = runOracle(k, c);
                 std::cout << "  " << oracleName(k) << ": "
                           << (v ? *v : "ok") << "\n";

@@ -1,6 +1,7 @@
 #include "fuzz/fuzzer.h"
 
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -13,38 +14,20 @@ namespace fuzz {
 const char *
 oracleName(OracleKind kind)
 {
-    switch (kind) {
-      case OracleKind::Membership:
-        return "membership";
-      case OracleKind::Search:
-        return "search";
-      case OracleKind::Mapping:
-        return "mapping";
-      case OracleKind::Streaming:
-        return "streaming";
-      case OracleKind::Service:
-        return "service";
-      case OracleKind::Fault:
-        return "fault";
-      case OracleKind::Codegen:
-        return "codegen";
-      case OracleKind::Tune:
-        return "tune";
-      case OracleKind::Durability:
-        return "durability";
-    }
-    UOV_UNREACHABLE("bad oracle kind");
+    // In OracleKind's declaration order.
+    static constexpr const char *kNames[] = {
+        "membership", "search", "mapping", "streaming", "service",
+        "fault",      "codegen", "tune",   "durability"};
+    static_assert(std::size(kNames) == kOracleKindCount);
+    auto i = static_cast<size_t>(kind);
+    UOV_CHECK(i < kOracleKindCount, "bad oracle kind " << i);
+    return kNames[i];
 }
 
 std::optional<OracleKind>
 parseOracleName(const std::string &name)
 {
-    for (OracleKind k :
-         {OracleKind::Membership, OracleKind::Search,
-          OracleKind::Mapping, OracleKind::Streaming,
-          OracleKind::Service, OracleKind::Fault,
-          OracleKind::Codegen, OracleKind::Tune,
-          OracleKind::Durability}) {
+    for (OracleKind k : kAllOracleKinds) {
         if (name == oracleName(k))
             return k;
     }
@@ -183,8 +166,7 @@ runFuzzer(const FuzzOptions &opt)
     for (uint64_t i = 0; i < opt.iters; ++i) {
         uint64_t case_seed = seeds.next();
         OracleKind kind =
-            opt.only ? *opt.only
-                     : static_cast<OracleKind>(i % kOracleKindCount);
+            opt.only ? *opt.only : kAllOracleKinds[i % kOracleKindCount];
         FuzzCase c = makeCase(case_seed, opt.gen);
         ++report.cases;
         ++report.oracle_runs;

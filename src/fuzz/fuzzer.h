@@ -44,6 +44,13 @@ enum class OracleKind
 /** Number of OracleKind values (the random sweep cycles them all). */
 constexpr size_t kOracleKindCount = 9;
 
+/** Every kind in sweep order (--replay, --oracle, parseOracleName). */
+constexpr OracleKind kAllOracleKinds[kOracleKindCount] = {
+    OracleKind::Membership, OracleKind::Search,  OracleKind::Mapping,
+    OracleKind::Streaming,  OracleKind::Service, OracleKind::Fault,
+    OracleKind::Codegen,    OracleKind::Tune,    OracleKind::Durability,
+};
+
 const char *oracleName(OracleKind kind);
 
 /** Parse "membership" | "search" | "mapping" | "streaming" |

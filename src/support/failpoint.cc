@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <stdexcept>
 #include <thread>
 
+#include "support/flags.h"
 #include "support/logging.h"
 #include "support/rng.h"
 
@@ -113,19 +113,9 @@ Registry::armFromSpec(const std::string &spec, std::string *error)
             return fail("'" + entry + "' has an empty site name");
 
         Config config;
-        try {
-            size_t used = 0;
-            config.probability = std::stod(parts[1], &used);
-            if (used != parts[1].size())
-                throw std::invalid_argument(parts[1]);
-            if (parts.size() >= 3) {
-                config.seed = std::stoull(parts[2], &used);
-                if (used != parts[2].size())
-                    throw std::invalid_argument(parts[2]);
-            }
-        } catch (const std::logic_error &) {
+        if (!parseWholeNumber(parts[1], config.probability) ||
+            (parts.size() >= 3 && !parseWholeNumber(parts[2], config.seed)))
             return fail("'" + entry + "' has a non-numeric field");
-        }
         if (config.probability < 0.0 || config.probability > 1.0)
             return fail("'" + entry + "' probability outside [0, 1]");
 
@@ -136,17 +126,9 @@ Registry::armFromSpec(const std::string &spec, std::string *error)
             } else if (act.rfind("delay", 0) == 0) {
                 config.action = Action::Delay;
                 std::string ms = act.substr(5);
-                if (!ms.empty()) {
-                    try {
-                        size_t used = 0;
-                        config.delay_ms = std::stoll(ms, &used);
-                        if (used != ms.size() || config.delay_ms < 0)
-                            throw std::invalid_argument(ms);
-                    } catch (const std::logic_error &) {
-                        return fail("'" + entry +
-                                    "' has a bad delay count");
-                    }
-                }
+                if (!ms.empty() && (!parseWholeNumber(ms, config.delay_ms) ||
+                                    config.delay_ms < 0))
+                    return fail("'" + entry + "' has a bad delay count");
             } else {
                 return fail("'" + entry + "' action must be throw or "
                                           "delayN");

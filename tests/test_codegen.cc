@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <dlfcn.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -39,32 +38,25 @@
 namespace uov {
 namespace {
 
-using KernelFn = void (*)(double *);
-
-/** Compile + dlopen + run; returns the output row. */
+/** JIT-compile into a fresh cache directory, run; the output row. */
 std::vector<double>
 runGenerated(const LoopNest &nest, const GeneratedCode &code)
 {
     // ctest runs each case in its own process, concurrently: the pid
     // keeps two processes from compiling into the same files.
     static int counter = 0;
-    std::string dir = ::testing::TempDir() + "uov_codegen_" +
-                      std::to_string(static_cast<long>(::getpid())) +
-                      "_" + std::to_string(counter++);
-    std::filesystem::create_directories(dir);
-    std::string so = compileToSharedObject(code, dir);
-
-    void *handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
-    EXPECT_NE(handle, nullptr) << dlerror();
-    auto fn = reinterpret_cast<KernelFn>(
-        dlsym(handle, code.function_name.c_str()));
-    EXPECT_NE(fn, nullptr) << dlerror();
-
+    JitOptions options;
+    options.cache_dir = ::testing::TempDir() + "uov_codegen_" +
+                        std::to_string(static_cast<long>(::getpid())) +
+                        "_" + std::to_string(counter++);
     std::vector<double> out(
         static_cast<size_t>(outputCellCount(nest)), -1.0);
-    fn(out.data());
-    dlclose(handle);
-    std::filesystem::remove_all(dir);
+    {
+        JitCompiler jit(options);
+        JitKernel kernel = jit.compileAndLoad(code);
+        kernel.fn<void (*)(double *)>(code.function_name)(out.data());
+    }
+    std::filesystem::remove_all(options.cache_dir);
     return out;
 }
 

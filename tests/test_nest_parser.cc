@@ -93,19 +93,21 @@ TEST(NestParser, ThreeDimensional)
     EXPECT_EQ(plan.search.best_uov, (IVec{2, 0, 0}));
 }
 
+/** Parsing @p text must fail with a message containing @p needle. */
+void
+expect_error(const std::string &text, const std::string &needle)
+{
+    try {
+        parseNestString(text);
+        FAIL() << "expected parse failure for: " << text;
+    } catch (const UovUserError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(NestParser, ErrorsCarryLineNumbers)
 {
-    auto expect_error = [](const std::string &text,
-                           const std::string &needle) {
-        try {
-            parseNestString(text);
-            FAIL() << "expected parse failure for: " << text;
-        } catch (const UovUserError &e) {
-            EXPECT_NE(std::string(e.what()).find(needle),
-                      std::string::npos)
-                << e.what();
-        }
-    };
     expect_error("nest n\nbounds 0..3\nstatement s\n  write A(0)\n",
                  "line 4");
     expect_error("nest n\nbounds 0-3\n", "bad range");
@@ -115,6 +117,35 @@ TEST(NestParser, ErrorsCarryLineNumbers)
                  "outside a statement");
     expect_error("nest n\nbounds 0..3\nstatement s\n  write A[x]\n",
                  "bad offset");
+}
+
+// Every token of a line is consumed, and every integer is one whole
+// token: a second access on a read line, a partial range or offset,
+// and junk after an access or a name are errors, never dropped.
+TEST(NestParser, RejectsLeftoverAndPartialTokens)
+{
+    const std::string head = "nest n\nbounds 0..9 0..5\nstatement s\n";
+    expect_error(head + "  write A[0,0]\n  read A[-1,0] A[-2,0]\n",
+                 "line 5: unexpected token 'A[-2,0]'");
+    expect_error("nest n\nbounds 0..9x 0..5\n",
+                 "line 2: bad range '0..9x', expected lo..hi");
+    expect_error("nest n\nbounds 0x..9 0..5\n", "line 2: bad range");
+    expect_error("nest n\nbounds 0..9 0..+5\n", "line 2: bad range");
+    expect_error("nest n\nbounds 0..99999999999999999999\n",
+                 "line 2: bad range");
+    expect_error(head + "  write A[0,0]junk\n",
+                 "line 4: expected NAME[o1,o2,...], got 'A[0,0]junk'");
+    expect_error(head + "  write A[0,0] junk\n",
+                 "line 4: unexpected token 'junk'");
+    expect_error(head + "  write A[0,0]\n  read A[-1x,0]\n",
+                 "line 5: bad offset '-1x'");
+    expect_error(head + "  write A[0,]\n", "line 4: bad offset ''");
+    expect_error(head + "  write A[0, 0]\n",
+                 "line 4: unexpected token '0]'");
+    expect_error(head + "  write\n", "line 4: write needs an access");
+    expect_error("nest n extra\n", "line 1: unexpected token 'extra'");
+    expect_error("nest n\nbounds 0..3\nstatement s t\n",
+                 "line 3: unexpected token 't'");
 }
 
 TEST(NestParser, StructuralErrors)
