@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "geometry/box.h"
 #include "ir/program.h"
 
 namespace uov {
@@ -50,7 +51,7 @@ struct RegionSummary
  */
 RegionSummary analyzeRegions(const LoopNest &nest, size_t stmt_index,
                              const LiveOutPredicate &live_out,
-                             int64_t max_scan = 10000000);
+                             int64_t max_scan = kMaxScanPoints);
 
 /** Convenience predicates. */
 namespace live_out {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "codegen/regcost.h"
+#include "geometry/box.h"
 #include "mapping/expanded_array.h"
 #include "schedule/legality.h"
 #include "support/error.h"
@@ -223,34 +224,38 @@ emitRegisterTiled(std::ostream &c, const DependenceInfo &deps,
         c << std::string(4 * (k + 1), ' ') << "}\n";
 }
 
+/** The output: the final q0-hyperplane of the nest's box. */
+void
+outputPlane(const LoopNest &nest, IVec &lo, IVec &hi)
+{
+    lo = nest.lo();
+    hi = nest.hi();
+    lo[0] = hi[0];
+}
+
 } // namespace
 
 int64_t
 outputCellCount(const LoopNest &nest)
 {
-    int64_t out_cells = 1;
-    for (size_t c = 1; c < nest.depth(); ++c)
-        out_cells *= nest.hi()[c] - nest.lo()[c] + 1;
-    return out_cells;
+    IVec lo, hi;
+    outputPlane(nest, lo, hi);
+    return boxVolume(lo, hi);
 }
 
 std::vector<double>
 interpretKernel(const LoopNest &nest)
 {
     DependenceInfo deps = analyzeDependences(nest, 0);
-    const IVec &lo = nest.lo();
-    const IVec &hi = nest.hi();
     size_t d = nest.depth();
-    ExpandedArray<double> vals(lo, hi);
+    ExpandedArray<double> vals(nest.lo(), nest.hi());
     auto bval = [&](const IVec &p) {
         int64_t acc = 1;
         for (size_t c = 0; c < p.dim(); ++c)
             acc += kBvalWeights[c] * p[c];
         return static_cast<double>(acc);
     };
-    // Lexicographic sweep via odometer.
-    IVec q = lo;
-    for (;;) {
+    scanBox(nest.lo(), nest.hi(), [&](const IVec &q) {
         double v = 0.0;
         for (size_t k = 0; k < deps.reads.size(); ++k) {
             IVec p = q - deps.reads[k].distance;
@@ -262,46 +267,14 @@ interpretKernel(const LoopNest &nest)
             v += (static_cast<double>(c + 1) / 1000.0) *
                  static_cast<double>(q[c]);
         vals.at(q) = v;
-
-        size_t c = d;
-        bool done = false;
-        while (c-- > 0) {
-            if (q[c] < hi[c]) {
-                ++q[c];
-                break;
-            }
-            q[c] = lo[c];
-            if (c == 0)
-                done = true;
-        }
-        if (done)
-            break;
-    }
+    });
 
     // Final q0-hyperplane, row-major over dims 1..d-1.
     std::vector<double> out;
-    if (d == 1) {
-        out.push_back(vals.at(hi));
-        return out;
-    }
-    IVec p = lo;
-    p[0] = hi[0];
-    for (;;) {
-        out.push_back(vals.at(p));
-        size_t c = d;
-        bool done = false;
-        while (c-- > 1) {
-            if (p[c] < hi[c]) {
-                ++p[c];
-                break;
-            }
-            p[c] = lo[c];
-            if (c == 1)
-                done = true;
-        }
-        if (done)
-            break;
-    }
+    IVec plane_lo, plane_hi;
+    outputPlane(nest, plane_lo, plane_hi);
+    scanBox(plane_lo, plane_hi,
+            [&](const IVec &p) { out.push_back(vals.at(p)); });
     return out;
 }
 
@@ -408,14 +381,9 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
                                "cost model choose");
     }
 
-    int64_t cells;
-    if (options.storage == GenStorage::OvMapped) {
-        cells = sm.cellCount();
-    } else {
-        cells = 1;
-        for (size_t c = 0; c < d; ++c)
-            cells *= hi[c] - lo[c] + 1;
-    }
+    int64_t cells = options.storage == GenStorage::OvMapped
+                        ? sm.cellCount()
+                        : nest.tripCount();
 
     // Output: the final hyperplane of dimension 0, linearized
     // row-major over dimensions 1..d-1 (a scalar when d == 1).

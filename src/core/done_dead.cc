@@ -1,5 +1,6 @@
 #include "core/done_dead.h"
 
+#include "geometry/box.h"
 #include "support/error.h"
 
 namespace uov {
@@ -44,29 +45,18 @@ DoneDeadAnalysis::enumerateBox(const IVec &lo, const IVec &hi, Pred pred)
                                     << "] must match stencil "
                                     << stencil().str() << " dimension "
                                     << stencil().dim());
-    std::vector<IVec> out;
-    IVec p = lo;
-    size_t d = lo.dim();
-    for (size_t c = 0; c < d; ++c)
+    for (size_t c = 0; c < lo.dim(); ++c)
         UOV_REQUIRE(lo[c] <= hi[c],
                     "empty enumeration box [" << lo.str() << ", "
                                               << hi.str()
                                               << "]: lo > hi on axis "
                                               << c);
-    for (;;) {
+    std::vector<IVec> out;
+    scanBox(lo, hi, [&](const IVec &p) {
         if (pred(p))
             out.push_back(p);
-        size_t c = d;
-        while (c-- > 0) {
-            if (p[c] < hi[c]) {
-                ++p[c];
-                break;
-            }
-            p[c] = lo[c];
-            if (c == 0)
-                return out;
-        }
-    }
+    });
+    return out;
 }
 
 std::vector<IVec>

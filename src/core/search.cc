@@ -7,7 +7,7 @@
 
 #include "core/storage_count.h"
 #include "core/uov.h"
-#include "geometry/isqrt.h"
+#include "geometry/box.h"
 #include "support/checked.h"
 #include "support/error.h"
 #include "support/flat_map.h"
@@ -432,40 +432,18 @@ exhaustiveUovSearch(const Stencil &stencil, SearchObjective objective,
         objective == SearchObjective::ShortestVector
             ? initial.normSquared()
             : knownBoundsRadiusSquared(initial, *options.isg);
-    int64_t radius = isqrt64(radius_sq) + 1;
-
-    size_t d = stencil.dim();
-    IVec w(d);
-    for (size_t c = 0; c < d; ++c)
-        w[c] = -radius;
-    for (;;) {
-        if (!w.isZero() && w.normSquared() <= radius_sq) {
-            ++result.stats.visited;
-            if (oracle.isUov(w)) {
-                int64_t obj = objective_of(w);
-                if (obj < result.best_objective ||
-                    (obj == result.best_objective &&
-                     w < result.best_uov)) {
-                    result.best_objective = obj;
-                    result.best_uov = w;
-                    ++result.stats.bound_updates;
-                }
-            }
+    scanBall(stencil.dim(), radius_sq, [&](const IVec &w) {
+        ++result.stats.visited;
+        if (!oracle.isUov(w))
+            return;
+        int64_t obj = objective_of(w);
+        if (obj < result.best_objective ||
+            (obj == result.best_objective && w < result.best_uov)) {
+            result.best_objective = obj;
+            result.best_uov = w;
+            ++result.stats.bound_updates;
         }
-        size_t c = d;
-        bool done = false;
-        while (c-- > 0) {
-            if (w[c] < radius) {
-                ++w[c];
-                break;
-            }
-            w[c] = -radius;
-            if (c == 0)
-                done = true;
-        }
-        if (done)
-            break;
-    }
+    });
     return result;
 }
 

@@ -1,6 +1,8 @@
 #include "core/uov.h"
 
-#include "geometry/isqrt.h"
+#include <algorithm>
+
+#include "geometry/box.h"
 #include "support/error.h"
 
 namespace uov {
@@ -119,30 +121,12 @@ GeneralUovOracle::searchShortest()
                              << _cone.stencil().str());
     int64_t best_sq = initial.normSquared();
     IVec best = initial;
-    int64_t radius = isqrt64(best_sq) + 1;
-    size_t d = initial.dim();
-    IVec w(d);
-    for (size_t c = 0; c < d; ++c)
-        w[c] = -radius;
-    for (;;) {
-        if (!w.isZero() && w.normSquared() < best_sq && isUov(w)) {
+    scanBall(initial.dim(), best_sq, [&](const IVec &w) {
+        if (w.normSquared() < best_sq && isUov(w)) {
             best_sq = w.normSquared();
             best = w;
         }
-        size_t c = d;
-        bool done = false;
-        while (c-- > 0) {
-            if (w[c] < radius) {
-                ++w[c];
-                break;
-            }
-            w[c] = -radius;
-            if (c == 0)
-                done = true;
-        }
-        if (done)
-            break;
-    }
+    });
     return best;
 }
 
@@ -190,42 +174,18 @@ findSharedUov(const std::vector<Stencil> &stencils)
         oracles.emplace_back(s);
         radius_sq = std::max(radius_sq, s.initialUov().normSquared());
     }
-    int64_t radius = isqrt64(radius_sq) + 1;
 
     std::optional<IVec> best;
     int64_t best_sq = INT64_MAX;
-    IVec w(d);
-    for (size_t c = 0; c < d; ++c)
-        w[c] = -radius;
-    for (;;) {
+    scanBall(d, radius_sq, [&](const IVec &w) {
         int64_t sq = w.normSquared();
-        if (!w.isZero() && sq <= radius_sq && sq < best_sq) {
-            bool all = true;
-            for (auto &oracle : oracles) {
-                if (!oracle.isUov(w)) {
-                    all = false;
-                    break;
-                }
-            }
-            if (all) {
-                best = w;
-                best_sq = sq;
-            }
+        if (sq < best_sq &&
+            std::all_of(oracles.begin(), oracles.end(),
+                        [&](UovOracle &o) { return o.isUov(w); })) {
+            best = w;
+            best_sq = sq;
         }
-        size_t c = d;
-        bool done = false;
-        while (c-- > 0) {
-            if (w[c] < radius) {
-                ++w[c];
-                break;
-            }
-            w[c] = -radius;
-            if (c == 0)
-                done = true;
-        }
-        if (done)
-            break;
-    }
+    });
     return best;
 }
 

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <optional>
 
+#include "geometry/box.h"
 #include "support/checked.h"
 #include "support/error.h"
 
@@ -425,36 +426,16 @@ Polyhedron::integerPoints(int64_t max_scan) const
 {
     IVec lo, hi;
     boundingBox(lo, hi);
-    size_t d = dim();
-
-    int64_t volume = 1;
-    for (size_t c = 0; c < d; ++c) {
-        if (hi[c] < lo[c])
-            return {};
-        volume = checkedMul(volume, checkedAdd(checkedSub(hi[c], lo[c]), 1));
-    }
+    int64_t volume = boxVolume(lo, hi);
     UOV_REQUIRE(volume <= max_scan,
                 "integer-point scan over " << volume
                     << " candidates exceeds limit " << max_scan);
 
     std::vector<IVec> out;
-    IVec p = lo;
-    for (;;) {
+    scanBox(lo, hi, [&](const IVec &p) {
         if (contains(p))
             out.push_back(p);
-        // Odometer increment.
-        size_t c = 0;
-        while (c < d) {
-            if (p[c] < hi[c]) {
-                ++p[c];
-                break;
-            }
-            p[c] = lo[c];
-            ++c;
-        }
-        if (c == d)
-            break;
-    }
+    });
     return out;
 }
 

@@ -29,6 +29,7 @@
 #include <optional>
 #include <vector>
 
+#include "geometry/box.h"
 #include "geometry/ivec.h"
 #include "geometry/matrix.h"
 #include "geometry/rational.h"
@@ -106,7 +107,8 @@ class Polyhedron
     int64_t countIntegerPoints(int64_t max_scan = 100000000) const;
 
     /** Enumerate all integer points (small polytopes only). */
-    std::vector<IVec> integerPoints(int64_t max_scan = 10000000) const;
+    std::vector<IVec> integerPoints(
+        int64_t max_scan = kMaxScanPoints) const;
 
   private:
     Polyhedron(IMatrix a, IVec b);

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "geometry/box.h"
 #include "support/error.h"
 
 namespace uov {
@@ -51,10 +52,7 @@ LoopNest::domain() const
 int64_t
 LoopNest::tripCount() const
 {
-    int64_t n = 1;
-    for (size_t c = 0; c < depth(); ++c)
-        n *= _hi[c] - _lo[c] + 1;
-    return n;
+    return boxVolume(_lo, _hi);
 }
 
 void

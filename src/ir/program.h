@@ -62,7 +62,7 @@ class LoopNest
     /** The iteration-space polyhedron (a box for this IR). */
     Polyhedron domain() const;
 
-    /** Number of iterations. */
+    /** Number of iterations; UovOverflowError past int64. */
     int64_t tripCount() const;
 
     /** Append a statement; validates access shapes against depth(). */

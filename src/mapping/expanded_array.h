@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "geometry/box.h"
 #include "geometry/ivec.h"
 #include "support/checked.h"
 #include "support/error.h"
@@ -45,10 +46,7 @@ class ExpandedArray
     inBounds(const IVec &q) const
     {
         UOV_CHECK(q.dim() == _lo.dim(), "point dimension mismatch");
-        for (size_t c = 0; c < q.dim(); ++c)
-            if (q[c] < _lo[c] || q[c] > _hi[c])
-                return false;
-        return true;
+        return inBox(q, _lo, _hi);
     }
 
     T &

@@ -4,6 +4,7 @@
 
 #include "core/uov.h"
 // ovLegalForLinearSchedule comes from core (schedule-free rule).
+#include "geometry/box.h"
 #include "support/checked.h"
 #include "support/error.h"
 
@@ -56,40 +57,17 @@ allDifferencesSafe(const IVec &m, const IVec &ext, Pred safe)
 {
     size_t d = m.dim();
     // c_k ranges over multiples with |c_k * m_k| <= ext_k - 1.
-    std::vector<int64_t> max_mult(d);
+    IVec max_mult(d);
     for (size_t c = 0; c < d; ++c)
         max_mult[c] = (ext[c] - 1) / m[c];
-
-    IVec mult(d);
-    for (size_t c = 0; c < d; ++c)
-        mult[c] = -max_mult[c];
-    for (;;) {
-        bool zero = true;
+    return scanBox(-max_mult, max_mult, [&](const IVec &mult) {
+        if (mult.isZero())
+            return true;
+        IVec diff(d);
         for (size_t c = 0; c < d; ++c)
-            if (mult[c] != 0)
-                zero = false;
-        if (!zero) {
-            IVec diff(d);
-            for (size_t c = 0; c < d; ++c)
-                diff[c] = mult[c] * m[c];
-            if (!safe(diff))
-                return false;
-        }
-        size_t c = d;
-        bool done = false;
-        while (c-- > 0) {
-            if (mult[c] < max_mult[c]) {
-                ++mult[c];
-                break;
-            }
-            mult[c] = -max_mult[c];
-            if (c == 0)
-                done = true;
-        }
-        if (done)
-            break;
-    }
-    return true;
+            diff[c] = mult[c] * m[c];
+        return safe(diff);
+    });
 }
 
 template <typename SafetyCheck>
@@ -97,27 +75,22 @@ ModuliSearchResult
 searchModuli(const IVec &lo, const IVec &hi, SafetyCheck safe_moduli)
 {
     size_t d = lo.dim();
-    IVec ext(d);
-    int64_t search_space = 1;
-    for (size_t c = 0; c < d; ++c) {
-        ext[c] = hi[c] - lo[c] + 1;
-        search_space = checkedMul(search_space, ext[c]);
-    }
+    int64_t search_space = boxVolume(lo, hi);
     UOV_REQUIRE(search_space <= 1000000,
                 "moduli search over " << search_space
                     << " combinations; use a smaller ISG");
 
+    IVec ones(d), ext(d);
+    for (size_t c = 0; c < d; ++c) {
+        ones[c] = 1;
+        ext[c] = hi[c] - lo[c] + 1;
+    }
     ModuliSearchResult best;
     best.moduli = ext; // trivial: no reuse, always safe
-    best.cells = 1;
-    for (size_t c = 0; c < d; ++c)
-        best.cells = checkedMul(best.cells, ext[c]);
+    best.cells = search_space;
     best.trivial = true;
 
-    IVec m(d);
-    for (size_t c = 0; c < d; ++c)
-        m[c] = 1;
-    for (;;) {
+    scanBox(ones, ext, [&](const IVec &m) {
         int64_t cells = 1;
         for (size_t c = 0; c < d; ++c)
             cells = checkedMul(cells, m[c]);
@@ -126,20 +99,7 @@ searchModuli(const IVec &lo, const IVec &hi, SafetyCheck safe_moduli)
             best.cells = cells;
             best.trivial = (m == ext);
         }
-        size_t c = d;
-        bool done = false;
-        while (c-- > 0) {
-            if (m[c] < ext[c]) {
-                ++m[c];
-                break;
-            }
-            m[c] = 1;
-            if (c == 0)
-                done = true;
-        }
-        if (done)
-            break;
-    }
+    });
     return best;
 }
 

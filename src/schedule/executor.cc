@@ -1,5 +1,6 @@
 #include "schedule/executor.h"
 
+#include "geometry/box.h"
 #include "geometry/polyhedron.h"
 #include "support/error.h"
 
@@ -23,15 +24,6 @@ hashPoint(const IVec &q)
     for (size_t c = 0; c < q.dim(); ++c)
         h = mix64(h ^ (static_cast<uint64_t>(q[c]) + 0xabcdef123ULL * c));
     return h;
-}
-
-bool
-inBox(const IVec &p, const IVec &lo, const IVec &hi)
-{
-    for (size_t c = 0; c < p.dim(); ++c)
-        if (p[c] < lo[c] || p[c] > hi[c])
-            return false;
-    return true;
 }
 
 } // namespace
@@ -65,9 +57,8 @@ computeReference(const StencilComputation &comp, const IVec &lo,
                  const IVec &hi)
 {
     ExpandedArray<uint64_t> values(lo, hi);
-    TiledSchedule order(IMatrix::identity(lo.dim()));
     std::vector<uint64_t> inputs(comp.stencil.size());
-    order.forEach(lo, hi, [&](const IVec &q) {
+    scanBox(lo, hi, [&](const IVec &q) {
         for (size_t i = 0; i < comp.stencil.size(); ++i) {
             IVec p = q - comp.stencil.dep(i);
             inputs[i] = inBox(p, lo, hi) ? values.at(p)

@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "geometry/box.h"
 #include "support/error.h"
 
 namespace uov {
@@ -21,13 +22,6 @@ ovLegalForSchedule(const Schedule &schedule, const IVec &lo,
         position.emplace(q, counter++);
     });
 
-    auto in_box = [&](const IVec &p) {
-        for (size_t c = 0; c < p.dim(); ++c)
-            if (p[c] < lo[c] || p[c] > hi[c])
-                return false;
-        return true;
-    };
-
     for (const auto &[p, pos_p] : position) {
         IVec overwriter = p + ov;
         auto it = position.find(overwriter);
@@ -38,7 +32,7 @@ ovLegalForSchedule(const Schedule &schedule, const IVec &lo,
             IVec consumer = p + v;
             if (consumer == overwriter)
                 continue; // reads precede the write in one iteration
-            if (!in_box(consumer))
+            if (!inBox(consumer, lo, hi))
                 continue;
             auto cit = position.find(consumer);
             UOV_CHECK(cit != position.end(),

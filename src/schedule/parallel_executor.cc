@@ -3,6 +3,7 @@
 #include <atomic>
 #include <map>
 
+#include "geometry/box.h"
 #include "schedule/legality.h"
 #include "support/error.h"
 #include "support/thread_pool.h"
@@ -25,21 +26,9 @@ runParallelWavefront(const StencilComputation &comp, const IVec &lo,
         StorageMapping::create(ov, Polyhedron::box(lo, hi), layout);
     OVArray<uint64_t> store(std::move(sm));
 
-    auto in_box = [&](const IVec &p) {
-        for (size_t c = 0; c < p.dim(); ++c)
-            if (p[c] < lo[c] || p[c] > hi[c])
-                return false;
-        return true;
-    };
-
     // Bucket the points by wave.
     std::map<int64_t, std::vector<IVec>> waves;
-    {
-        TiledSchedule order(IMatrix::identity(lo.dim()));
-        order.forEach(lo, hi, [&](const IVec &q) {
-            waves[h.dot(q)].push_back(q);
-        });
-    }
+    scanBox(lo, hi, [&](const IVec &q) { waves[h.dot(q)].push_back(q); });
 
     ParallelExecutionResult result;
     result.threads = threads;
@@ -56,8 +45,8 @@ runParallelWavefront(const StencilComputation &comp, const IVec &lo,
                 const IVec &q = pts[i];
                 for (size_t k = 0; k < comp.stencil.size(); ++k) {
                     IVec p = q - comp.stencil.dep(k);
-                    inputs[k] = in_box(p) ? store.at(p)
-                                          : comp.boundary(p);
+                    inputs[k] = inBox(p, lo, hi) ? store.at(p)
+                                                 : comp.boundary(p);
                 }
                 uint64_t value = comp.combine(q, inputs);
                 store.at(q) = value;

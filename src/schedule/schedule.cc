@@ -4,6 +4,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "geometry/box.h"
 #include "support/checked.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -11,28 +12,6 @@
 namespace uov {
 
 namespace {
-
-/** Odometer enumeration of [lo, hi] in lexicographic order. */
-template <typename Visit>
-void
-scanBox(const IVec &lo, const IVec &hi, Visit visit)
-{
-    size_t d = lo.dim();
-    IVec p = lo;
-    for (;;) {
-        visit(p);
-        size_t level = d;
-        for (;;) {
-            if (level-- == 0)
-                return;
-            if (p[level] < hi[level]) {
-                ++p[level];
-                break;
-            }
-            p[level] = lo[level];
-        }
-    }
-}
 
 /** Bounding box of T*[lo, hi] from its transformed corners. */
 void
@@ -52,15 +31,6 @@ transformedBounds(const IMatrix &t, const IVec &lo, const IVec &hi,
         tlo[r] = mn;
         thi[r] = mx;
     }
-}
-
-bool
-inBox(const IVec &p, const IVec &lo, const IVec &hi)
-{
-    for (size_t c = 0; c < p.dim(); ++c)
-        if (p[c] < lo[c] || p[c] > hi[c])
-            return false;
-    return true;
 }
 
 /**

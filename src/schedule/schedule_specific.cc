@@ -1,8 +1,7 @@
 #include "schedule/schedule_specific.h"
 
-#include <cmath>
-
 #include "core/storage_count.h"
+#include "geometry/box.h"
 #include "support/error.h"
 
 namespace uov {
@@ -37,41 +36,19 @@ bestOvForLinearSchedule(const IVec &h, const Stencil &stencil,
         // Length bound from the storage bound, as in Section 3.2.1.
         radius_sq = knownBoundsRadiusSquared(initial, *isg);
     }
-    auto radius = static_cast<int64_t>(
-                      std::sqrt(static_cast<double>(radius_sq))) +
-                  1;
-
-    size_t d = stencil.dim();
-    IVec w(d);
-    for (size_t c = 0; c < d; ++c)
-        w[c] = -radius;
-    for (;;) {
-        if (!w.isZero() && w.normSquared() <= radius_sq &&
-            h.dot(w) > 0) {
-            ++best.candidates;
-            if (ovLegalForLinearSchedule(h, w, stencil)) {
-                int64_t obj = objective_of(w);
-                if (obj < best.objective ||
-                    (obj == best.objective && w < best.ov)) {
-                    best.objective = obj;
-                    best.ov = w;
-                }
-            }
+    scanBall(stencil.dim(), radius_sq, [&](const IVec &w) {
+        if (h.dot(w) <= 0)
+            return;
+        ++best.candidates;
+        if (!ovLegalForLinearSchedule(h, w, stencil))
+            return;
+        int64_t obj = objective_of(w);
+        if (obj < best.objective ||
+            (obj == best.objective && w < best.ov)) {
+            best.objective = obj;
+            best.ov = w;
         }
-        size_t c = d;
-        bool done = false;
-        while (c-- > 0) {
-            if (w[c] < radius) {
-                ++w[c];
-                break;
-            }
-            w[c] = -radius;
-            if (c == 0)
-                done = true;
-        }
-        if (done)
-            break;
-    }
+    });
     return best;
 }
 

@@ -15,6 +15,7 @@
 #include "support/error.h"
 #include "tune/tune.h"
 #include "support/failpoint.h"
+#include "support/flags.h"
 #include "support/logging.h"
 #include "support/trace.h"
 #include "telemetry/trace_context.h"
@@ -39,36 +40,22 @@ cleanLine(const std::string &raw)
     return s.substr(b, e - b + 1);
 }
 
-/** Parse one signed integer, rejecting trailing junk. */
-bool
-parseInt(const std::string &tok, int64_t &out)
-{
-    try {
-        size_t used = 0;
-        out = std::stoll(tok, &used);
-        return used == tok.size();
-    } catch (const std::logic_error &) {
-        return false;
-    }
-}
-
-/** Parse "[o1,o2,...]" (nest_parser access-offset syntax). */
+/** Parse "[o1,o2,...]" (nest_parser access-offset syntax): every
+ *  field one whole number, none empty. */
 bool
 parseVec(const std::string &tok, IVec &out)
 {
     if (tok.size() < 3 || tok.front() != '[' || tok.back() != ']')
         return false;
+    std::string inside = tok.substr(1, tok.size() - 2);
     std::vector<int64_t> coords;
-    std::stringstream ss(tok.substr(1, tok.size() - 2));
-    std::string part;
-    while (std::getline(ss, part, ',')) {
-        int64_t v;
-        if (!parseInt(part, v))
+    for (size_t begin = 0, comma = 0; comma != std::string::npos;
+         begin = comma + 1) {
+        comma = inside.find(',', begin);
+        if (!parseWholeNumber(inside.substr(begin, comma - begin),
+                              coords.emplace_back()))
             return false;
-        coords.push_back(v);
     }
-    if (coords.empty())
-        return false;
     out = IVec(std::move(coords));
     return true;
 }
@@ -80,8 +67,8 @@ parseRange(const std::string &tok, int64_t &lo, int64_t &hi)
     auto dots = tok.find("..");
     if (dots == std::string::npos)
         return false;
-    return parseInt(tok.substr(0, dots), lo) &&
-           parseInt(tok.substr(dots + 2), hi);
+    return parseWholeNumber(tok.substr(0, dots), lo) &&
+           parseWholeNumber(tok.substr(dots + 2), hi);
 }
 
 } // namespace
@@ -126,7 +113,7 @@ parseRequestLine(const std::string &line, size_t index,
         if (!(ss >> tok))
             return fail("'deadline_ms' needs a millisecond count");
         int64_t ms;
-        if (!parseInt(tok, ms) || ms < -1)
+        if (!parseWholeNumber(tok, ms) || ms < -1)
             return fail("bad deadline '" + tok +
                         "', expected -1 or a millisecond count");
         r.deadline_ms = ms;

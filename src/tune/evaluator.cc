@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "geometry/box.h"
 #include "support/error.h"
 #include "support/trace.h"
 
@@ -81,7 +82,7 @@ class AccessStream
         for (const IVec &q : _group) {
             for (const IVec &v : _deps) {
                 IVec src = q - v;
-                if (!inBox(src)) {
+                if (!inBox(src, _lo, _hi)) {
                     // Boundary value: computed arithmetically by the
                     // generated bval(), no memory traffic.
                     _mem.compute(1.0);
@@ -104,15 +105,6 @@ class AccessStream
     }
 
   private:
-    bool
-    inBox(const IVec &q) const
-    {
-        for (size_t k = 0; k < q.dim(); ++k)
-            if (q[k] < _lo[k] || q[k] > _hi[k])
-                return false;
-        return true;
-    }
-
     int64_t
     linear(const IVec &q) const
     {
@@ -199,26 +191,15 @@ replayRegisterTiled(AccessStream &stream, const IVec &lo,
         }
     };
 
-    IVec q(d);
-    if (d <= 2) {
+    // Plain lexicographic scan over dims 0..d-3; the jam and unroll
+    // loops set the last two.
+    IVec outer_hi = hi;
+    for (size_t k = j; k < d; ++k)
+        outer_hi[k] = lo[k];
+    scanBox(lo, outer_hi, [&](const IVec &outer) {
+        IVec q = outer;
         jamLoops(q);
-        return;
-    }
-    // Plain lexicographic odometer over dims 0..d-3.
-    for (size_t k = 0; k < j; ++k)
-        q[k] = lo[k];
-    for (;;) {
-        jamLoops(q);
-        size_t k = j;
-        for (;;) {
-            if (k == 0)
-                return;
-            --k;
-            if (++q[k] <= hi[k])
-                break;
-            q[k] = lo[k];
-        }
-    }
+    });
 }
 
 } // namespace

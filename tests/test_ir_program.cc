@@ -22,6 +22,16 @@ TEST(LoopNestIr, ConstructionAndBasics)
     EXPECT_THROW(LoopNest("bad", IVec{1}, IVec{1, 2}), UovUserError);
 }
 
+TEST(LoopNestIr, TripCountOverflowThrows)
+{
+    // (2^32 + 1)^2 and (2^32)^2 iterations: past int64, and the
+    // second wraps to 0 under unchecked multiplication.
+    for (int64_t hi : {int64_t{1} << 32, (int64_t{1} << 32) - 1}) {
+        LoopNest nest("big", IVec{0, 0}, IVec{hi, hi});
+        EXPECT_THROW(nest.tripCount(), UovOverflowError) << "hi=" << hi;
+    }
+}
+
 TEST(LoopNestIr, UniformAccessElementAt)
 {
     Access a = uniformAccess("A", IVec{-1, 2});

@@ -83,6 +83,27 @@ TEST(GeneralOracle, RejectsForeignConsumers)
     EXPECT_THROW(GeneralUovOracle(cone, {}), UovUserError);
 }
 
+/** Four axis reads at distance 60 (tests/data/huge_ball.nest): the
+ *  initial UOV (60,60,60,60) puts the ball scan in a 243^4 cube. */
+Stencil
+hugeBallCone()
+{
+    return Stencil({IVec{60, 0, 0, 0}, IVec{0, 60, 0, 0},
+                    IVec{0, 0, 60, 0}, IVec{0, 0, 0, 60}});
+}
+
+TEST(GeneralOracle, SearchShortestRefusesAHugeBall)
+{
+    GeneralUovOracle oracle(hugeBallCone(), hugeBallCone().deps());
+    try {
+        oracle.searchShortest();
+        FAIL() << "a 243^4 ball scan should be refused";
+    } catch (const UovUserError &e) {
+        EXPECT_STREQ(e.what(), "ball scan over the cube [-121, 121]^4 "
+                               "exceeds limit 10000000 points");
+    }
+}
+
 TEST(MultiPlan, PsmTwoStatementConsumers)
 {
     LoopNest nest = psmTwoStatementNest(16, 16);
@@ -226,6 +247,11 @@ TEST(SharedUov, MayNotExist)
     auto shared = findSharedUov(
         {stencils::simpleExample(), Stencil({IVec{2, 0}})});
     EXPECT_FALSE(shared.has_value());
+}
+
+TEST(SharedUov, RefusesAHugeBall)
+{
+    EXPECT_THROW(findSharedUov({hugeBallCone()}), UovUserError);
 }
 
 TEST(SharedUov, SingleStencilReducesToShortest)

@@ -48,32 +48,58 @@ TEST(Executor, RejectsMalformedLines)
     struct Case
     {
         const char *line;
-        const char *substring;
+        const char *error;
     };
     const Case cases[] = {
-        {"solve shortest deps [1,0]", "expected 'query'"},
-        {"query fastest deps [1,0]", "bad objective"},
+        {"solve shortest deps [1,0]", "expected 'query', got 'solve'"},
+        {"query fastest deps [1,0]",
+         "bad objective 'fastest', expected shortest|storage|native|tune"},
         {"query shortest", "missing 'deps'"},
         {"query shortest deps", "'deps' needs at least one vector"},
-        {"query shortest deps (1,0)", "bad dependence"},
-        {"query shortest deps [1,x]", "bad dependence"},
+        {"query shortest deps (1,0)",
+         "bad dependence '(1,0)', expected [o1,o2,...]"},
+        {"query shortest deps [1,x]",
+         "bad dependence '[1,x]', expected [o1,o2,...]"},
         {"query storage deps [1,0]", "storage query needs 'bounds'"},
         {"query shortest bounds 0..3 deps [1,0]",
          "'bounds' is only valid for storage, native, and tune "
-        "queries"},
+         "queries"},
         {"query native deps [1,0]", "native query needs 'bounds'"},
         {"query storage bounds deps [1,0]",
          "'bounds' needs at least one range"},
-        {"query storage bounds 0-3 deps [1,0]", "bad range"},
-        {"query storage bounds 5..3 deps [1,0]", "empty range"},
+        {"query storage bounds 0-3 deps [1,0]",
+         "bad range '0-3', expected lo..hi"},
+        {"query storage bounds 5..3 deps [1,0]", "empty range '5..3'"},
         {"query storage bounds 0..9 deps [1,0]",
-         "does not match dependence rank"},
+         "bounds rank 1 does not match dependence rank 2"},
+        // Numbers follow the nest grammar's rule: one whole token, no
+        // '+', and no empty tuple field.
+        {"query shortest deps [1,]",
+         "bad dependence '[1,]', expected [o1,o2,...]"},
+        {"query shortest deps [+1,0]",
+         "bad dependence '[+1,0]', expected [o1,o2,...]"},
+        {"query storage bounds +0..3 0..+3 deps [1,0]",
+         "bad range '+0..3', expected lo..hi"},
+        {"query shortest deadline_ms +5 deps [1,0]",
+         "bad deadline '+5', expected -1 or a millisecond count"},
     };
-    for (const Case &c : cases) {
-        Request r = parseRequestLine(c.line, 1);
-        EXPECT_NE(r.error.find(c.substring), std::string::npos)
-            << "line '" << c.line << "' produced error '" << r.error
-            << "'";
+    for (const Case &c : cases)
+        EXPECT_EQ(parseRequestLine(c.line, 1).error, c.error)
+            << "line '" << c.line << "'";
+}
+
+TEST(Executor, TuneQueryOverflowingTripCountIsAnError)
+{
+    // (2^32 + 1)^2 and (2^32)^2 iterations: the trip count is checked
+    // before the region scan, so neither wraps past the scan limit.
+    // Planning fails before any compiler is needed.
+    for (const char *line :
+         {"query tune bounds 0..4294967296 0..4294967296 deps [1,0]",
+          "query tune bounds 0..4294967295 0..4294967295 deps [1,0]"}) {
+        Request r = parseRequestLine(line, 1);
+        ASSERT_TRUE(r.error.empty()) << r.error;
+        EXPECT_EQ(runTuneRequest(r), "error 1 integer overflow: mul")
+            << line;
     }
 }
 
