@@ -15,6 +15,7 @@
 #include <future>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/machine.h"
@@ -153,6 +154,159 @@ mEventsPerSec(double events, double wall_ns)
 
 /** Header label of the throughput column the scaling benches emit. */
 inline const char *const kThroughputHeader = "MEvents/s";
+
+/**
+ * The testbeds of the scaling sweeps (Figures 9-14 and the heat3d
+ * extension).  Physical memory is 8 / 16 / 32 MiB (PPro / Ultra2 /
+ * Alpha), so the paper's "falls out of memory" regime appears inside
+ * a sweep that simulates in seconds.
+ */
+inline std::vector<MachineConfig>
+scalingMachines()
+{
+    auto machines = paperMachines();
+    machines[0].memory_bytes = 8ll << 20;  // PentiumPro
+    machines[1].memory_bytes = 16ll << 20; // Ultra2
+    machines[2].memory_bytes = 32ll << 20; // Alpha
+    return machines;
+}
+
+/**
+ * A scaling sweep: every variant of one paper kernel at every problem
+ * size on every machine, reported as cycles per iteration in one table
+ * per machine.  The bench supplies the sizes, its kernel's variant
+ * table and these hooks; runSweep() does the rest.
+ */
+template <typename Variant, typename Config>
+struct Sweep
+{
+    std::vector<int64_t> sizes;
+    std::vector<Variant> variants;
+    const char *(*name)(Variant);
+    bool (*tiled)(Variant);
+    /// The kernel config for one machine at one problem size.
+    Config (*config)(const MachineConfig &, int64_t size);
+    /// Iterations of one kernel pass under a config.
+    double (*iterations)(const Config &);
+    /// Title of the table for machine @p mi.
+    std::string (*title)(size_t mi, const MachineConfig &,
+                         const Config &);
+    /// Header and cells of the table's first column.
+    const char *size_header;
+    std::string (*size_label)(int64_t size);
+};
+
+/** Cycles per iteration of a finished sweep. */
+template <typename Variant>
+struct SweepResult
+{
+    std::vector<Variant> variants;
+    /// per_iter[machine][size][variant]
+    std::vector<std::vector<std::vector<double>>> per_iter;
+
+    double
+    perIteration(size_t mi, size_t si, Variant v) const
+    {
+        for (size_t vi = 0; vi < variants.size(); ++vi)
+            if (variants[vi] == v)
+                return per_iter[mi][si][vi];
+        return 0;
+    }
+};
+
+/**
+ * Run @p sweep on @p machines and print its tables.  Every (size,
+ * variant, machine group) is one task on the shared pool, and each
+ * task streams one kernel pass, kernel(variant, config, mem, arena),
+ * into every machine of its group (runFusedGroup): all machines for an
+ * untiled variant, machines with equal configs for a tiled one (the
+ * tiles are tuned to each machine's L1).  No trace is materialized and
+ * no kernel pass is repeated per machine.  The MEvents/s column is the
+ * aggregate simulation throughput of a row's runs (events summed
+ * across machines / task wall time summed, i.e. per-core).
+ */
+template <typename Variant, typename Config, typename KernelFn>
+SweepResult<Variant>
+runSweep(const Sweep<Variant, Config> &sweep,
+         const std::vector<MachineConfig> &machines, const Options &opt,
+         KernelFn kernel)
+{
+    const size_t n_sizes = sweep.sizes.size();
+    const size_t n_variants = sweep.variants.size();
+    struct Task
+    {
+        size_t si, vi;
+        double iterations;
+        std::future<FusedRun> run;
+    };
+    std::vector<Task> tasks;
+    for (size_t si = 0; si < n_sizes; ++si) {
+        for (size_t vi = 0; vi < n_variants; ++vi) {
+            Variant v = sweep.variants[vi];
+            std::vector<std::pair<Config, std::vector<size_t>>> groups;
+            for (size_t mi = 0; mi < machines.size(); ++mi) {
+                Config cfg = sweep.config(machines[mi], sweep.sizes[si]);
+                auto g = groups.begin();
+                while (g != groups.end() && sweep.tiled(v) &&
+                       g->first != cfg)
+                    ++g;
+                if (g == groups.end())
+                    groups.push_back({cfg, {mi}});
+                else
+                    g->second.push_back(mi);
+            }
+            for (auto &[cfg, group] : groups) {
+                tasks.push_back(
+                    {si, vi, sweep.iterations(cfg),
+                     ThreadPool::shared().submit(
+                         [&machines, kernel, group, cfg, v] {
+                             return runFusedGroup(
+                                 machines, group,
+                                 [&](StreamingSim &mem,
+                                     VirtualArena &arena) {
+                                     kernel(v, cfg, mem, arena);
+                                 });
+                         })});
+            }
+        }
+    }
+
+    SweepResult<Variant> result{
+        sweep.variants,
+        std::vector<std::vector<std::vector<double>>>(
+            machines.size(),
+            std::vector<std::vector<double>>(
+                n_sizes, std::vector<double>(n_variants, 0)))};
+    std::vector<double> row_events(n_sizes, 0);
+    std::vector<double> row_ns(n_sizes, 0);
+    for (Task &task : tasks) {
+        FusedRun r = task.run.get();
+        for (size_t k = 0; k < r.machines.size(); ++k)
+            result.per_iter[r.machines[k]][task.si][task.vi] =
+                r.cycles[k] / task.iterations;
+        row_events[task.si] += static_cast<double>(r.events);
+        row_ns[task.si] += r.wall_ns;
+    }
+
+    for (size_t mi = 0; mi < machines.size(); ++mi) {
+        Table t(sweep.title(mi, machines[mi],
+                            sweep.config(machines[mi], sweep.sizes[0])));
+        std::vector<std::string> header = {sweep.size_header};
+        for (Variant v : sweep.variants)
+            header.push_back(sweep.name(v));
+        header.push_back(kThroughputHeader);
+        t.header(header);
+        for (size_t si = 0; si < n_sizes; ++si) {
+            auto row = t.addRow();
+            row.cell(sweep.size_label(sweep.sizes[si]));
+            for (size_t vi = 0; vi < n_variants; ++vi)
+                row.cell(result.per_iter[mi][si][vi], 1);
+            row.cell(mEventsPerSec(row_events[si], row_ns[si]), 2);
+        }
+        emit(t, opt);
+    }
+    return result;
+}
 
 /** Median wall-clock nanoseconds of fn() over @p reps runs. */
 inline double

@@ -7,16 +7,13 @@
  * (natural thrashes, OV-tiled stays flat, storage-optimized is
  * untilable) recurs one dimension up.
  *
- * Execution pipeline: like Figures 9-11, sweep points run as tasks
- * on the shared thread pool, each streaming one kernel pass into all
- * machines sharing the address stream.  The MEvents/s column is
- * aggregate per-core simulation throughput for the row.
+ * Execution pipeline: bench::runSweep (bench_common.h), as for
+ * Figures 9-11.
  */
 
 #include "bench_common.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "kernels/heat3d.h"
 
@@ -30,39 +27,12 @@ configFor(const MachineConfig &machine, int64_t n)
     Heat3DConfig cfg;
     cfg.nx = cfg.ny = n;
     cfg.steps = 8;
-    cfg.tile_t = 8;
+    cfg.tile_t = cfg.steps;
     // Tile for L1: two tile planes of tile_x*tile_y floats.
     auto side = static_cast<int64_t>(
         std::sqrt(machine.l1.size_bytes / 8.0));
     cfg.tile_x = cfg.tile_y = std::max<int64_t>(8, side);
     return cfg;
-}
-
-std::vector<std::vector<size_t>>
-machineGroups(const std::vector<MachineConfig> &machines,
-              Heat3DVariant v, int64_t n)
-{
-    bool tiled = v == Heat3DVariant::NaturalTiled ||
-                 v == Heat3DVariant::OvTiled;
-    if (!tiled) {
-        std::vector<size_t> all(machines.size());
-        std::iota(all.begin(), all.end(), size_t{0});
-        return {all};
-    }
-    std::vector<std::vector<size_t>> groups;
-    std::vector<int64_t> keys;
-    for (size_t i = 0; i < machines.size(); ++i) {
-        int64_t key = configFor(machines[i], n).tile_x;
-        size_t g = 0;
-        while (g < keys.size() && keys[g] != key)
-            ++g;
-        if (g == keys.size()) {
-            keys.push_back(key);
-            groups.emplace_back();
-        }
-        groups[g].push_back(i);
-    }
-    return groups;
 }
 
 } // namespace
@@ -78,103 +48,43 @@ main(int argc, char **argv)
     if (opt.quick)
         sides = {32, 64, 128};
 
-    auto machines = bench::paperMachines();
-    machines[0].memory_bytes = 8ll << 20;
-    machines[1].memory_bytes = 16ll << 20;
-    machines[2].memory_bytes = 32ll << 20;
-
-    const auto &variants = allHeat3DVariants();
-
-    struct Meta
-    {
-        size_t li, vi;
+    auto machines = bench::scalingMachines();
+    bench::Sweep<Heat3DVariant, Heat3DConfig> sweep{
+        .sizes = sides,
+        .variants = allHeat3DVariants(),
+        .name = heat3DVariantName,
+        .tiled = heat3DVariantTiled,
+        .config = configFor,
+        .iterations =
+            [](const Heat3DConfig &cfg) {
+                return static_cast<double>(cfg.nx) *
+                       static_cast<double>(cfg.ny) *
+                       static_cast<double>(cfg.steps);
+            },
+        .title =
+            [](size_t, const MachineConfig &machine,
+               const Heat3DConfig &cfg) {
+                return "heat3d cycles/iteration on " + machine.name +
+                       " (T=" + std::to_string(cfg.steps) +
+                       ", N=M swept)";
+            },
+        .size_header = "N=M",
+        .size_label = [](int64_t n) { return formatCount(n); },
     };
-    std::vector<Meta> metas;
-    std::vector<std::future<bench::FusedRun>> futures;
-    for (size_t li = 0; li < sides.size(); ++li) {
-        for (size_t vi = 0; vi < variants.size(); ++vi) {
-            Heat3DVariant v = variants[vi];
-            for (auto &group : machineGroups(machines, v, sides[li])) {
-                Heat3DConfig cfg =
-                    configFor(machines[group[0]], sides[li]);
-                metas.push_back({li, vi});
-                futures.push_back(ThreadPool::shared().submit(
-                    [&machines, group, cfg, v] {
-                        return bench::runFusedGroup(
-                            machines, group,
-                            [&](StreamingSim &mem, VirtualArena &arena) {
-                                runHeat3D(v, cfg, mem, arena);
-                            });
-                    }));
-            }
-        }
-    }
-
-    std::vector<std::vector<std::vector<double>>> cycles(
-        machines.size(),
-        std::vector<std::vector<double>>(
-            sides.size(), std::vector<double>(variants.size(), 0)));
-    std::vector<double> row_events(sides.size(), 0);
-    std::vector<double> row_ns(sides.size(), 0);
-    for (size_t t = 0; t < futures.size(); ++t) {
-        bench::FusedRun r = futures[t].get();
-        for (size_t k = 0; k < r.machines.size(); ++k)
-            cycles[r.machines[k]][metas[t].li][metas[t].vi] =
-                r.cycles[k];
-        row_events[metas[t].li] += static_cast<double>(r.events);
-        row_ns[metas[t].li] += r.wall_ns;
-    }
-
-    const int64_t steps = 8;
-    for (size_t mi = 0; mi < machines.size(); ++mi) {
-        const auto &machine = machines[mi];
-        Table t("heat3d cycles/iteration on " + machine.name +
-                " (T=8, N=M swept)");
-        std::vector<std::string> header = {"N=M"};
-        for (Heat3DVariant v : variants)
-            header.push_back(heat3DVariantName(v));
-        header.push_back(bench::kThroughputHeader);
-        t.header(header);
-
-        for (size_t li = 0; li < sides.size(); ++li) {
-            double iters = static_cast<double>(sides[li]) *
-                           static_cast<double>(sides[li]) *
-                           static_cast<double>(steps);
-            auto row = t.addRow();
-            row.cell(formatCount(sides[li]));
-            for (size_t vi = 0; vi < variants.size(); ++vi)
-                row.cell(cycles[mi][li][vi] / iters, 1);
-            row.cell(bench::mEventsPerSec(row_events[li], row_ns[li]),
-                     2);
-        }
-        bench::emit(t, opt);
-    }
+    auto result =
+        bench::runSweep(sweep, machines, opt, runHeat3D<StreamingSim>);
 
     // Shape check at the largest size on the PentiumPro (the table's
     // L1-derived tile side is 32 there, matching the seed's check).
-    {
-        auto vi = [&](Heat3DVariant v) {
-            for (size_t i = 0; i < variants.size(); ++i)
-                if (variants[i] == v)
-                    return i;
-            return size_t{0};
-        };
-        size_t last = sides.size() - 1;
-        double iters = static_cast<double>(sides[last]) *
-                       static_cast<double>(sides[last]) *
-                       static_cast<double>(steps);
-        double natural =
-            cycles[0][last][vi(Heat3DVariant::Natural)] / iters;
-        double ov_tiled =
-            cycles[0][last][vi(Heat3DVariant::OvTiled)] / iters;
-        std::cerr << "shape check @ N=M=" << sides[last] << " on "
-                  << machines[0].name << ": natural="
-                  << formatDouble(natural, 1)
-                  << " vs ov_tiled=" << formatDouble(ov_tiled, 1)
-                  << " -> " << (ov_tiled < natural ? "2-D story "
-                                                     "recurs in 3-D"
-                                                   : "NOT reproduced")
-                  << "\n";
-    }
+    size_t last = sides.size() - 1;
+    double natural = result.perIteration(0, last, Heat3DVariant::Natural);
+    double ov_tiled = result.perIteration(0, last, Heat3DVariant::OvTiled);
+    std::cerr << "shape check @ N=M=" << sides[last] << " on "
+              << machines[0].name
+              << ": natural=" << formatDouble(natural, 1)
+              << " vs ov_tiled=" << formatDouble(ov_tiled, 1) << " -> "
+              << (ov_tiled < natural ? "2-D story recurs in 3-D"
+                                     : "NOT reproduced")
+              << "\n";
     return 0;
 }

@@ -11,16 +11,11 @@
  * mispredict costs) the branch term compresses the relative gap --
  * the paper's conjecture for why tiling did not help there.
  *
- * Execution pipeline: like Figures 9-11, every sweep point runs as a
- * task on the shared thread pool, streaming one kernel pass into all
- * machines that share the address stream (all three for untiled
- * variants, same-tile machines for tiled ones).  The MEvents/s
- * column is aggregate per-core simulation throughput for the row.
+ * Execution pipeline: bench::runSweep (bench_common.h), as for
+ * Figures 9-11.
  */
 
 #include "bench_common.h"
-
-#include <numeric>
 
 #include "kernels/psm.h"
 
@@ -39,31 +34,6 @@ configFor(const MachineConfig &machine, int64_t n)
     return cfg;
 }
 
-std::vector<std::vector<size_t>>
-machineGroups(const std::vector<MachineConfig> &machines, PsmVariant v,
-              int64_t n)
-{
-    if (!psmVariantTiled(v)) {
-        std::vector<size_t> all(machines.size());
-        std::iota(all.begin(), all.end(), size_t{0});
-        return {all};
-    }
-    std::vector<std::vector<size_t>> groups;
-    std::vector<int64_t> keys;
-    for (size_t i = 0; i < machines.size(); ++i) {
-        int64_t key = configFor(machines[i], n).tile_i;
-        size_t g = 0;
-        while (g < keys.size() && keys[g] != key)
-            ++g;
-        if (g == keys.size()) {
-            keys.push_back(key);
-            groups.emplace_back();
-        }
-        groups[g].push_back(i);
-    }
-    return groups;
-}
-
 } // namespace
 
 int
@@ -77,106 +47,42 @@ main(int argc, char **argv)
     if (opt.quick)
         sides = {32, 100, 316};
 
-    auto machines = bench::paperMachines();
-    machines[0].memory_bytes = 8ll << 20;
-    machines[1].memory_bytes = 16ll << 20;
-    machines[2].memory_bytes = 32ll << 20;
-
-    const auto &variants = allPsmVariants();
-
-    struct Meta
-    {
-        size_t li, vi;
+    auto machines = bench::scalingMachines();
+    bench::Sweep<PsmVariant, PsmConfig> sweep{
+        .sizes = sides,
+        .variants = allPsmVariants(),
+        .name = psmVariantName,
+        .tiled = psmVariantTiled,
+        .config = configFor,
+        .iterations =
+            [](const PsmConfig &cfg) {
+                return static_cast<double>(cfg.n0) *
+                       static_cast<double>(cfg.n1);
+            },
+        .title =
+            [](size_t mi, const MachineConfig &machine, const PsmConfig &) {
+                return "Figure " + std::to_string(12 + mi) +
+                       ": cycles/iteration on " + machine.name +
+                       " (problem size = n0*n1)";
+            },
+        .size_header = "Problem Size",
+        .size_label = [](int64_t n) { return formatCount(n * n); },
     };
-    std::vector<Meta> metas;
-    std::vector<std::future<bench::FusedRun>> futures;
-    for (size_t li = 0; li < sides.size(); ++li) {
-        for (size_t vi = 0; vi < variants.size(); ++vi) {
-            PsmVariant v = variants[vi];
-            for (auto &group : machineGroups(machines, v, sides[li])) {
-                PsmConfig cfg =
-                    configFor(machines[group[0]], sides[li]);
-                metas.push_back({li, vi});
-                futures.push_back(ThreadPool::shared().submit(
-                    [&machines, group, cfg, v] {
-                        return bench::runFusedGroup(
-                            machines, group,
-                            [&](StreamingSim &mem, VirtualArena &arena) {
-                                runPsm(v, cfg, mem, arena);
-                            });
-                    }));
-            }
-        }
-    }
-
-    std::vector<std::vector<std::vector<double>>> cycles(
-        machines.size(),
-        std::vector<std::vector<double>>(
-            sides.size(), std::vector<double>(variants.size(), 0)));
-    std::vector<double> row_events(sides.size(), 0);
-    std::vector<double> row_ns(sides.size(), 0);
-    for (size_t t = 0; t < futures.size(); ++t) {
-        bench::FusedRun r = futures[t].get();
-        for (size_t k = 0; k < r.machines.size(); ++k)
-            cycles[r.machines[k]][metas[t].li][metas[t].vi] =
-                r.cycles[k];
-        row_events[metas[t].li] += static_cast<double>(r.events);
-        row_ns[metas[t].li] += r.wall_ns;
-    }
-
-    for (size_t mi = 0; mi < machines.size(); ++mi) {
-        const auto &machine = machines[mi];
-        Table t("Figure " +
-                std::string(machine.name == "PentiumPro-200" ? "12"
-                            : machine.name == "Ultra2-200"   ? "13"
-                                                             : "14") +
-                ": cycles/iteration on " + machine.name +
-                " (problem size = n0*n1)");
-        std::vector<std::string> header = {"Problem Size"};
-        for (PsmVariant v : variants)
-            header.push_back(psmVariantName(v));
-        header.push_back(bench::kThroughputHeader);
-        t.header(header);
-
-        for (size_t li = 0; li < sides.size(); ++li) {
-            double iters = static_cast<double>(sides[li]) *
-                           static_cast<double>(sides[li]);
-            auto row = t.addRow();
-            row.cell(formatCount(sides[li] * sides[li]));
-            for (size_t vi = 0; vi < variants.size(); ++vi)
-                row.cell(cycles[mi][li][vi] / iters, 1);
-            row.cell(bench::mEventsPerSec(row_events[li], row_ns[li]),
-                     2);
-        }
-        bench::emit(t, opt);
-    }
+    auto result =
+        bench::runSweep(sweep, machines, opt, runPsm<StreamingSim>);
 
     // Shape check: at the largest size on the PentiumPro, OV-mapped
-    // tiled beats natural (Figure 12's headline) -- read off the
-    // fused results (the table tile equals L1/32, the seed's check
-    // tile).
-    {
-        auto vi = [&](PsmVariant v) {
-            for (size_t i = 0; i < variants.size(); ++i)
-                if (variants[i] == v)
-                    return i;
-            return size_t{0};
-        };
-        size_t last = sides.size() - 1;
-        double iters = static_cast<double>(sides[last]) *
-                       static_cast<double>(sides[last]);
-        double natural = cycles[0][last][vi(PsmVariant::Natural)] / iters;
-        double ov_tiled =
-            cycles[0][last][vi(PsmVariant::OvTiled)] / iters;
-        std::cerr << "shape check @ size="
-                  << formatCount(sides[last] * sides[last]) << " on "
-                  << machines[0].name
-                  << ": natural=" << formatDouble(natural, 1)
-                  << " vs ov_tiled=" << formatDouble(ov_tiled, 1)
-                  << " -> "
-                  << (ov_tiled < natural ? "reproduced"
-                                         : "NOT reproduced")
-                  << "\n";
-    }
+    // tiled beats natural (Figure 12's headline; the table tile equals
+    // L1/32, the seed's check tile).
+    size_t last = sides.size() - 1;
+    double natural = result.perIteration(0, last, PsmVariant::Natural);
+    double ov_tiled = result.perIteration(0, last, PsmVariant::OvTiled);
+    std::cerr << "shape check @ size="
+              << formatCount(sides[last] * sides[last]) << " on "
+              << machines[0].name
+              << ": natural=" << formatDouble(natural, 1)
+              << " vs ov_tiled=" << formatDouble(ov_tiled, 1) << " -> "
+              << (ov_tiled < natural ? "reproduced" : "NOT reproduced")
+              << "\n";
     return 0;
 }

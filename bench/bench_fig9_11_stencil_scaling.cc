@@ -16,19 +16,12 @@
  *   - past memory: natural skyrockets first, then OV-untiled; the
  *     storage-optimized and tiled-OV versions survive longest.
  *
- * Execution pipeline (streaming + shared thread pool): every sweep
- * point is an independent task on the shared pool, and each task
- * streams one kernel pass into all machines that observe the same
- * address stream (untiled variants fuse all three; tiled variants
- * group machines by L1-derived tile size).  No trace is materialized
- * and no kernel pass is repeated per machine.  The MEvents/s column
- * is the aggregate simulation throughput for that row's runs (events
- * summed across machines / task wall time summed, i.e. per-core).
+ * Execution pipeline: bench::runSweep (bench_common.h) streams each
+ * sweep point into every machine that observes the same address
+ * stream, as tasks on the shared thread pool.
  */
 
 #include "bench_common.h"
-
-#include <numeric>
 
 #include "kernels/stencil5.h"
 
@@ -37,44 +30,15 @@ using namespace uov;
 namespace {
 
 Stencil5Config
-configFor(const MachineConfig &machine, int64_t len, int64_t steps)
+configFor(const MachineConfig &machine, int64_t len)
 {
     Stencil5Config cfg;
     cfg.length = len;
-    cfg.steps = steps;
-    cfg.tile_t = steps;
+    cfg.steps = 8;
+    cfg.tile_t = cfg.steps;
     // Tile for L1: 2 rows of tile_s floats ~ L1 capacity.
     cfg.tile_s = std::max<int64_t>(64, machine.l1.size_bytes / (4 * 2));
     return cfg;
-}
-
-/**
- * Machines that may share one fused kernel pass: all of them for
- * untiled variants; same-tile_s machines for tiled ones.
- */
-std::vector<std::vector<size_t>>
-machineGroups(const std::vector<MachineConfig> &machines,
-              Stencil5Variant v, int64_t len, int64_t steps)
-{
-    if (!stencil5VariantTiled(v)) {
-        std::vector<size_t> all(machines.size());
-        std::iota(all.begin(), all.end(), size_t{0});
-        return {all};
-    }
-    std::vector<std::vector<size_t>> groups;
-    std::vector<int64_t> keys;
-    for (size_t i = 0; i < machines.size(); ++i) {
-        int64_t key = configFor(machines[i], len, steps).tile_s;
-        size_t g = 0;
-        while (g < keys.size() && keys[g] != key)
-            ++g;
-        if (g == keys.size()) {
-            keys.push_back(key);
-            groups.emplace_back();
-        }
-        groups[g].push_back(i);
-    }
-    return groups;
 }
 
 } // namespace
@@ -90,115 +54,52 @@ main(int argc, char **argv)
                                     1000000, 2000000};
     if (opt.quick)
         lengths = {1000, 10000, 100000};
-    const int64_t steps = 8;
 
-    auto machines = bench::paperMachines();
-    machines[0].memory_bytes = 8ll << 20;  // PentiumPro
-    machines[1].memory_bytes = 16ll << 20; // Ultra2
-    machines[2].memory_bytes = 32ll << 20; // Alpha
-
-    const auto &variants = allStencil5Variants();
-
-    // Dispatch every (length, variant, machine-group) as a pool task.
-    struct Meta
-    {
-        size_t li, vi;
+    auto machines = bench::scalingMachines();
+    bench::Sweep<Stencil5Variant, Stencil5Config> sweep{
+        .sizes = lengths,
+        .variants = allStencil5Variants(),
+        .name = stencil5VariantName,
+        .tiled = stencil5VariantTiled,
+        .config = configFor,
+        .iterations =
+            [](const Stencil5Config &cfg) {
+                return static_cast<double>(cfg.length) *
+                       static_cast<double>(cfg.steps);
+            },
+        .title =
+            [](size_t mi, const MachineConfig &machine,
+               const Stencil5Config &cfg) {
+                return "Figure " + std::to_string(9 + mi) +
+                       ": cycles/iteration on " + machine.name +
+                       " (T=" + std::to_string(cfg.steps) +
+                       ", memory " +
+                       std::to_string(machine.memory_bytes >> 20) +
+                       " MiB)";
+            },
+        .size_header = "Length",
+        .size_label = [](int64_t len) { return formatCount(len); },
     };
-    std::vector<Meta> metas;
-    std::vector<std::future<bench::FusedRun>> futures;
-    for (size_t li = 0; li < lengths.size(); ++li) {
-        for (size_t vi = 0; vi < variants.size(); ++vi) {
-            Stencil5Variant v = variants[vi];
-            for (auto &group :
-                 machineGroups(machines, v, lengths[li], steps)) {
-                Stencil5Config cfg =
-                    configFor(machines[group[0]], lengths[li], steps);
-                metas.push_back({li, vi});
-                futures.push_back(ThreadPool::shared().submit(
-                    [&machines, group, cfg, v] {
-                        return bench::runFusedGroup(
-                            machines, group,
-                            [&](StreamingSim &mem, VirtualArena &arena) {
-                                runStencil5(v, cfg, mem, arena);
-                            });
-                    }));
-            }
-        }
-    }
-
-    // cycles[machine][length][variant]
-    std::vector<std::vector<std::vector<double>>> cycles(
-        machines.size(),
-        std::vector<std::vector<double>>(
-            lengths.size(), std::vector<double>(variants.size(), 0)));
-    std::vector<double> row_events(lengths.size(), 0);
-    std::vector<double> row_ns(lengths.size(), 0);
-    for (size_t t = 0; t < futures.size(); ++t) {
-        bench::FusedRun r = futures[t].get();
-        for (size_t k = 0; k < r.machines.size(); ++k)
-            cycles[r.machines[k]][metas[t].li][metas[t].vi] =
-                r.cycles[k];
-        row_events[metas[t].li] += static_cast<double>(r.events);
-        row_ns[metas[t].li] += r.wall_ns;
-    }
-
-    for (size_t mi = 0; mi < machines.size(); ++mi) {
-        const auto &machine = machines[mi];
-        Table t("Figure " +
-                std::string(machine.name == "PentiumPro-200" ? "9"
-                            : machine.name == "Ultra2-200"   ? "10"
-                                                             : "11") +
-                ": cycles/iteration on " + machine.name + " (T=" +
-                std::to_string(steps) + ", memory " +
-                std::to_string(machine.memory_bytes >> 20) + " MiB)");
-        std::vector<std::string> header = {"Length"};
-        for (Stencil5Variant v : variants)
-            header.push_back(stencil5VariantName(v));
-        header.push_back(bench::kThroughputHeader);
-        t.header(header);
-
-        for (size_t li = 0; li < lengths.size(); ++li) {
-            double iters = static_cast<double>(lengths[li]) *
-                           static_cast<double>(steps);
-            auto row = t.addRow();
-            row.cell(formatCount(lengths[li]));
-            for (size_t vi = 0; vi < variants.size(); ++vi)
-                row.cell(cycles[mi][li][vi] / iters, 1);
-            row.cell(bench::mEventsPerSec(row_events[li], row_ns[li]),
-                     2);
-        }
-        bench::emit(t, opt);
-    }
+    auto result =
+        bench::runSweep(sweep, machines, opt, runStencil5<StreamingSim>);
 
     // Shape assertions matching the paper's story at the largest size
-    // (read off the fused results; tile_s there equals L1/8 floats,
-    // the same tile the table rows use).
-    {
-        auto vi = [&](Stencil5Variant v) {
-            for (size_t i = 0; i < variants.size(); ++i)
-                if (variants[i] == v)
-                    return i;
-            return size_t{0};
-        };
-        size_t last = lengths.size() - 1;
-        double iters = static_cast<double>(lengths[last]) *
-                       static_cast<double>(steps);
-        double natural =
-            cycles[0][last][vi(Stencil5Variant::Natural)] / iters;
-        double ov_tiled =
-            cycles[0][last][vi(Stencil5Variant::OvTiled)] / iters;
-        double opt_v =
-            cycles[0][last][vi(Stencil5Variant::StorageOptimized)] /
-            iters;
-        std::cerr << "shape check @ L=" << formatCount(lengths[last])
-                  << " on " << machines[0].name << ": natural="
-                  << formatDouble(natural, 1)
-                  << " >> ov_tiled=" << formatDouble(ov_tiled, 1)
-                  << " ~ storage_optimized=" << formatDouble(opt_v, 1)
-                  << " -> "
-                  << (natural > 2 * ov_tiled ? "reproduced"
-                                             : "NOT reproduced")
-                  << "\n";
-    }
+    // (tile_s there equals L1/8 floats, the same tile the table rows
+    // use).
+    size_t last = lengths.size() - 1;
+    double natural =
+        result.perIteration(0, last, Stencil5Variant::Natural);
+    double ov_tiled =
+        result.perIteration(0, last, Stencil5Variant::OvTiled);
+    double opt_v =
+        result.perIteration(0, last, Stencil5Variant::StorageOptimized);
+    std::cerr << "shape check @ L=" << formatCount(lengths[last])
+              << " on " << machines[0].name
+              << ": natural=" << formatDouble(natural, 1)
+              << " >> ov_tiled=" << formatDouble(ov_tiled, 1)
+              << " ~ storage_optimized=" << formatDouble(opt_v, 1)
+              << " -> "
+              << (natural > 2 * ov_tiled ? "reproduced" : "NOT reproduced")
+              << "\n";
     return 0;
 }

@@ -26,6 +26,13 @@ heat3DVariantName(Heat3DVariant v)
     return "?";
 }
 
+bool
+heat3DVariantTiled(Heat3DVariant v)
+{
+    return v == Heat3DVariant::NaturalTiled ||
+           v == Heat3DVariant::OvTiled;
+}
+
 int64_t
 heat3DTemporaryStorage(Heat3DVariant v, const Heat3DConfig &cfg)
 {

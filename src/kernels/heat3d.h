@@ -42,6 +42,7 @@ enum class Heat3DVariant
 
 const std::vector<Heat3DVariant> &allHeat3DVariants();
 const char *heat3DVariantName(Heat3DVariant v);
+bool heat3DVariantTiled(Heat3DVariant v);
 
 struct Heat3DConfig
 {
@@ -51,6 +52,8 @@ struct Heat3DConfig
     int64_t tile_t = 4;
     int64_t tile_x = 32;
     int64_t tile_y = 32;
+
+    bool operator==(const Heat3DConfig &) const = default;
 };
 
 /** Temporary-storage cells per variant. */
@@ -120,78 +123,60 @@ runHeat3D(Heat3DVariant variant, const Heat3DConfig &cfg, Mem &mem,
         return acc;
     };
 
+    // Every variant but StorageOptimized is one sweep over a storage
+    // layout: a buffer of `cells` floats holding point (t, x, y) at
+    // at(t, x, y), scanned plane by plane or by the skewed tiling
+    // driver.
+    auto sweep = [&](size_t cells, auto at) {
+        SimBuffer<float> a(arena, cells);
+        for (int64_t x = 0; x < nx; ++x)
+            for (int64_t y = 0; y < ny; ++y)
+                a.data()[at(0, x, y)] =
+                    input[static_cast<size_t>(x * ny + y)];
+        auto point = [&](int64_t t, int64_t x, int64_t y) {
+            float v;
+            if (x >= 1 && x < nx - 1 && y >= 1 && y < ny - 1) {
+                v = kHW0 * mem.load(a, at(t - 1, x, y)) +
+                    kHW1 * (mem.load(a, at(t - 1, x - 1, y)) +
+                            mem.load(a, at(t - 1, x + 1, y)) +
+                            mem.load(a, at(t - 1, x, y - 1)) +
+                            mem.load(a, at(t - 1, x, y + 1)));
+                mem.compute(4.0);
+            } else {
+                v = mem.load(a, at(t - 1, x, y));
+            }
+            mem.store(a, at(t, x, y), v);
+        };
+        if (heat3DVariantTiled(variant)) {
+            detail::forEachSkewTiled3D(cfg, point);
+        } else {
+            for (int64_t t = 1; t <= steps; ++t)
+                for (int64_t x = 0; x < nx; ++x)
+                    for (int64_t y = 0; y < ny; ++y)
+                        point(t, x, y);
+        }
+        return plane_sum([&](int64_t x, int64_t y) {
+            return mem.load(a, at(steps, x, y));
+        });
+    };
+
     switch (variant) {
       case Heat3DVariant::Natural:
-      case Heat3DVariant::NaturalTiled: {
-        SimBuffer<float> a(
-            arena, static_cast<size_t>((steps + 1) * nx * ny));
-        for (int64_t i = 0; i < nx * ny; ++i)
-            a.data()[i] = input[static_cast<size_t>(i)];
-        auto at = [nx, ny](int64_t t, int64_t x, int64_t y) {
-            return static_cast<size_t>((t * nx + x) * ny + y);
-        };
-        auto point = [&](int64_t t, int64_t x, int64_t y) {
-            float v;
-            if (x >= 1 && x < nx - 1 && y >= 1 && y < ny - 1) {
-                v = kHW0 * mem.load(a, at(t - 1, x, y)) +
-                    kHW1 * (mem.load(a, at(t - 1, x - 1, y)) +
-                            mem.load(a, at(t - 1, x + 1, y)) +
-                            mem.load(a, at(t - 1, x, y - 1)) +
-                            mem.load(a, at(t - 1, x, y + 1)));
-                mem.compute(4.0);
-            } else {
-                v = mem.load(a, at(t - 1, x, y));
-            }
-            mem.store(a, at(t, x, y), v);
-        };
-        if (variant == Heat3DVariant::Natural) {
-            for (int64_t t = 1; t <= steps; ++t)
-                for (int64_t x = 0; x < nx; ++x)
-                    for (int64_t y = 0; y < ny; ++y)
-                        point(t, x, y);
-        } else {
-            detail::forEachSkewTiled3D(cfg, point);
-        }
-        return plane_sum([&](int64_t x, int64_t y) {
-            return mem.load(a, at(steps, x, y));
-        });
-      }
+      case Heat3DVariant::NaturalTiled:
+        return sweep(static_cast<size_t>((steps + 1) * nx * ny),
+                     [nx, ny](int64_t t, int64_t x, int64_t y) {
+                         return static_cast<size_t>((t * nx + x) * ny +
+                                                    y);
+                     });
 
       case Heat3DVariant::Ov:
-      case Heat3DVariant::OvTiled: {
+      case Heat3DVariant::OvTiled:
         // UOV (2,0,0): two planes.
-        SimBuffer<float> a(arena, static_cast<size_t>(2 * nx * ny));
-        for (int64_t i = 0; i < nx * ny; ++i)
-            a.data()[i] = input[static_cast<size_t>(i)];
-        auto at = [nx, ny](int64_t t, int64_t x, int64_t y) {
-            return static_cast<size_t>(((t & 1) * nx + x) * ny + y);
-        };
-        auto point = [&](int64_t t, int64_t x, int64_t y) {
-            float v;
-            if (x >= 1 && x < nx - 1 && y >= 1 && y < ny - 1) {
-                v = kHW0 * mem.load(a, at(t - 1, x, y)) +
-                    kHW1 * (mem.load(a, at(t - 1, x - 1, y)) +
-                            mem.load(a, at(t - 1, x + 1, y)) +
-                            mem.load(a, at(t - 1, x, y - 1)) +
-                            mem.load(a, at(t - 1, x, y + 1)));
-                mem.compute(4.0);
-            } else {
-                v = mem.load(a, at(t - 1, x, y));
-            }
-            mem.store(a, at(t, x, y), v);
-        };
-        if (variant == Heat3DVariant::Ov) {
-            for (int64_t t = 1; t <= steps; ++t)
-                for (int64_t x = 0; x < nx; ++x)
-                    for (int64_t y = 0; y < ny; ++y)
-                        point(t, x, y);
-        } else {
-            detail::forEachSkewTiled3D(cfg, point);
-        }
-        return plane_sum([&](int64_t x, int64_t y) {
-            return mem.load(a, at(steps, x, y));
-        });
-      }
+        return sweep(static_cast<size_t>(2 * nx * ny),
+                     [nx, ny](int64_t t, int64_t x, int64_t y) {
+                         return static_cast<size_t>(
+                             ((t & 1) * nx + x) * ny + y);
+                     });
 
       case Heat3DVariant::StorageOptimized: {
         // In-place plane with a one-row history buffer: when updating

@@ -58,6 +58,8 @@ struct PsmConfig
     int64_t tile_j = 64;
     int32_t gap_open = -4;
     int32_t gap_ext = -1;
+
+    bool operator==(const PsmConfig &) const = default;
 };
 
 /**
@@ -122,90 +124,61 @@ runPsm(PsmVariant variant, const PsmConfig &cfg, Mem &mem,
                cfg.gap_ext * static_cast<int32_t>(i + j - 1);
     };
 
+    // Every variant but StorageOptimized is one sweep over a storage
+    // layout: D and E buffers of `cells` entries holding point (i, j)
+    // at at(i, j), scanned row by row or in rectangular tiles.
+    auto sweep = [&](size_t cells, auto at) {
+        SimBuffer<int32_t> d(arena, cells);
+        SimBuffer<int32_t> e(arena, cells, detail::kNegInf);
+        for (int64_t i = 0; i <= n0; ++i)
+            d.data()[at(i, 0)] = init_d(i, 0);
+        for (int64_t j = 0; j <= n1; ++j)
+            d.data()[at(0, j)] = init_d(0, j);
+
+        auto point = [&](int64_t i, int64_t j) {
+            int32_t ev = vmax(
+                mem.load(e, at(i, j - 1)) + cfg.gap_ext,
+                mem.load(d, at(i, j - 1)) + cfg.gap_open);
+            int32_t dv =
+                vmax(vmax(mem.load(d, at(i - 1, j - 1)) + weight(i, j),
+                          mem.load(d, at(i - 1, j)) + cfg.gap_open),
+                     ev);
+            mem.compute(detail::kPsmComputeCycles);
+            mem.store(e, at(i, j), ev);
+            mem.store(d, at(i, j), dv);
+        };
+        if (psmVariantTiled(variant)) {
+            for (int64_t ib = 1; ib <= n0; ib += cfg.tile_i)
+                for (int64_t jb = 1; jb <= n1; jb += cfg.tile_j)
+                    for (int64_t i = ib;
+                         i < ib + cfg.tile_i && i <= n0; ++i)
+                        for (int64_t j = jb;
+                             j < jb + cfg.tile_j && j <= n1; ++j)
+                            point(i, j);
+        } else {
+            for (int64_t i = 1; i <= n0; ++i)
+                for (int64_t j = 1; j <= n1; ++j)
+                    point(i, j);
+        }
+        return mem.load(d, at(n0, n1));
+    };
+
     switch (variant) {
       case PsmVariant::Natural:
-      case PsmVariant::NaturalTiled: {
-        auto cells = static_cast<size_t>((n0 + 1) * (n1 + 1));
-        SimBuffer<int32_t> d(arena, cells);
-        SimBuffer<int32_t> e(arena, cells, detail::kNegInf);
-        auto at = [n1](int64_t i, int64_t j) {
-            return static_cast<size_t>(i * (n1 + 1) + j);
-        };
-        for (int64_t i = 0; i <= n0; ++i)
-            d.data()[at(i, 0)] = init_d(i, 0);
-        for (int64_t j = 0; j <= n1; ++j)
-            d.data()[at(0, j)] = init_d(0, j);
-
-        auto point = [&](int64_t i, int64_t j) {
-            int32_t ev = vmax(
-                mem.load(e, at(i, j - 1)) + cfg.gap_ext,
-                mem.load(d, at(i, j - 1)) + cfg.gap_open);
-            int32_t dv =
-                vmax(vmax(mem.load(d, at(i - 1, j - 1)) + weight(i, j),
-                          mem.load(d, at(i - 1, j)) + cfg.gap_open),
-                     ev);
-            mem.compute(detail::kPsmComputeCycles);
-            mem.store(e, at(i, j), ev);
-            mem.store(d, at(i, j), dv);
-        };
-        if (variant == PsmVariant::Natural) {
-            for (int64_t i = 1; i <= n0; ++i)
-                for (int64_t j = 1; j <= n1; ++j)
-                    point(i, j);
-        } else {
-            for (int64_t ib = 1; ib <= n0; ib += cfg.tile_i)
-                for (int64_t jb = 1; jb <= n1; jb += cfg.tile_j)
-                    for (int64_t i = ib;
-                         i < ib + cfg.tile_i && i <= n0; ++i)
-                        for (int64_t j = jb;
-                             j < jb + cfg.tile_j && j <= n1; ++j)
-                            point(i, j);
-        }
-        return mem.load(d, at(n0, n1));
-      }
+      case PsmVariant::NaturalTiled:
+        return sweep(static_cast<size_t>((n0 + 1) * (n1 + 1)),
+                     [n1](int64_t i, int64_t j) {
+                         return static_cast<size_t>(i * (n1 + 1) + j);
+                     });
 
       case PsmVariant::Ov:
-      case PsmVariant::OvTiled: {
+      case PsmVariant::OvTiled:
         // UOV (1,1): SM(q) = (-1,1).q + n0, one anti-diagonal of
         // n0+n1+1 cells per array.
-        auto cells = static_cast<size_t>(n0 + n1 + 1);
-        SimBuffer<int32_t> d(arena, cells);
-        SimBuffer<int32_t> e(arena, cells, detail::kNegInf);
-        auto at = [n0](int64_t i, int64_t j) {
-            return static_cast<size_t>(j - i + n0);
-        };
-        for (int64_t i = 0; i <= n0; ++i)
-            d.data()[at(i, 0)] = init_d(i, 0);
-        for (int64_t j = 0; j <= n1; ++j)
-            d.data()[at(0, j)] = init_d(0, j);
-
-        auto point = [&](int64_t i, int64_t j) {
-            int32_t ev = vmax(
-                mem.load(e, at(i, j - 1)) + cfg.gap_ext,
-                mem.load(d, at(i, j - 1)) + cfg.gap_open);
-            int32_t dv =
-                vmax(vmax(mem.load(d, at(i - 1, j - 1)) + weight(i, j),
-                          mem.load(d, at(i - 1, j)) + cfg.gap_open),
-                     ev);
-            mem.compute(detail::kPsmComputeCycles);
-            mem.store(e, at(i, j), ev);
-            mem.store(d, at(i, j), dv);
-        };
-        if (variant == PsmVariant::Ov) {
-            for (int64_t i = 1; i <= n0; ++i)
-                for (int64_t j = 1; j <= n1; ++j)
-                    point(i, j);
-        } else {
-            for (int64_t ib = 1; ib <= n0; ib += cfg.tile_i)
-                for (int64_t jb = 1; jb <= n1; jb += cfg.tile_j)
-                    for (int64_t i = ib;
-                         i < ib + cfg.tile_i && i <= n0; ++i)
-                        for (int64_t j = jb;
-                             j < jb + cfg.tile_j && j <= n1; ++j)
-                            point(i, j);
-        }
-        return mem.load(d, at(n0, n1));
-      }
+        return sweep(static_cast<size_t>(n0 + n1 + 1),
+                     [n0](int64_t i, int64_t j) {
+                         return static_cast<size_t>(j - i + n0);
+                     });
 
       case PsmVariant::StorageOptimized: {
         // Column sweep with in-place columns: D and E columns of

@@ -40,11 +40,17 @@ int64_t simpleStorage(SimpleVariant v, int64_t n, int64_t m);
 
 namespace detail {
 
-/** Figure 1's f: a cheap, order-sensitive integer mix. */
+/**
+ * Figure 1's f: a cheap, order-sensitive integer mix.  The values grow
+ * geometrically and wrap modulo 2^64; unsigned arithmetic makes the
+ * wrap defined.
+ */
 inline int64_t
 simpleF(int64_t up, int64_t left, int64_t diag)
 {
-    return up * 3 + left * 5 - diag * 2 + 1;
+    auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
+    return static_cast<int64_t>(u(up) * 3 + u(left) * 5 - u(diag) * 2 +
+                                1);
 }
 
 } // namespace detail
@@ -64,39 +70,18 @@ runSimple(SimpleVariant variant, int64_t n, int64_t m, Mem &mem,
     constexpr int64_t kColumnConstant = 7;
     auto input = [](int64_t j) { return j + 1; };
 
-    switch (variant) {
-      case SimpleVariant::Natural: {
-        SimBuffer<int64_t> a(
-            arena, static_cast<size_t>((n + 1) * (m + 1)));
-        auto at = [m](int64_t i, int64_t j) {
-            return static_cast<size_t>(i * (m + 1) + j);
-        };
-        for (int64_t j = 0; j <= m; ++j)
-            a.data()[at(0, j)] = input(j);
-        for (int64_t i = 0; i <= n; ++i)
-            a.data()[at(i, 0)] = kColumnConstant;
-        for (int64_t i = 1; i <= n; ++i) {
-            for (int64_t j = 1; j <= m; ++j) {
-                int64_t v = detail::simpleF(
-                    mem.load(a, at(i - 1, j)),
-                    mem.load(a, at(i, j - 1)),
-                    mem.load(a, at(i - 1, j - 1)));
-                mem.compute(2.0);
-                mem.store(a, at(i, j), v);
-            }
-        }
-        int64_t sum = 0;
+    // Sum of the last row, wrapping modulo 2^64 like simpleF.
+    auto row_sum = [&](auto load_final) {
+        uint64_t sum = 0;
         for (int64_t j = 1; j <= m; ++j)
-            sum += mem.load(a, at(n, j));
-        return sum;
-      }
+            sum += static_cast<uint64_t>(load_final(j));
+        return static_cast<int64_t>(sum);
+    };
 
-      case SimpleVariant::OvMapped: {
-        // Figure 1(b): A[n - i + j] with n+m+1 cells.
-        SimBuffer<int64_t> a(arena, static_cast<size_t>(n + m + 1));
-        auto at = [n](int64_t i, int64_t j) {
-            return static_cast<size_t>(n - i + j);
-        };
+    // Natural and OV-mapped storage are one sweep over a storage
+    // layout: a buffer of `cells` values holding A[i, j] at at(i, j).
+    auto sweep = [&](size_t cells, auto at) {
+        SimBuffer<int64_t> a(arena, cells);
         for (int64_t j = 0; j <= m; ++j)
             a.data()[at(0, j)] = input(j);
         for (int64_t i = 0; i <= n; ++i)
@@ -111,11 +96,22 @@ runSimple(SimpleVariant variant, int64_t n, int64_t m, Mem &mem,
                 mem.store(a, at(i, j), v);
             }
         }
-        int64_t sum = 0;
-        for (int64_t j = 1; j <= m; ++j)
-            sum += mem.load(a, at(n, j));
-        return sum;
-      }
+        return row_sum([&](int64_t j) { return mem.load(a, at(n, j)); });
+    };
+
+    switch (variant) {
+      case SimpleVariant::Natural:
+        return sweep(static_cast<size_t>((n + 1) * (m + 1)),
+                     [m](int64_t i, int64_t j) {
+                         return static_cast<size_t>(i * (m + 1) + j);
+                     });
+
+      case SimpleVariant::OvMapped:
+        // Figure 1(b): A[n - i + j] with n+m+1 cells.
+        return sweep(static_cast<size_t>(n + m + 1),
+                     [n](int64_t i, int64_t j) {
+                         return static_cast<size_t>(n - i + j);
+                     });
 
       case SimpleVariant::StorageOptimized: {
         // Figure 1(c): one row plus temp1/temp2; m+2 cells.
@@ -137,10 +133,9 @@ runSimple(SimpleVariant variant, int64_t n, int64_t m, Mem &mem,
                 temp2 = temp1;
             }
         }
-        int64_t sum = 0;
-        for (int64_t j = 1; j <= m; ++j)
-            sum += mem.load(a, static_cast<size_t>(j));
-        return sum;
+        return row_sum([&](int64_t j) {
+            return mem.load(a, static_cast<size_t>(j));
+        });
       }
     }
     UOV_UNREACHABLE("bad simple variant");

@@ -62,6 +62,8 @@ struct Stencil5Config
     int64_t steps = 16;    ///< T
     int64_t tile_t = 8;    ///< time-tile height (tiled variants)
     int64_t tile_s = 512;  ///< skewed-space tile width
+
+    bool operator==(const Stencil5Config &) const = default;
 };
 
 /**
@@ -148,97 +150,59 @@ runStencil5(Stencil5Variant variant, const Stencil5Config &cfg, Mem &mem,
         return acc;
     };
 
-    switch (variant) {
-      case Stencil5Variant::Natural:
-      case Stencil5Variant::NaturalTiled: {
-        SimBuffer<float> a(arena,
-                           static_cast<size_t>((steps + 1) * len));
+    // Every variant but StorageOptimized is one sweep over a storage
+    // layout: a buffer of `cells` floats holding point (t, i) at
+    // cell(t, i), scanned row by row or by the skewed tiling driver.
+    auto sweep = [&](size_t cells, auto cell) {
+        SimBuffer<float> a(arena, cells);
         for (int64_t i = 0; i < len; ++i)
-            a.data()[i] = input[static_cast<size_t>(i)];
+            a.data()[cell(0, i)] = input[static_cast<size_t>(i)];
         auto point = [&](int64_t t, int64_t i) {
             auto prev = [&](int64_t k) {
-                return mem.load(a,
-                                static_cast<size_t>((t - 1) * len + k));
+                return mem.load(a, cell(t - 1, k));
             };
             float v = (i >= 2 && i < len - 2)
                           ? interior(prev, i)
                           : prev(i); // boundary copy
-            mem.store(a, static_cast<size_t>(t * len + i), v);
+            mem.store(a, cell(t, i), v);
         };
-        if (variant == Stencil5Variant::Natural) {
+        if (stencil5VariantTiled(variant)) {
+            detail::forEachSkewTiled(steps, len, cfg.tile_t, cfg.tile_s,
+                                     point);
+        } else {
             for (int64_t t = 1; t <= steps; ++t)
                 for (int64_t i = 0; i < len; ++i)
                     point(t, i);
-        } else {
-            detail::forEachSkewTiled(steps, len, cfg.tile_t, cfg.tile_s,
-                                     point);
         }
         return sum_row([&](int64_t i) {
-            return mem.load(a, static_cast<size_t>(steps * len + i));
+            return mem.load(a, cell(steps, i));
         });
-      }
+    };
+
+    switch (variant) {
+      case Stencil5Variant::Natural:
+      case Stencil5Variant::NaturalTiled:
+        return sweep(static_cast<size_t>((steps + 1) * len),
+                     [len](int64_t t, int64_t i) {
+                         return static_cast<size_t>(t * len + i);
+                     });
 
       case Stencil5Variant::Ov:
-      case Stencil5Variant::OvTiled: {
+      case Stencil5Variant::OvTiled:
         // UOV (2,0), blocked: two consecutive rows.
-        SimBuffer<float> a(arena, static_cast<size_t>(2 * len));
-        for (int64_t i = 0; i < len; ++i)
-            a.data()[i] = input[static_cast<size_t>(i)];
-        auto cell = [len](int64_t t, int64_t i) {
-            return static_cast<size_t>((t & 1) * len + i);
-        };
-        auto point = [&](int64_t t, int64_t i) {
-            auto prev = [&](int64_t k) {
-                return mem.load(a, cell(t - 1, k));
-            };
-            float v = (i >= 2 && i < len - 2) ? interior(prev, i)
-                                              : prev(i);
-            mem.store(a, cell(t, i), v);
-        };
-        if (variant == Stencil5Variant::Ov) {
-            for (int64_t t = 1; t <= steps; ++t)
-                for (int64_t i = 0; i < len; ++i)
-                    point(t, i);
-        } else {
-            detail::forEachSkewTiled(steps, len, cfg.tile_t, cfg.tile_s,
-                                     point);
-        }
-        return sum_row([&](int64_t i) {
-            return mem.load(a, cell(steps, i));
-        });
-      }
+        return sweep(static_cast<size_t>(2 * len),
+                     [len](int64_t t, int64_t i) {
+                         return static_cast<size_t>((t & 1) * len + i);
+                     });
 
       case Stencil5Variant::OvInterleaved:
-      case Stencil5Variant::OvInterleavedTiled: {
+      case Stencil5Variant::OvInterleavedTiled:
         // UOV (2,0), interleaved: SM(q) = (0,2).q + (t mod 2)
         // (Figure 5 literally).
-        SimBuffer<float> a(arena, static_cast<size_t>(2 * len));
-        for (int64_t i = 0; i < len; ++i)
-            a.data()[static_cast<size_t>(2 * i)] =
-                input[static_cast<size_t>(i)];
-        auto cell = [](int64_t t, int64_t i) {
-            return static_cast<size_t>(2 * i + (t & 1));
-        };
-        auto point = [&](int64_t t, int64_t i) {
-            auto prev = [&](int64_t k) {
-                return mem.load(a, cell(t - 1, k));
-            };
-            float v = (i >= 2 && i < len - 2) ? interior(prev, i)
-                                              : prev(i);
-            mem.store(a, cell(t, i), v);
-        };
-        if (variant == Stencil5Variant::OvInterleaved) {
-            for (int64_t t = 1; t <= steps; ++t)
-                for (int64_t i = 0; i < len; ++i)
-                    point(t, i);
-        } else {
-            detail::forEachSkewTiled(steps, len, cfg.tile_t, cfg.tile_s,
-                                     point);
-        }
-        return sum_row([&](int64_t i) {
-            return mem.load(a, cell(steps, i));
-        });
-      }
+        return sweep(static_cast<size_t>(2 * len),
+                     [](int64_t t, int64_t i) {
+                         return static_cast<size_t>(2 * i + (t & 1));
+                     });
 
       case Stencil5Variant::StorageOptimized: {
         // In-place row plus three rotating temporaries (Table 1:
