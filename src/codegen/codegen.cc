@@ -1,6 +1,7 @@
 #include "codegen/codegen.h"
 
 #include <cctype>
+#include <iterator>
 #include <sstream>
 
 #include "codegen/regcost.h"
@@ -545,6 +546,49 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
     out.temp_cells = cells;
     out.unroll = unroll;
     out.jam = jam;
+    return out;
+}
+
+CodeBundle
+bundleUnits(const std::vector<GeneratedCode> &units)
+{
+    UOV_REQUIRE(!units.empty(), "bundleUnits needs at least one unit");
+    std::vector<const GeneratedCode *> distinct;
+    std::vector<size_t> slot;
+    for (const GeneratedCode &unit : units) {
+        size_t k = 0;
+        while (k < distinct.size() && distinct[k]->source != unit.source)
+            ++k;
+        if (k == distinct.size())
+            distinct.push_back(&unit);
+        slot.push_back(k);
+    }
+
+    CodeBundle out;
+    if (distinct.size() == 1) {
+        out.source = distinct[0]->source;
+        out.symbols.assign(units.size(), distinct[0]->function_name);
+        return out;
+    }
+    std::ostringstream c;
+    c << "/* " << distinct.size()
+      << " generated units; unit k's file-scope names carry the suffix"
+         " _k. */\n";
+    for (size_t k = 0; k < distinct.size(); ++k) {
+        std::vector<std::string> names(std::begin(kUnitFileScopeNames),
+                                       std::end(kUnitFileScopeNames));
+        names.push_back(distinct[k]->function_name);
+        c << "\n";
+        for (const std::string &name : names)
+            c << "#define " << name << " " << name << "_" << k << "\n";
+        c << distinct[k]->source;
+        for (const std::string &name : names)
+            c << "#undef " << name << "\n";
+    }
+    out.source = c.str();
+    for (size_t k : slot)
+        out.symbols.push_back(distinct[k]->function_name + "_" +
+                              std::to_string(k));
     return out;
 }
 

@@ -95,6 +95,34 @@ GeneratedCode generateC(const LoopNest &nest, const MappingPlan &plan,
                         const CodegenOptions &options = {});
 
 /**
+ * File-scope names every generated unit defines besides its function.
+ * bundleUnits renames exactly these and the function, so a name
+ * generateC starts to write at file scope must join this list.
+ */
+inline constexpr const char *kUnitFileScopeNames[] = {"TMP", "bval", "sm",
+                                                      "val"};
+
+/** Several generated units as one C translation unit. */
+struct CodeBundle
+{
+    std::string source; ///< the translation unit
+    /** Per input unit, the symbol its function is exported under. */
+    std::vector<std::string> symbols;
+};
+
+/**
+ * Bundle @p units so that one compiler call and one dlopen serve them
+ * all.  Each distinct unit's text is copied unchanged between
+ * #define and #undef lines that give its file-scope names
+ * (kUnitFileScopeNames and its function) the suffix _<k>, k counting
+ * distinct units; byte-identical units share one definition.  A
+ * bundle of one distinct unit is that unit's source, unchanged, under
+ * its own function name.
+ * @pre @p units is nonempty
+ */
+CodeBundle bundleUnits(const std::vector<GeneratedCode> &units);
+
+/**
  * The interpreter oracle: run @p nest's statement-0 computation (the
  * exact double-precision recurrence generateC emits) under the
  * original lexicographic order with fully expanded storage, and

@@ -6,12 +6,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <thread>
+#include <unordered_map>
 
 #include "codegen/codegen.h"
 #include "support/error.h"
@@ -78,14 +83,15 @@ slurp(const std::string &path)
     return oss.str();
 }
 
-/** Compile @p c_path into the shared object @p so_path.  @throws
- *  UovError carrying the command line and the compiler's stderr */
+/** Compile @p c_path into the shared object @p so_path, the
+ *  compiler's stderr going to @p log_path.  @throws UovError carrying
+ *  the command line and that stderr */
 void
 runHostCompiler(const std::string &compiler,
                 const std::vector<std::string> &flags,
-                const std::string &c_path, const std::string &so_path)
+                const std::string &c_path, const std::string &so_path,
+                const std::string &log_path)
 {
-    std::string log_path = so_path + ".log";
     std::vector<std::string> args{compiler};
     args.insert(args.end(), flags.begin(), flags.end());
     args.insert(args.end(), {"-shared", "-fPIC", "-o", so_path, c_path});
@@ -123,23 +129,107 @@ runHostCompiler(const std::string &compiler,
             cmd << " " << f;
         cmd << " -shared -fPIC -o '" << so_path << "' '" << c_path
             << "' 2> '" << log_path << "'";
-        std::string stderr_text = spawn_error + slurp(log_path);
-        std::error_code ec;
-        fs::remove(so_path, ec);
         throw UovError("JIT compilation failed (rc=" +
                        std::to_string(rc) + "): " + cmd.str() +
-                       "\ncompiler stderr:\n" + stderr_text);
+                       "\ncompiler stderr:\n" + spawn_error +
+                       slurp(log_path));
     }
-    std::error_code ec;
-    fs::remove(log_path, ec);
+}
+
+/** Removes one compile's temporary files on every path out. */
+class TempFiles
+{
+  public:
+    explicit TempFiles(std::vector<std::string> names)
+        : paths(std::move(names))
+    {}
+    ~TempFiles()
+    {
+        std::error_code ec;
+        for (const std::string &path : paths)
+            fs::remove(path, ec);
+    }
+    TempFiles(const TempFiles &) = delete;
+    TempFiles &operator=(const TempFiles &) = delete;
+
+    const std::vector<std::string> paths;
+};
+
+/** Tells apart the temporary files of one process's compiles. */
+std::atomic<uint64_t> g_compile_serial{0};
+
+/**
+ * Which thread holds each loaded object (see JitKernel): a handle
+ * maps to its holding thread and how many JitKernels of that thread
+ * hold it; absent means free.
+ */
+class HandleOwners
+{
+  public:
+    /** Wait until @p handle is free or held by this thread; hold it. */
+    void
+    acquire(void *handle)
+    {
+        std::thread::id self = std::this_thread::get_id();
+        std::unique_lock<std::mutex> lock(_mutex);
+        _freed.wait(lock, [&] {
+            auto it = _owners.find(handle);
+            return it == _owners.end() || it->second.thread == self;
+        });
+        Owner &owner = _owners[handle];
+        owner.thread = self;
+        ++owner.holds;
+    }
+
+    /** Drop one hold on @p handle. */
+    void
+    release(void *handle)
+    {
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            auto it = _owners.find(handle);
+            if (it != _owners.end() && --it->second.holds == 0)
+                _owners.erase(it);
+        }
+        _freed.notify_all();
+    }
+
+  private:
+    struct Owner
+    {
+        std::thread::id thread;
+        int holds = 0;
+    };
+
+    std::mutex _mutex;
+    std::condition_variable _freed;
+    std::unordered_map<void *, Owner> _owners;
+};
+
+/** The process's one HandleOwners; never destroyed, so a JitKernel
+ *  released during static destruction still finds it. */
+HandleOwners &
+handleOwners()
+{
+    static HandleOwners *owners = new HandleOwners;
+    return *owners;
 }
 
 } // namespace
 
 JitKernel::~JitKernel()
 {
-    if (_handle != nullptr)
-        ::dlclose(_handle);
+    unload();
+}
+
+void
+JitKernel::unload()
+{
+    if (_handle == nullptr)
+        return;
+    ::dlclose(_handle);
+    handleOwners().release(_handle);
+    _handle = nullptr;
 }
 
 JitKernel::JitKernel(JitKernel &&other) noexcept
@@ -152,8 +242,7 @@ JitKernel &
 JitKernel::operator=(JitKernel &&other) noexcept
 {
     if (this != &other) {
-        if (_handle != nullptr)
-            ::dlclose(_handle);
+        unload();
         _handle = other._handle;
         _path = std::move(other._path);
         other._handle = nullptr;
@@ -267,27 +356,29 @@ JitCompiler::compile(const std::string &source)
         return so_path;
     }
 
-    std::string c_path =
-        (fs::path(_cache_dir) / ("uovjit-" + key + ".c")).string();
+    // Every compile works under names of its own, then publishes by
+    // rename: a concurrent compile of the same source, in this process
+    // or another, either misses (and compiles its own copy) or sees a
+    // complete .so, never a torn one.  No temporary name ends in ".so",
+    // so the cache's .so files are exactly its published objects.
+    std::string stem =
+        (fs::path(_cache_dir) /
+         ("uovjit-" + key + ".tmp." +
+          std::to_string(static_cast<long>(::getpid())) + "." +
+          std::to_string(g_compile_serial.fetch_add(1))))
+            .string();
+    TempFiles temps({stem + ".c", stem + ".obj", stem + ".log"});
+    const std::string &c_path = temps.paths[0];
+    const std::string &obj_path = temps.paths[1];
     {
         std::ofstream f(c_path);
         UOV_REQUIRE(f.good(), "cannot write " << c_path);
         f << source;
     }
-
-    // Compile to a process-unique name, then publish atomically: a
-    // concurrent process either misses (and compiles its own copy) or
-    // sees a complete .so, never a torn one.
-    std::string tmp_path =
-        so_path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
     ++_compiles;
-    runHostCompiler(_compiler, _flags, c_path, tmp_path);
-    fs::rename(tmp_path, so_path, ec);
-    if (ec) {
-        fs::remove(tmp_path, ec);
-        UOV_REQUIRE(fs::exists(so_path),
-                    "cannot publish " << so_path);
-    }
+    runHostCompiler(_compiler, _flags, c_path, obj_path, temps.paths[2]);
+    fs::rename(obj_path, so_path, ec);
+    UOV_REQUIRE(!ec || fs::exists(so_path), "cannot publish " << so_path);
     UOV_LOG_INFO("jit: compiled " << so_path);
     return so_path;
 }
@@ -301,6 +392,7 @@ JitCompiler::load(const std::string &so_path) const
         throw UovError("dlopen('" + so_path +
                        "') failed: " + (err ? err : "unknown error"));
     }
+    handleOwners().acquire(handle);
     return JitKernel(handle, so_path);
 }
 

@@ -33,7 +33,20 @@ namespace uov {
 
 struct GeneratedCode;
 
-/** A dlopen'ed shared object; unloads (dlclose) on destruction. */
+/**
+ * A dlopen'ed shared object; unloads (dlclose) on destruction.
+ *
+ * While a JitKernel holds an object, the object is exclusive to the
+ * thread that loaded it, within the process.  Every generated kernel
+ * keeps its scratch array in a file-scope static, and dlopen hands
+ * every loader of one file the same handle, so two threads running
+ * one object at once would share that array.  Another thread's
+ * JitCompiler::load of the same object therefore waits until every
+ * JitKernel holding it is gone; the holding thread itself may load it
+ * again without waiting.  A thread that holds one object and loads
+ * another waits like any loader, so two threads must never each hold
+ * an object the other is loading.
+ */
 class JitKernel
 {
   public:
@@ -71,6 +84,9 @@ class JitKernel
         : _handle(handle), _path(std::move(path))
     {}
 
+    /** dlclose the object and end this kernel's hold on it. */
+    void unload();
+
     void *_handle = nullptr;
     std::string _path;
 };
@@ -95,9 +111,12 @@ struct JitOptions
  * Cache keying: FNV-1a over compiler path, flags, and full source
  * text; a hit returns the existing .so without invoking the compiler
  * (observable through cacheHits() / compilesInvoked(), which the
- * negative-path tests assert).  Compiles land in the cache atomically
- * (write to a process-unique temp name, then rename), so concurrent
- * processes sharing a cache directory never load a half-written .so.
+ * negative-path tests assert).  Every compile writes its source,
+ * object and log under names of its own (pid plus a process-wide
+ * serial, none ending in ".so") and publishes the object by rename,
+ * so concurrent compiles of one source -- in other processes or other
+ * threads -- never load a half-written .so; the temporary files are
+ * removed on every path.
  */
 class JitCompiler
 {
@@ -129,7 +148,11 @@ class JitCompiler
      */
     std::string compile(const std::string &source);
 
-    /** dlopen @p so_path. @throws UovError with dlerror() on failure */
+    /**
+     * dlopen @p so_path, waiting while another thread holds the same
+     * object (see JitKernel).
+     * @throws UovError with dlerror() on failure
+     */
     JitKernel load(const std::string &so_path) const;
 
     /** compile() + load() for a generated compilation unit. */

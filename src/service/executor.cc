@@ -375,46 +375,29 @@ tuneOutcome(const Request &request)
             oss << " measure=unavailable";
             return done();
         }
+        // The one deadline check of the tail: the measured kernels
+        // compile as one translation unit, so there is no point
+        // between compiles to stop at.
         if (topt.budget.deadline.expired()) {
             oss << " measure=deadline";
             return done();
         }
+        // Candidate 0, the default lexicographic kernel, is measured
+        // first, then the top simulator-ranked lowerable candidates;
+        // ties keep the earlier kernel.
+        std::vector<tune::TuneCandidate> measured;
+        for (size_t idx : tuner.measuredSet())
+            measured.push_back(tuner.candidates()[idx]);
         tune::JitEvaluator jit_eval;
         tune::TuneContext ctx(nest, tuner.stencil());
-        const auto &cands = tuner.candidates();
-        const auto &scores = tuner.scores();
-
-        // Candidate 0 is the default lexicographic kernel; measure
-        // it, then the top simulator-ranked lowerable candidates.
-        double lex_ns = jit_eval.score(ctx, cands[0]);
-        std::vector<size_t> ranked;
-        for (size_t i = 0; i < scores.size(); ++i)
-            if (cands[i].schedule.lower(stencil).has_value())
-                ranked.push_back(i);
-        std::stable_sort(ranked.begin(), ranked.end(),
-                         [&](size_t a, size_t b) {
-                             return scores[a] < scores[b];
-                         });
-        double best_ns = lex_ns;
-        size_t best_idx = 0;
-        size_t measured = 0;
-        for (size_t idx : ranked) {
-            if (measured >= 4 || topt.budget.deadline.expired())
-                break;
-            if (idx == 0)
-                continue; // the lex baseline, already measured
-            double ns = jit_eval.score(ctx, cands[idx]);
-            ++measured;
-            if (ns < best_ns) {
-                best_ns = ns;
-                best_idx = idx;
-            }
-        }
+        std::vector<double> ns = jit_eval.scoreAll(ctx, measured);
+        size_t fastest = static_cast<size_t>(
+            std::min_element(ns.begin(), ns.end()) - ns.begin());
         oss << std::fixed << std::setprecision(2)
-            << " lex_ns=" << static_cast<int64_t>(lex_ns)
-            << " best_ns=" << static_cast<int64_t>(best_ns)
-            << " speedup_vs_lex=" << lex_ns / best_ns
-            << " best_measured={" << cands[best_idx].str() << "}"
+            << " lex_ns=" << static_cast<int64_t>(ns[0])
+            << " best_ns=" << static_cast<int64_t>(ns[fastest])
+            << " speedup_vs_lex=" << ns[0] / ns[fastest]
+            << " best_measured={" << measured[fastest].str() << "}"
             << " verified=ok";
         return done();
     } catch (const UovError &e) {

@@ -172,10 +172,11 @@ std::string runNativeRequest(const Request &request);
  * Everything up to here is byte-deterministic (deadline_ms in
  * {-1, 0}; positive deadlines truncate the evaluated prefix).  When a
  * host compiler is available and the deadline has not expired, the
- * top simulator-ranked lowerable candidates plus the default
- * lexicographic kernel are then JIT-measured (each verified
- * bit-exactly against the interpreter) and the line continues in the
- * _ns-exempt zone:
+ * default lexicographic kernel and the top simulator-ranked lowerable
+ * candidates (Tuner::measuredSet) are then compiled as one
+ * translation unit and JIT-measured in that order (each verified
+ * bit-exactly against the interpreter); the deadline is checked once,
+ * before that compile.  The line continues in the _ns-exempt zone:
  *
  *     ... lex_ns=<t> best_ns=<t> speedup_vs_lex=<x>
  *         best_measured={...} verified=ok

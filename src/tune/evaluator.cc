@@ -235,19 +235,14 @@ SimEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
     return mem.cycles();
 }
 
-JitEvaluator::JitEvaluator(JitEvalOptions options)
-    : _jit(options.jit), _runs(options.runs < 1 ? 1 : options.runs)
-{
-    UOV_REQUIRE(_jit.available(),
-                "tune JIT evaluator needs a host C compiler (set "
-                "UOV_CC or put cc, gcc, or clang on PATH)");
-}
+namespace {
 
-double
-JitEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
+/** @p cand's emitter options.  @throws UovUserError when its schedule
+ *  has no native lowering */
+CodegenOptions
+lowerForJit(const Stencil &stencil, const TuneCandidate &cand)
 {
-    TRACE_SPAN("tune.jit_score");
-    auto lowered = cand.schedule.lower(ctx.stencil());
+    auto lowered = cand.schedule.lower(stencil);
     UOV_REQUIRE(lowered.has_value(),
                 "tune JIT evaluator: schedule '"
                     << cand.schedule.str()
@@ -270,12 +265,15 @@ JitEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
     opts.unroll = lowered->unroll;
     opts.jam = lowered->jam;
     opts.function_name = "uov_tune_kernel";
+    return opts;
+}
 
-    GeneratedCode code = generateC(ctx.nest(), *cand.plan, opts);
-    JitKernel kernel = _jit.compileAndLoad(code);
-    auto fn = kernel.fn<void (*)(double *)>(code.function_name);
-
-    const std::vector<double> &ref = ctx.reference();
+/** Verify @p fn bit-exactly against @p ref (a divergence throws), then
+ *  return the median of @p runs timings in nanoseconds. */
+double
+measureKernel(void (*fn)(double *), const std::vector<double> &ref,
+              const TuneCandidate &cand, int runs)
+{
     std::vector<double> out(ref.size(), 0.0);
     fn(out.data());
     UOV_CHECK(out == ref, "tune candidate {" << cand.str()
@@ -294,8 +292,8 @@ JitEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
     int64_t iters = once > 0 ? 100'000 / once : 1000;
     iters = std::max<int64_t>(1, std::min<int64_t>(iters, 1000));
 
-    std::vector<int64_t> ns(static_cast<size_t>(_runs));
-    for (int r = 0; r < _runs; ++r) {
+    std::vector<int64_t> ns(static_cast<size_t>(runs));
+    for (int r = 0; r < runs; ++r) {
         auto s0 = std::chrono::steady_clock::now();
         for (int64_t i = 0; i < iters; ++i)
             fn(out.data());
@@ -309,6 +307,43 @@ JitEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
     std::sort(ns.begin(), ns.end());
     int64_t median = ns[ns.size() / 2];
     return static_cast<double>(median < 1 ? 1 : median);
+}
+
+} // namespace
+
+JitEvaluator::JitEvaluator(JitEvalOptions options)
+    : _jit(options.jit), _runs(options.runs < 1 ? 1 : options.runs)
+{
+    UOV_REQUIRE(_jit.available(),
+                "tune JIT evaluator needs a host C compiler (set "
+                "UOV_CC or put cc, gcc, or clang on PATH)");
+}
+
+double
+JitEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
+{
+    return scoreAll(ctx, {cand}).front();
+}
+
+std::vector<double>
+JitEvaluator::scoreAll(TuneContext &ctx,
+                       const std::vector<TuneCandidate> &cands)
+{
+    TRACE_SPAN("tune.jit_score");
+    std::vector<GeneratedCode> units;
+    for (const TuneCandidate &cand : cands)
+        units.push_back(generateC(ctx.nest(), *cand.plan,
+                                  lowerForJit(ctx.stencil(), cand)));
+    CodeBundle bundle = bundleUnits(units);
+    JitKernel kernel = _jit.load(_jit.compile(bundle.source));
+
+    const std::vector<double> &ref = ctx.reference();
+    std::vector<double> scores;
+    for (size_t i = 0; i < cands.size(); ++i)
+        scores.push_back(measureKernel(
+            kernel.fn<void (*)(double *)>(bundle.symbols[i]), ref,
+            cands[i], _runs));
+    return scores;
 }
 
 } // namespace tune

@@ -13,11 +13,12 @@
  *    machine config) -- so it backs the service's byte-deterministic
  *    response prefix and the fuzz oracle's repeat-run check.
  *
- *  - JitEvaluator lowers the candidate to CodegenOptions, compiles it
- *    with the cached JitCompiler, verifies the kernel bit-exactly
- *    against the interpreter reference, and returns the median of k
- *    timed runs in nanoseconds.  Nondeterministic (wall clock), so
- *    its figures live in the _ns-exempt zone of response lines.
+ *  - JitEvaluator lowers candidates to CodegenOptions, compiles a set
+ *    of them as one translation unit with the cached JitCompiler,
+ *    verifies each kernel bit-exactly against the interpreter
+ *    reference, and returns the median of k timed runs in
+ *    nanoseconds.  Nondeterministic (wall clock), so its figures live
+ *    in the _ns-exempt zone of response lines.
  */
 
 #ifndef UOV_TUNE_EVALUATOR_H
@@ -121,7 +122,7 @@ class SimEvaluator : public Evaluator
 };
 
 /**
- * Measurement backend: JIT-compile the lowered candidate, verify it
+ * Measurement backend: JIT-compile the lowered candidates, verify each
  * bit-exactly against the interpreter (a divergence throws -- the
  * tune fuzz oracle's contract), and return the median of `runs`
  * wall-clock timings in nanoseconds.
@@ -139,7 +140,18 @@ class JitEvaluator : public Evaluator
     explicit JitEvaluator(JitEvalOptions options = {});
 
     std::string name() const override { return "jit"; }
+
+    /** scoreAll(ctx, {cand}): one candidate's unit, compiled alone. */
     double score(TuneContext &ctx, const TuneCandidate &cand) override;
+
+    /**
+     * Score @p cands from one translation unit: emit every kernel,
+     * bundle them (codegen's bundleUnits), compile and dlopen once,
+     * then verify and time each kernel in order.  Returns one score
+     * per candidate, in order.  @throws like score()
+     */
+    std::vector<double> scoreAll(TuneContext &ctx,
+                                 const std::vector<TuneCandidate> &cands);
 
     JitCompiler &compiler() { return _jit; }
 

@@ -270,5 +270,22 @@ Tuner::run()
     return result;
 }
 
+std::vector<size_t>
+Tuner::measuredSet() const
+{
+    constexpr size_t kRivals = 4;
+    std::vector<size_t> ranked;
+    for (size_t i = 1; i < _scores.size(); ++i)
+        if (_candidates[i].schedule.lower(_stencil).has_value())
+            ranked.push_back(i);
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [&](size_t a, size_t b) {
+                         return _scores[a] < _scores[b];
+                     });
+    ranked.resize(std::min(ranked.size(), kRivals));
+    ranked.insert(ranked.begin(), 0);
+    return ranked;
+}
+
 } // namespace tune
 } // namespace uov

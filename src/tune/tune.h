@@ -145,6 +145,15 @@ class Tuner
     /** Scores of the evaluated prefix, indexed like candidates(). */
     const std::vector<double> &scores() const { return _scores; }
 
+    /**
+     * The candidates 'query tune' measures natively, as indices into
+     * candidates(): candidate 0 (the lexicographic baseline) first,
+     * then the four best-scored lowerable candidates other than 0 from
+     * the evaluated prefix, ties in enumeration order.  Valid after
+     * run().
+     */
+    std::vector<size_t> measuredSet() const;
+
   private:
     LoopNest _nest;
     TuneOptions _options;

@@ -12,8 +12,10 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -372,6 +374,147 @@ TEST(CodegenGolden, MatchesPinnedFiles)
 // ---------------------------------------------------------------- //
 // Compile-and-run matrix, bit-exact against interpretKernel.        //
 // ---------------------------------------------------------------- //
+
+/** The lexicographic, skewed-tiled and register-tiled units of
+ *  @p nest under @p storage, all named uov_bundled. */
+std::vector<GeneratedCode>
+threeSchedules(const LoopNest &nest, const MappingPlan &plan,
+               GenStorage storage)
+{
+    std::vector<GeneratedCode> units;
+    for (GenSchedule schedule :
+         {GenSchedule::Lexicographic, GenSchedule::SkewedTiled,
+          GenSchedule::RegisterTiled}) {
+        CodegenOptions opts;
+        opts.schedule = schedule;
+        opts.storage = storage;
+        if (schedule == GenSchedule::SkewedTiled)
+            opts.tile_sizes = {4, 8};
+        opts.function_name = "uov_bundled";
+        units.push_back(generateC(nest, plan, opts));
+    }
+    return units;
+}
+
+/** The names @p source defines at file scope: each line that starts
+ *  with a letter declares one, the identifier before its first '(',
+ *  '[', '=' or ';'. */
+std::vector<std::string>
+fileScopeNames(const std::string &source)
+{
+    std::vector<std::string> names;
+    std::istringstream in(source);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || !std::isalpha(static_cast<unsigned char>(line[0])))
+            continue;
+        size_t end = line.find_first_of("([=;");
+        end = line.find_last_not_of(' ', end - 1) + 1;
+        size_t begin = end;
+        while (begin > 0 &&
+               (std::isalnum(static_cast<unsigned char>(line[begin - 1])) ||
+                line[begin - 1] == '_'))
+            --begin;
+        names.push_back(line.substr(begin, end - begin));
+    }
+    return names;
+}
+
+TEST(CodegenBundle, RenamesEveryFileScopeNameAndKeepsEveryText)
+{
+    LoopNest nest = nests::fivePointStencil(12, 16);
+    MappingPlan plan = planStorageMapping(nest, 0);
+    for (GenStorage storage : {GenStorage::Expanded, GenStorage::OvMapped}) {
+        std::vector<GeneratedCode> units =
+            threeSchedules(nest, plan, storage);
+        for (const GeneratedCode &unit : units) {
+            // A name the bundler does not rename would be defined
+            // once per unit in one translation unit.
+            std::vector<std::string> names = fileScopeNames(unit.source);
+            EXPECT_EQ(names.size(), std::size(kUnitFileScopeNames) + 1);
+            for (const std::string &name : names) {
+                bool renamed = name == unit.function_name;
+                for (const char *listed : kUnitFileScopeNames)
+                    renamed = renamed || name == listed;
+                EXPECT_TRUE(renamed)
+                    << "file-scope name '" << name
+                    << "' is missing from kUnitFileScopeNames";
+            }
+        }
+        CodeBundle bundle = bundleUnits(units);
+        ASSERT_EQ(bundle.symbols.size(), units.size());
+        for (size_t k = 0; k < units.size(); ++k) {
+            EXPECT_NE(bundle.source.find(units[k].source),
+                      std::string::npos)
+                << "unit " << k << "'s text is not in the bundle";
+            EXPECT_EQ(bundle.symbols[k], "uov_bundled_" + std::to_string(k));
+        }
+    }
+}
+
+TEST(CodegenBundle, OneUnitIsItsSourceUnchanged)
+{
+    LoopNest nest = nests::fivePointStencil(12, 16);
+    MappingPlan plan = planStorageMapping(nest, 0);
+    GeneratedCode lex =
+        threeSchedules(nest, plan, GenStorage::OvMapped).front();
+    CodeBundle one = bundleUnits({lex});
+    EXPECT_EQ(one.source, lex.source);
+    EXPECT_EQ(one.symbols, std::vector<std::string>{"uov_bundled"});
+    // Identical units merge; one distinct unit is still left alone.
+    CodeBundle twice = bundleUnits({lex, lex});
+    EXPECT_EQ(twice.source, lex.source);
+    EXPECT_EQ(twice.symbols,
+              (std::vector<std::string>{"uov_bundled", "uov_bundled"}));
+}
+
+TEST(CodegenBundle, IdenticalUnitsShareOneDefinition)
+{
+    LoopNest nest = nests::fivePointStencil(12, 16);
+    MappingPlan plan = planStorageMapping(nest, 0);
+    std::vector<GeneratedCode> three =
+        threeSchedules(nest, plan, GenStorage::OvMapped);
+    const GeneratedCode &lex = three[0];
+    const GeneratedCode &rtile = three[2];
+    CodeBundle bundle = bundleUnits({lex, rtile, lex});
+    ASSERT_EQ(bundle.symbols.size(), 3u);
+    EXPECT_EQ(bundle.symbols[0], bundle.symbols[2]);
+    EXPECT_NE(bundle.symbols[0], bundle.symbols[1]);
+    size_t first = bundle.source.find(lex.source);
+    ASSERT_NE(first, std::string::npos);
+    EXPECT_EQ(bundle.source.find(lex.source, first + 1), std::string::npos);
+}
+
+TEST(CodegenBundle, CompilesOnceAndEveryKernelMatchesTheInterpreter)
+{
+    UOV_SKIP_WITHOUT_CC();
+    LoopNest nest = nests::fivePointStencil(12, 16);
+    MappingPlan plan = planStorageMapping(nest, 0);
+    std::vector<GeneratedCode> units =
+        threeSchedules(nest, plan, GenStorage::Expanded);
+    for (GeneratedCode &unit :
+         threeSchedules(nest, plan, GenStorage::OvMapped))
+        units.push_back(std::move(unit));
+    CodeBundle bundle = bundleUnits(units);
+    ASSERT_EQ(bundle.symbols.size(), 6u);
+
+    JitOptions options;
+    options.cache_dir = ::testing::TempDir() + "uov_bundle_" +
+                        std::to_string(static_cast<long>(::getpid()));
+    std::filesystem::remove_all(options.cache_dir);
+    {
+        JitCompiler jit(options);
+        JitKernel kernel = jit.load(jit.compile(bundle.source));
+        EXPECT_EQ(jit.compilesInvoked(), 1u);
+        const std::vector<double> want = interpretKernel(nest);
+        for (const std::string &symbol : bundle.symbols) {
+            std::vector<double> got(want.size(), -1.0);
+            kernel.fn<void (*)(double *)>(symbol)(got.data());
+            EXPECT_EQ(got, want) << symbol;
+        }
+    }
+    std::filesystem::remove_all(options.cache_dir);
+}
 
 TEST(CodegenMatrix, Lexicographic1D)
 {

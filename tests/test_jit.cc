@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
@@ -148,6 +150,8 @@ TEST(Jit, CompileErrorSurfacesStderr)
             << msg;
         EXPECT_NE(msg.find("error"), std::string::npos) << msg;
     }
+    // The failed compile's source, object and log are gone.
+    EXPECT_TRUE(std::filesystem::is_empty(jit.cacheDir()));
 }
 
 TEST(Jit, CacheHitSkipsCompilerInvocation)
@@ -244,6 +248,51 @@ TEST(Jit, CompileAndLoadGeneratedKernel)
     kernel.fn<void (*)(double *)>(code.function_name.c_str())(
         out.data());
     EXPECT_EQ(out, interpretKernel(nest));
+}
+
+TEST(Jit, ConcurrentCompilesOfOneSource)
+{
+    if (!JitCompiler::hostCompilerAvailable())
+        GTEST_SKIP() << "no host C compiler on PATH";
+    // Identical requests served at once compile one source in several
+    // threads of one process: every compile needs its own temporary
+    // files, and the threads must not run the one loaded object -- and
+    // with it the kernel's static scratch array -- at the same time.
+    LoopNest nest = nests::fivePointStencil(31, 255);
+    GeneratedCode code = generateC(nest, planStorageMapping(nest, 0));
+    const std::vector<double> want = interpretKernel(nest);
+    constexpr int kThreads = 4;
+    for (int round = 0; round < 10; ++round) {
+        JitOptions opts = freshCacheOptions("concurrent");
+        std::vector<std::string> errors(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                try {
+                    JitCompiler jit(opts);
+                    JitKernel kernel = jit.load(jit.compile(code.source));
+                    auto fn = kernel.fn<void (*)(double *)>(
+                        code.function_name);
+                    for (int run = 0; run < 3; ++run) {
+                        std::vector<double> got(want.size(), -1.0);
+                        fn(got.data());
+                        if (got != want) {
+                            errors[static_cast<size_t>(t)] =
+                                "kernel diverged from the interpreter";
+                            return;
+                        }
+                    }
+                } catch (const UovError &e) {
+                    errors[static_cast<size_t>(t)] = e.what();
+                }
+            });
+        for (std::thread &th : threads)
+            th.join();
+        for (int t = 0; t < kThreads; ++t)
+            EXPECT_EQ(errors[static_cast<size_t>(t)], "")
+                << "round " << round << ", thread " << t;
+        std::filesystem::remove_all(opts.cache_dir);
+    }
 }
 
 } // namespace

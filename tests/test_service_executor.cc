@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
 
 #include "codegen/jit.h"
@@ -131,6 +135,45 @@ TEST(Executor, NativeQueryAnswersWithVerifiedTimings)
     std::vector<std::string> direct = runBatchDirect({r});
     ASSERT_EQ(direct.size(), 1u);
     EXPECT_EQ(direct[0].rfind("answer 1 native ", 0), 0u) << direct[0];
+}
+
+TEST(Executor, DuplicateNativeLinesAllVerify)
+{
+    if (!JitCompiler::hostCompilerAvailable())
+        GTEST_SKIP() << "no host C compiler on PATH";
+    // Four identical native lines on four workers compile the same two
+    // sources at once into one object cache and run the same loaded
+    // kernels: every line must still verify.
+    std::vector<Request> reqs;
+    for (size_t i = 1; i <= 4; ++i)
+        reqs.push_back(parseRequestLine(
+            "query native bounds 0..31 0..255 deps [1,-2] [1,-1] [1,0] "
+            "[1,1] [1,2]",
+            i));
+    const char *old = std::getenv("TMPDIR");
+    std::string saved = old != nullptr ? old : "";
+    for (int round = 0; round < 8; ++round) {
+        std::string dir = ::testing::TempDir() + "uov_dup_native_" +
+                          std::to_string(static_cast<long>(::getpid())) +
+                          "_" + std::to_string(round);
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        ::setenv("TMPDIR", dir.c_str(), 1);
+        ServiceOptions opt;
+        MetricsRegistry metrics;
+        QueryService svc(opt, metrics);
+        ThreadPool pool(4);
+        std::vector<std::string> got = runBatch(svc, reqs, pool);
+        EXPECT_EQ(got.size(), reqs.size());
+        for (const std::string &line : got)
+            EXPECT_TRUE(line.ends_with(" verified=ok"))
+                << "round " << round << ": " << line;
+        std::filesystem::remove_all(dir);
+    }
+    if (old != nullptr)
+        ::setenv("TMPDIR", saved.c_str(), 1);
+    else
+        ::unsetenv("TMPDIR");
 }
 
 TEST(Executor, SkipsCommentsAndBlankLines)

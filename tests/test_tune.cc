@@ -8,7 +8,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -324,6 +327,35 @@ TEST(Tuner, SimScoresPinned)
                  false, cube);
 }
 
+TEST(Tuner, MeasuredSetPinned)
+{
+    // The kernels 'query tune' measures for the first three requests
+    // of tests/data/service/tune_answers.txt: candidate 0, then the
+    // four best simulator scores among the other lowerable candidates.
+    struct Case
+    {
+        const char *line;
+        std::vector<size_t> measured;
+    };
+    const Case cases[] = {
+        {"query tune bounds 0..15 0..127 deps [1,-2] [1,-1] [1,0] [1,1] "
+         "[1,2]",
+         {0, 4, 3, 2, 13}},
+        {"query tune bounds 0..31 0..255 deps [1,-1] [1,0] [1,1]",
+         {0, 4, 3, 13, 12}},
+        {"query tune bounds 0..63 0..63 deps [1,0] [0,1] [1,1]",
+         {0, 11, 13, 25, 8}},
+    };
+    for (const Case &c : cases) {
+        service::Request r = service::parseRequestLine(c.line, 1);
+        ASSERT_TRUE(r.error.empty()) << r.error;
+        tune::Tuner tuner(nestFromStencil(Stencil(r.deps), *r.isg_lo,
+                                          *r.isg_hi, "tune"));
+        tuner.run();
+        EXPECT_EQ(tuner.measuredSet(), c.measured) << c.line;
+    }
+}
+
 TEST(TuneService, ParsesTheTuneVerb)
 {
     service::Request r = service::parseRequestLine(
@@ -388,6 +420,43 @@ TEST(TuneService, MeasuredResponseReportsSpeedup)
     EXPECT_NE(line.find(" speedup_vs_lex="), std::string::npos)
         << line;
     EXPECT_NE(line.find(" verified=ok"), std::string::npos) << line;
+}
+
+TEST(TuneService, OneCompilePerRequest)
+{
+    if (!JitCompiler::hostCompilerAvailable())
+        GTEST_SKIP() << "no host C compiler on PATH";
+    // The lex baseline and the top-ranked candidates compile as one
+    // translation unit, and a compile leaves nothing but its object.
+    service::Request r = service::parseRequestLine(
+        "query tune bounds 0..15 0..127 deps [1,-2] [1,-1] [1,0] [1,1] "
+        "[1,2]",
+        1);
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    std::string dir = ::testing::TempDir() + "uov_tune_one_compile_" +
+                      std::to_string(static_cast<long>(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const char *old = std::getenv("TMPDIR");
+    std::string saved = old != nullptr ? old : "";
+    ::setenv("TMPDIR", dir.c_str(), 1);
+
+    std::string line = service::runTuneRequest(r);
+    EXPECT_TRUE(line.ends_with(" verified=ok")) << line;
+    std::vector<std::string> files;
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             JitCompiler().cacheDir(), ec))
+        files.push_back(entry.path().filename().string());
+    EXPECT_EQ(files.size(), 1u);
+    for (const std::string &file : files)
+        EXPECT_EQ(std::filesystem::path(file).extension(), ".so") << file;
+
+    if (old != nullptr)
+        ::setenv("TMPDIR", saved.c_str(), 1);
+    else
+        ::unsetenv("TMPDIR");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(NativeService, ExpiredDeadlineIsOneActionableError)
