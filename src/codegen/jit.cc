@@ -20,6 +20,7 @@
 
 #include "codegen/codegen.h"
 #include "support/error.h"
+#include "support/lex.h"
 #include "support/logging.h"
 
 namespace uov {
@@ -47,9 +48,8 @@ searchPath(const std::string &name)
     const char *path = std::getenv("PATH");
     if (path == nullptr)
         return "";
-    std::stringstream ss(path);
-    std::string dir;
-    while (std::getline(ss, dir, ':')) {
+    Fields dirs(path, ':');
+    for (std::string_view dir; dirs.next(dir);) {
         if (dir.empty())
             continue;
         fs::path candidate = fs::path(dir) / name;

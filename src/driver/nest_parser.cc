@@ -5,26 +5,11 @@
 #include <sstream>
 
 #include "support/error.h"
-#include "support/flags.h"
+#include "support/lex.h"
 
 namespace uov {
 
 namespace {
-
-/** Strip comments and surrounding whitespace. */
-std::string
-cleanLine(const std::string &raw)
-{
-    std::string s = raw;
-    auto hash = s.find('#');
-    if (hash != std::string::npos)
-        s.erase(hash);
-    auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
 
 [[noreturn]] void
 fail(int line_no, const std::string &msg)
@@ -35,33 +20,36 @@ fail(int line_no, const std::string &msg)
 
 /** Parse "NAME[o1,o2,...]" into a uniform access. */
 Access
-parseAccess(const std::string &text, int line_no)
+parseAccess(std::string_view text, int line_no)
 {
     auto lb = text.find('[');
-    if (lb == std::string::npos || text.back() != ']')
-        fail(line_no, "expected NAME[o1,o2,...], got '" + text + "'");
-    std::string name = text.substr(0, lb);
-    if (name.empty())
-        fail(line_no, "empty array name in '" + text + "'");
-    std::string inside = text.substr(lb + 1, text.size() - lb - 2);
-    if (inside.empty())
-        fail(line_no, "access '" + text + "' has no offsets");
+    if (lb == std::string_view::npos || text.back() != ']')
+        fail(line_no, "expected NAME[o1,o2,...], got '" +
+                          std::string(text) + "'");
+    if (lb == 0)
+        fail(line_no, "empty array name in '" + std::string(text) + "'");
+    if (lb + 2 == text.size())
+        fail(line_no, "access '" + std::string(text) + "' has no offsets");
 
     std::vector<int64_t> offsets;
-    for (size_t begin = 0, comma = 0; comma != std::string::npos;
-         begin = comma + 1) {
-        comma = inside.find(',', begin);
-        std::string tok = inside.substr(begin, comma - begin);
-        if (!parseWholeNumber(tok, offsets.emplace_back()))
-            fail(line_no, "bad offset '" + tok + "'");
-    }
-    return uniformAccess(name, IVec(std::move(offsets)));
+    std::string_view bad;
+    if (!parseTuple(text.substr(lb), offsets, &bad))
+        fail(line_no, "bad offset '" + std::string(bad) + "'");
+    return uniformAccess(std::string(text.substr(0, lb)),
+                         IVec(offsets));
 }
 
 } // namespace
 
 LoopNest
 parseNest(std::istream &in)
+{
+    return parseNestString(
+        std::string(std::istreambuf_iterator<char>(in), {}));
+}
+
+LoopNest
+parseNestString(std::string_view text)
 {
     std::string name;
     std::optional<IVec> lo, hi;
@@ -78,41 +66,42 @@ parseNest(std::istream &in)
         current.reset();
     };
 
-    std::string raw;
+    // Lines as std::getline reads them: a final '\n' ends the last
+    // line and opens none.
+    if (!text.empty() && text.back() == '\n')
+        text.remove_suffix(1);
+    Fields lines(text, '\n');
     int line_no = 0;
-    while (std::getline(in, raw)) {
+    for (std::string_view raw; lines.next(raw);) {
         ++line_no;
-        std::istringstream ss(cleanLine(raw));
-        std::vector<std::string> tok{
-            std::istream_iterator<std::string>(ss), {}};
-        if (tok.empty())
+        Tokens toks(stripComment(raw));
+        std::string_view keyword;
+        if (!toks.next(keyword))
             continue;
-        const std::string &keyword = tok[0];
         // Every keyword but bounds takes exactly one field.
-        auto field = [&](const std::string &what) -> const std::string & {
-            if (tok.size() < 2)
-                fail(line_no, keyword + " needs " + what);
-            if (tok.size() > 2)
-                fail(line_no, "unexpected token '" + tok[2] + "'");
-            return tok[1];
+        auto field = [&](const char *what) {
+            std::string_view value, extra;
+            if (!toks.next(value))
+                fail(line_no, std::string(keyword) + " needs " + what);
+            if (toks.next(extra))
+                fail(line_no,
+                     "unexpected token '" + std::string(extra) + "'");
+            return value;
         };
 
         if (keyword == "nest") {
             name = field("a name");
         } else if (keyword == "bounds") {
-            if (tok.size() == 1)
-                fail(line_no, "bounds needs at least one range");
-            std::vector<int64_t> los(tok.size() - 1), his(tok.size() - 1);
-            for (size_t i = 1; i < tok.size(); ++i) {
-                auto dots = tok[i].find("..");
-                if (dots == std::string::npos ||
-                    !parseWholeNumber(tok[i].substr(0, dots), los[i - 1]) ||
-                    !parseWholeNumber(tok[i].substr(dots + 2), his[i - 1]))
-                    fail(line_no, "bad range '" + tok[i] +
+            std::vector<int64_t> los, his;
+            for (std::string_view range; toks.next(range);)
+                if (!parseRange(range, los.emplace_back(),
+                                his.emplace_back()))
+                    fail(line_no, "bad range '" + std::string(range) +
                                       "', expected lo..hi");
-            }
-            lo = IVec(std::move(los));
-            hi = IVec(std::move(his));
+            if (los.empty())
+                fail(line_no, "bounds needs at least one range");
+            lo = IVec(los);
+            hi = IVec(his);
         } else if (keyword == "statement") {
             flush_statement(line_no);
             current.emplace();
@@ -129,7 +118,7 @@ parseNest(std::istream &in)
             current->reads.push_back(
                 parseAccess(field("an access"), line_no));
         } else {
-            fail(line_no, "unknown keyword '" + keyword + "'");
+            fail(line_no, "unknown keyword '" + std::string(keyword) + "'");
         }
     }
     flush_statement(line_no);
@@ -148,13 +137,6 @@ parseNest(std::istream &in)
         nest.addStatement(std::move(s));
     }
     return nest;
-}
-
-LoopNest
-parseNestString(const std::string &text)
-{
-    std::istringstream iss(text);
-    return parseNest(iss);
 }
 
 std::string

@@ -24,6 +24,7 @@
 
 #include <istream>
 #include <string>
+#include <string_view>
 
 #include "ir/program.h"
 
@@ -35,8 +36,8 @@ namespace uov {
  */
 LoopNest parseNest(std::istream &in);
 
-/** Convenience overload for strings. */
-LoopNest parseNestString(const std::string &text);
+/** The same, over the whole text of a description. */
+LoopNest parseNestString(std::string_view text);
 
 /** Serialize a nest back to the text format (round-trip tested). */
 std::string formatNest(const LoopNest &nest);

@@ -10,6 +10,21 @@ serviceFlags(ServiceConfig &c)
 {
     auto assign = [](std::string &f) { return [&f](auto &v) { f = v; }; };
     auto enable = [](bool &f) { return [&f](auto &) { f = true; }; };
+    // A number read as the bounds' type and kept in [lo, hi]: a port,
+    // or a count that sizes threads or memory, is one error line past
+    // its bound, never a thread storm or a runaway allocation.
+    auto within = [](const char *flag, auto &f, auto lo, auto hi) {
+        return [flag, &f, lo, hi](const std::string &v) {
+            decltype(lo) n{};
+            if (!parseWholeNumber(v, n))
+                throw std::invalid_argument(v);
+            if (n < lo || n > hi)
+                throw FlagError(std::string(flag) + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+            f = n;
+        };
+    };
     FlagTable flags("uovd",
                     std::string("uovd ") + buildVersion() +
                         " -- UOV query service\nusage: uovd [options]\n",
@@ -23,7 +38,8 @@ serviceFlags(ServiceConfig &c)
              "(repeatable; runs before --input/stdin\n"
              "only when given, stdin is then skipped)",
              [&c](const std::string &v) { c.nest_paths.push_back(v); })
-        .number("--threads N", "worker threads (default: hardware)", c.threads)
+        .add("--threads N", "worker threads (default: hardware)",
+             within("--threads", c.threads, 0u, 1024u))
         .number("--cache-bytes N", "result cache budget (default 64 MiB)",
                 c.service.cache_bytes)
         .number("--cache-shards N", "cache stripe count (default 16)",
@@ -58,24 +74,19 @@ serviceFlags(ServiceConfig &c)
              "(/metrics /healthz /readyz /slo /flight\n"
              "/spans /quitquitquit; 0 = ephemeral, the\n"
              "bound port is printed to stderr)",
-             [&c](const std::string &v) {
-                 int64_t port = -1;
-                 if (!parseWholeNumber(v, port))
-                     throw std::invalid_argument(v);
-                 if (port < 0 || port > 65535)
-                     throw FlagError("--admin-port must be in [0, 65535]");
-                 c.admin_port = port;
-             })
+             within("--admin-port", c.admin_port, int64_t{0},
+                    int64_t{65535}))
         .add("--admin-port-file F", "also write the bound port to F",
              assign(c.admin_port_file))
         .add("--admin-hold",
              "after answering the batch, keep serving\n"
              "the admin plane until GET /quitquitquit",
              enable(c.admin_hold))
-        .number("--flight-size K",
-                "flight-recorder ring capacity\n"
-                "(default 256 request digests)",
-                c.flight_size)
+        .add("--flight-size K",
+             "flight-recorder ring capacity\n"
+             "(default 256 request digests)",
+             within("--flight-size", c.flight_size, size_t{0},
+                    size_t{1} << 16))
         .add("--trace-ids",
              "append ' trace_id=<16 hex>' to every\n"
              "response line (opt-in: the token is\n"

@@ -15,7 +15,7 @@
 #include "support/error.h"
 #include "tune/tune.h"
 #include "support/failpoint.h"
-#include "support/flags.h"
+#include "support/lex.h"
 #include "support/logging.h"
 #include "support/trace.h"
 #include "telemetry/trace_context.h"
@@ -23,58 +23,8 @@
 namespace uov {
 namespace service {
 
-namespace {
-
-/** Strip comments and surrounding whitespace (nest_parser rules). */
-std::string
-cleanLine(const std::string &raw)
-{
-    std::string s = raw;
-    auto hash = s.find('#');
-    if (hash != std::string::npos)
-        s.erase(hash);
-    auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-/** Parse "[o1,o2,...]" (nest_parser access-offset syntax): every
- *  field one whole number, none empty. */
-bool
-parseVec(const std::string &tok, IVec &out)
-{
-    if (tok.size() < 3 || tok.front() != '[' || tok.back() != ']')
-        return false;
-    std::string inside = tok.substr(1, tok.size() - 2);
-    std::vector<int64_t> coords;
-    for (size_t begin = 0, comma = 0; comma != std::string::npos;
-         begin = comma + 1) {
-        comma = inside.find(',', begin);
-        if (!parseWholeNumber(inside.substr(begin, comma - begin),
-                              coords.emplace_back()))
-            return false;
-    }
-    out = IVec(std::move(coords));
-    return true;
-}
-
-/** Parse "lo..hi" (nest_parser bounds syntax). */
-bool
-parseRange(const std::string &tok, int64_t &lo, int64_t &hi)
-{
-    auto dots = tok.find("..");
-    if (dots == std::string::npos)
-        return false;
-    return parseWholeNumber(tok.substr(0, dots), lo) &&
-           parseWholeNumber(tok.substr(dots + 2), hi);
-}
-
-} // namespace
-
 Request
-parseRequestLine(const std::string &line, size_t index,
+parseRequestLine(std::string_view line, size_t index,
                  int64_t default_deadline_ms)
 {
     TRACE_SPAN("service.parse");
@@ -86,13 +36,15 @@ parseRequestLine(const std::string &line, size_t index,
         return r;
     };
 
-    std::stringstream ss(line);
-    std::string tok;
-    ss >> tok;
+    // A clause reads past its last token with tok still on it, as
+    // operator>> would leave it; the error texts below rely on that.
+    Tokens toks(line);
+    std::string_view tok;
+    toks.next(tok);
     if (tok != "query")
-        return fail("expected 'query', got '" + tok + "'");
+        return fail("expected 'query', got '" + std::string(tok) + "'");
 
-    ss >> tok;
+    toks.next(tok);
     if (tok == "shortest") {
         r.objective = SearchObjective::ShortestVector;
     } else if (tok == "storage") {
@@ -102,34 +54,34 @@ parseRequestLine(const std::string &line, size_t index,
     } else if (tok == "tune") {
         r.tune = true;
     } else {
-        return fail("bad objective '" + tok +
+        return fail("bad objective '" + std::string(tok) +
                     "', expected shortest|storage|native|tune");
     }
 
-    if (!(ss >> tok))
+    if (!toks.next(tok))
         return fail("missing 'deps'");
 
     if (tok == "deadline_ms") {
-        if (!(ss >> tok))
+        if (!toks.next(tok))
             return fail("'deadline_ms' needs a millisecond count");
         int64_t ms;
         if (!parseWholeNumber(tok, ms) || ms < -1)
-            return fail("bad deadline '" + tok +
+            return fail("bad deadline '" + std::string(tok) +
                         "', expected -1 or a millisecond count");
         r.deadline_ms = ms;
-        if (!(ss >> tok))
+        if (!toks.next(tok))
             return fail("missing 'deps'");
     }
 
     if (tok == "bounds") {
         std::vector<int64_t> los, his;
-        while (ss >> tok && tok != "deps") {
+        while (toks.next(tok) && tok != "deps") {
             int64_t lo, hi;
             if (!parseRange(tok, lo, hi))
-                return fail("bad range '" + tok +
+                return fail("bad range '" + std::string(tok) +
                             "', expected lo..hi");
             if (lo > hi)
-                return fail("empty range '" + tok + "'");
+                return fail("empty range '" + std::string(tok) + "'");
             los.push_back(lo);
             his.push_back(hi);
         }
@@ -137,19 +89,20 @@ parseRequestLine(const std::string &line, size_t index,
             return fail("'bounds' needs at least one range");
         if (tok != "deps")
             return fail("missing 'deps'");
-        r.isg_lo = IVec(std::move(los));
-        r.isg_hi = IVec(std::move(his));
+        r.isg_lo = IVec(los);
+        r.isg_hi = IVec(his);
     }
 
     if (tok != "deps")
-        return fail("expected 'bounds' or 'deps', got '" + tok + "'");
+        return fail("expected 'bounds' or 'deps', got '" +
+                    std::string(tok) + "'");
 
-    while (ss >> tok) {
-        IVec v;
-        if (!parseVec(tok, v))
-            return fail("bad dependence '" + tok +
+    std::vector<int64_t> coords;
+    while (toks.next(tok)) {
+        if (!parseTuple(tok, coords))
+            return fail("bad dependence '" + std::string(tok) +
                         "', expected [o1,o2,...]");
-        r.deps.push_back(std::move(v));
+        r.deps.emplace_back(coords);
     }
     if (r.deps.empty())
         return fail("'deps' needs at least one vector");
@@ -180,8 +133,8 @@ parseRequests(std::istream &in, int64_t default_deadline_ms)
     std::vector<Request> requests;
     std::string raw;
     while (std::getline(in, raw)) {
-        std::string line = cleanLine(raw);
-        if (line.empty())
+        std::string_view line = stripComment(raw), first;
+        if (!Tokens(line).next(first))
             continue;
         requests.push_back(parseRequestLine(line, requests.size() + 1,
                                             default_deadline_ms));
@@ -557,7 +510,8 @@ Watchdog::flagOverdue()
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 now - entry.started)
                 .count();
-        if (running < 2 * entry.deadline_ms)
+        // running < 2 * deadline, with no product to overflow.
+        if (running - entry.deadline_ms < entry.deadline_ms)
             continue;
         entry.flagged = true;
         ++flagged;

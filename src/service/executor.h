@@ -3,9 +3,10 @@
  * Batch executor: the newline-delimited query protocol and the fan-out
  * of parsed requests onto a ThreadPool.
  *
- * Protocol (one request per line; '#' comments and blank lines are
- * skipped and consume no request index; sub-syntax -- 'lo..hi' ranges
- * and bracketed integer tuples -- matches driver/nest_parser):
+ * Protocol (one request per line; '#' comments and lines without a
+ * token are skipped and consume no request index; tokens, 'lo..hi'
+ * ranges and bracketed integer tuples come from support/lex.h, the
+ * lexer driver/nest_parser shares):
  *
  *     # best UOV by squared length
  *     query shortest deps [1,0] [0,1] [1,1]
@@ -47,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -83,7 +85,7 @@ std::vector<Request> parseRequests(std::istream &in,
                                    int64_t default_deadline_ms = -1);
 
 /** Parse one request line (no comment/blank handling). */
-Request parseRequestLine(const std::string &line, size_t index,
+Request parseRequestLine(std::string_view line, size_t index,
                          int64_t default_deadline_ms = -1);
 
 /**

@@ -26,95 +26,54 @@ constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 
 /** Plain FNV-1a 64 over the payload bytes. */
 uint64_t
-fnv1a(const char *data, size_t len)
+fnv1a(std::string_view bytes)
 {
     uint64_t h = 0xcbf29ce484222325ULL;
-    for (size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
+    for (unsigned char b : bytes) {
+        h ^= b;
         h *= 0x100000001b3ULL;
     }
     return h;
 }
 
+/** Append @p v little-endian, in sizeof(T) bytes. */
+template <typename T>
 void
-putU32(std::string &out, uint32_t v)
+put(std::string &out, T v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    for (size_t i = 0; i < sizeof(T); ++i)
+        out.push_back(static_cast<char>(
+            (static_cast<uint64_t>(v) >> (8 * i)) & 0xff));
 }
 
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putI64(std::string &out, int64_t v)
-{
-    putU64(out, static_cast<uint64_t>(v));
-}
-
-/** Bounds-checked little-endian reader over a payload. */
+/** Bounds-checked little-endian reader over a frame or a payload. */
 class Cursor
 {
   public:
-    explicit Cursor(const std::string &bytes) : _bytes(bytes) {}
+    explicit Cursor(std::string_view bytes) : _bytes(bytes) {}
 
+    /** One little-endian value, in sizeof(T) bytes. */
+    template <typename T>
     bool
-    u32(uint32_t &v)
+    get(T &v)
     {
-        if (_pos + 4 > _bytes.size())
+        if (_pos + sizeof(T) > _bytes.size())
             return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(
-                     static_cast<unsigned char>(_bytes[_pos + i]))
+        uint64_t u = 0;
+        for (size_t i = 0; i < sizeof(T); ++i)
+            u |= uint64_t{static_cast<unsigned char>(_bytes[_pos + i])}
                  << (8 * i);
-        _pos += 4;
+        v = static_cast<T>(u);
+        _pos += sizeof(T);
         return true;
     }
 
     bool
-    u64(uint64_t &v)
-    {
-        if (_pos + 8 > _bytes.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(
-                     static_cast<unsigned char>(_bytes[_pos + i]))
-                 << (8 * i);
-        _pos += 8;
-        return true;
-    }
-
-    bool
-    i64(int64_t &v)
-    {
-        uint64_t u;
-        if (!u64(u))
-            return false;
-        v = static_cast<int64_t>(u);
-        return true;
-    }
-
-    bool
-    u8(uint8_t &v)
-    {
-        if (_pos >= _bytes.size())
-            return false;
-        v = static_cast<unsigned char>(_bytes[_pos++]);
-        return true;
-    }
-
-    bool
-    bytes(std::string &out, size_t len)
+    bytes(std::string_view &out, size_t len)
     {
         if (_pos + len > _bytes.size())
             return false;
-        out.assign(_bytes, _pos, len);
+        out = _bytes.substr(_pos, len);
         _pos += len;
         return true;
     }
@@ -122,27 +81,37 @@ class Cursor
     bool done() const { return _pos == _bytes.size(); }
 
   private:
-    const std::string &_bytes;
+    std::string_view _bytes;
     size_t _pos = 0;
 };
+
+/** Append one log frame to @p out: u32 length, u64 checksum, then
+ *  the payload itself. */
+void
+putFrame(std::string &out, const std::string &payload)
+{
+    put<uint32_t>(out, payload.size());
+    put<uint64_t>(out, fnv1a(payload));
+    out += payload;
+}
 
 void
 putIVec(std::string &out, const IVec &v)
 {
-    putU32(out, static_cast<uint32_t>(v.dim()));
+    put<uint32_t>(out, v.dim());
     for (size_t i = 0; i < v.dim(); ++i)
-        putI64(out, v[i]);
+        put<int64_t>(out, v[i]);
 }
 
 bool
 getIVec(Cursor &cur, IVec &out)
 {
     uint32_t dim;
-    if (!cur.u32(dim) || dim == 0 || dim > 1024)
+    if (!cur.get(dim) || dim == 0 || dim > 1024)
         return false;
     std::vector<int64_t> coords(dim);
     for (uint32_t i = 0; i < dim; ++i)
-        if (!cur.i64(coords[i]))
+        if (!cur.get(coords[i]))
             return false;
     out = IVec(std::move(coords));
     return true;
@@ -156,7 +125,7 @@ ResultStore::encodePayload(const CanonicalKey &key,
 {
     std::string out;
     // Key.
-    putU32(out, static_cast<uint32_t>(key.deps.size()));
+    put<uint32_t>(out, key.deps.size());
     for (const IVec &v : key.deps)
         putIVec(out, v);
     out.push_back(
@@ -166,31 +135,31 @@ ResultStore::encodePayload(const CanonicalKey &key,
         putIVec(out, *key.isg_lo);
         putIVec(out, *key.isg_hi);
     }
-    putI64(out, key.deadline_ms);
+    put<int64_t>(out, key.deadline_ms);
     // Answer.
     putIVec(out, answer.best_uov);
-    putI64(out, answer.best_objective);
-    putI64(out, answer.initial_objective);
-    putU64(out, answer.canonical_deps);
+    put<int64_t>(out, answer.best_objective);
+    put<int64_t>(out, answer.initial_objective);
+    put<uint64_t>(out, answer.canonical_deps);
     out.push_back(answer.degraded ? 1 : 0);
-    putU32(out, static_cast<uint32_t>(answer.degraded_reason.size()));
+    put<uint32_t>(out, answer.degraded_reason.size());
     out += answer.degraded_reason;
-    putU32(out, static_cast<uint32_t>(answer.cert.size()));
+    put<uint32_t>(out, answer.cert.size());
     for (const auto &row : answer.cert) {
-        putU32(out, static_cast<uint32_t>(row.size()));
+        put<uint32_t>(out, row.size());
         for (int64_t c : row)
-            putI64(out, c);
+            put<int64_t>(out, c);
     }
     return out;
 }
 
 bool
-ResultStore::decodePayload(const std::string &payload, CanonicalKey &key,
+ResultStore::decodePayload(std::string_view payload, CanonicalKey &key,
                            ServiceAnswer &answer)
 {
     Cursor cur(payload);
     uint32_t ndeps;
-    if (!cur.u32(ndeps) || ndeps == 0 || ndeps > 100'000)
+    if (!cur.get(ndeps) || ndeps == 0 || ndeps > 100'000)
         return false;
     key.deps.clear();
     key.deps.reserve(ndeps);
@@ -201,7 +170,7 @@ ResultStore::decodePayload(const std::string &payload, CanonicalKey &key,
         key.deps.push_back(std::move(v));
     }
     uint8_t objective, has_box;
-    if (!cur.u8(objective) || objective > 1 || !cur.u8(has_box) ||
+    if (!cur.get(objective) || objective > 1 || !cur.get(has_box) ||
         has_box > 1)
         return false;
     key.objective = objective ? SearchObjective::BoundedStorage
@@ -215,37 +184,39 @@ ResultStore::decodePayload(const std::string &payload, CanonicalKey &key,
         key.isg_lo = std::move(lo);
         key.isg_hi = std::move(hi);
     }
-    if (!cur.i64(key.deadline_ms) || key.deadline_ms < -1)
+    if (!cur.get(key.deadline_ms) || key.deadline_ms < -1)
         return false;
     if (!getIVec(cur, answer.best_uov))
         return false;
-    if (!cur.i64(answer.best_objective) ||
-        !cur.i64(answer.initial_objective))
+    if (!cur.get(answer.best_objective) ||
+        !cur.get(answer.initial_objective))
         return false;
     uint64_t canon;
-    if (!cur.u64(canon))
+    if (!cur.get(canon))
         return false;
     answer.canonical_deps = static_cast<size_t>(canon);
     uint8_t degraded;
-    if (!cur.u8(degraded) || degraded > 1)
+    if (!cur.get(degraded) || degraded > 1)
         return false;
     answer.degraded = degraded != 0;
     uint32_t reason_len;
-    if (!cur.u32(reason_len) || reason_len > 4096 ||
-        !cur.bytes(answer.degraded_reason, reason_len))
+    std::string_view reason;
+    if (!cur.get(reason_len) || reason_len > 4096 ||
+        !cur.bytes(reason, reason_len))
         return false;
+    answer.degraded_reason = reason;
     uint32_t nrows;
-    if (!cur.u32(nrows) || nrows > 100'000)
+    if (!cur.get(nrows) || nrows > 100'000)
         return false;
     answer.cert.clear();
     answer.cert.reserve(nrows);
     for (uint32_t i = 0; i < nrows; ++i) {
         uint32_t len;
-        if (!cur.u32(len) || len > 100'000)
+        if (!cur.get(len) || len > 100'000)
             return false;
         std::vector<int64_t> row(len);
         for (uint32_t j = 0; j < len; ++j)
-            if (!cur.i64(row[j]))
+            if (!cur.get(row[j]))
                 return false;
         answer.cert.push_back(std::move(row));
     }
@@ -341,33 +312,15 @@ ResultStore::open()
     size_t pos = kMagicBytes;
     bool torn = false;
     while (pos < buf.size()) {
-        if (pos + kFrameBytes > buf.size()) {
-            torn = true;
-            break;
-        }
-        uint32_t len = 0;
-        for (int i = 0; i < 4; ++i)
-            len |= static_cast<uint32_t>(
-                       static_cast<unsigned char>(buf[pos + i]))
-                   << (8 * i);
-        uint64_t checksum = 0;
-        for (int i = 0; i < 8; ++i)
-            checksum |= static_cast<uint64_t>(static_cast<unsigned char>(
-                            buf[pos + 4 + i]))
-                        << (8 * i);
-        if (len == 0 || len > kMaxPayloadBytes ||
-            pos + kFrameBytes + len > buf.size()) {
-            torn = true;
-            break;
-        }
-        std::string payload =
-            buf.substr(pos + kFrameBytes, len);
-        if (fnv1a(payload.data(), payload.size()) != checksum) {
-            torn = true;
-            break;
-        }
+        Cursor frame(std::string_view(buf).substr(pos));
+        uint32_t len;
+        uint64_t checksum;
+        std::string_view payload;
         Record rec;
-        if (!decodePayload(payload, rec.key, rec.answer)) {
+        if (!frame.get(len) || !frame.get(checksum) || len == 0 ||
+            len > kMaxPayloadBytes || !frame.bytes(payload, len) ||
+            fnv1a(payload) != checksum ||
+            !decodePayload(payload, rec.key, rec.answer)) {
             torn = true;
             break;
         }
@@ -407,12 +360,8 @@ ResultStore::publishSegment(const std::vector<Record> &records)
     UOV_REQUIRE(fd >= 0, "cannot write result store segment '"
                              << tmp << "': " << std::strerror(errno));
     std::string out(kMagic, kMagicBytes);
-    for (const Record &rec : records) {
-        std::string payload = encodePayload(rec.key, rec.answer);
-        putU32(out, static_cast<uint32_t>(payload.size()));
-        putU64(out, fnv1a(payload.data(), payload.size()));
-        out += payload;
-    }
+    for (const Record &rec : records)
+        putFrame(out, encodePayload(rec.key, rec.answer));
     size_t off = 0;
     while (off < out.size()) {
         ssize_t n = ::write(fd, out.data() + off, out.size() - off);
@@ -457,12 +406,8 @@ ResultStore::append(const CanonicalKey &key, const ServiceAnswer &answer)
     if (_broken)
         return fail();
 
-    std::string payload = encodePayload(key, answer);
     std::string rec;
-    rec.reserve(kFrameBytes + payload.size());
-    putU32(rec, static_cast<uint32_t>(payload.size()));
-    putU64(rec, fnv1a(payload.data(), payload.size()));
-    rec += payload;
+    putFrame(rec, encodePayload(key, answer));
 
     try {
         failpoint::fire("store_write");

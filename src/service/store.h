@@ -58,6 +58,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -152,7 +153,7 @@ class ResultStore
      */
     static std::string encodePayload(const CanonicalKey &key,
                                      const ServiceAnswer &answer);
-    static bool decodePayload(const std::string &payload,
+    static bool decodePayload(std::string_view payload,
                               CanonicalKey &key, ServiceAnswer &answer);
 
   private:

@@ -39,17 +39,21 @@ class Deadline
      * A deadline @p ms milliseconds from now.  Negative values mean
      * unbounded (the CLI's "no deadline" sentinel); zero expires
      * immediately, which is legal and useful -- it forces the anytime
-     * paths to return their seed incumbent deterministically.
+     * paths to return their seed incumbent deterministically.  A
+     * deadline past the clock's range never expires.
      */
     static Deadline
     afterMillis(int64_t ms)
     {
-        Deadline d;
-        if (ms >= 0) {
-            d._bounded = true;
-            d._at = Clock::now() + std::chrono::milliseconds(ms);
-        }
-        return d;
+        using std::chrono::milliseconds;
+        if (ms < 0)
+            return never();
+        auto now = Clock::now();
+        auto headroom = std::chrono::duration_cast<milliseconds>(
+            Clock::time_point::max() - now);
+        if (milliseconds(ms) >= headroom)
+            return never();
+        return at(now + milliseconds(ms));
     }
 
     /** A deadline at an explicit clock point. */

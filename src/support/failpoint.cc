@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <thread>
 
-#include "support/flags.h"
+#include "support/lex.h"
 #include "support/logging.h"
 #include "support/rng.h"
 
@@ -86,55 +86,46 @@ Registry::armFromSpec(const std::string &spec, std::string *error)
         return false;
     };
 
-    size_t pos = 0;
-    while (pos < spec.size()) {
-        size_t end = spec.find(',', pos);
-        if (end == std::string::npos)
-            end = spec.size();
-        std::string entry = spec.substr(pos, end - pos);
-        pos = end + 1;
+    Fields entries(spec, ',');
+    for (std::string_view entry; entries.next(entry);) {
         if (entry.empty())
             continue;
 
         // Split on ':' into site, prob, [seed], [action].
-        std::vector<std::string> parts;
-        size_t p = 0;
-        while (p <= entry.size()) {
-            size_t colon = entry.find(':', p);
-            if (colon == std::string::npos)
-                colon = entry.size();
-            parts.push_back(entry.substr(p, colon - p));
-            p = colon + 1;
-        }
+        std::vector<std::string_view> parts;
+        Fields fields(entry, ':');
+        for (std::string_view part; fields.next(part);)
+            parts.push_back(part);
+        auto bad = [&](const char *why) {
+            return fail("'" + std::string(entry) + "' " + why);
+        };
         if (parts.size() < 2 || parts.size() > 4)
-            return fail("'" + entry +
-                        "' is not site:prob[:seed[:action]]");
+            return bad("is not site:prob[:seed[:action]]");
         if (parts[0].empty())
-            return fail("'" + entry + "' has an empty site name");
+            return bad("has an empty site name");
 
         Config config;
         if (!parseWholeNumber(parts[1], config.probability) ||
             (parts.size() >= 3 && !parseWholeNumber(parts[2], config.seed)))
-            return fail("'" + entry + "' has a non-numeric field");
+            return bad("has a non-numeric field");
         if (config.probability < 0.0 || config.probability > 1.0)
-            return fail("'" + entry + "' probability outside [0, 1]");
+            return bad("probability outside [0, 1]");
 
         if (parts.size() == 4) {
-            const std::string &act = parts[3];
+            std::string_view act = parts[3];
             if (act == "throw") {
                 config.action = Action::Throw;
-            } else if (act.rfind("delay", 0) == 0) {
+            } else if (act.starts_with("delay")) {
                 config.action = Action::Delay;
-                std::string ms = act.substr(5);
+                std::string_view ms = act.substr(5);
                 if (!ms.empty() && (!parseWholeNumber(ms, config.delay_ms) ||
                                     config.delay_ms < 0))
-                    return fail("'" + entry + "' has a bad delay count");
+                    return bad("has a bad delay count");
             } else {
-                return fail("'" + entry + "' action must be throw or "
-                                          "delayN");
+                return bad("action must be throw or delayN");
             }
         }
-        arm(parts[0], config);
+        arm(std::string(parts[0]), config);
     }
     return true;
 }

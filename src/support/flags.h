@@ -11,7 +11,6 @@
 #ifndef UOV_SUPPORT_FLAGS_H
 #define UOV_SUPPORT_FLAGS_H
 
-#include <charconv>
 #include <functional>
 #include <iosfwd>
 #include <optional>
@@ -20,23 +19,9 @@
 #include <vector>
 
 #include "support/error.h"
+#include "support/lex.h"
 
 namespace uov {
-
-/** Parse all of @p tok as one T in range: no '+', blank or junk, no
- *  '-' on an unsigned T.  Leaves @p out alone on failure. */
-template <typename T>
-bool
-parseWholeNumber(const std::string &tok, T &out)
-{
-    T value{};
-    const char *end = tok.data() + tok.size();
-    auto [ptr, ec] = std::from_chars(tok.data(), end, value);
-    if (ec != std::errc() || ptr != end)
-        return false;
-    out = value;
-    return true;
-}
 
 /** One command-line mistake; what() is its line of text. */
 struct FlagError : UovUserError

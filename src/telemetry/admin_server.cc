@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "support/error.h"
+#include "support/lex.h"
 #include "telemetry/prometheus.h"
 
 namespace uov {
@@ -246,16 +247,13 @@ AdminServer::serveLoop()
                 break;
             head.append(buf, static_cast<size_t>(n));
         }
-        std::string method, path;
-        {
-            std::istringstream iss(head);
-            iss >> method >> path;
-        }
+        std::string_view method, path;
+        Tokens request_line(head);
         std::string response =
-            (method.empty() || path.empty())
+            !request_line.next(method) || !request_line.next(path)
                 ? httpResponse(400, "Bad Request", "text/plain",
                                "malformed request line\n")
-                : handle(method, path);
+                : handle(std::string(method), std::string(path));
         size_t off = 0;
         while (off < response.size()) {
             ssize_t n = ::send(conn, response.data() + off,

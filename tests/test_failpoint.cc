@@ -64,6 +64,16 @@ TEST(Deadline, ExplicitClockPoint)
     EXPECT_EQ(past.remainingMillis(), 0);
 }
 
+TEST(Deadline, HugeMillisNeverExpire)
+{
+    // Past the clock's range, now + ms would wrap into the past.
+    for (int64_t ms : {INT64_MAX, int64_t{9'300'000'000'000}}) {
+        Deadline d = Deadline::afterMillis(ms);
+        EXPECT_FALSE(d.expired()) << ms;
+        EXPECT_EQ(d.remainingMillis(), INT64_MAX) << ms;
+    }
+}
+
 // ---------------------------------------------------------------- //
 // CancelToken
 // ---------------------------------------------------------------- //

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "analysis/pipeline.h"
 #include "driver/nest_parser.h"
 #include "fuzz/generator.h"
@@ -146,6 +148,39 @@ TEST(NestParser, RejectsLeftoverAndPartialTokens)
     expect_error("nest n extra\n", "line 1: unexpected token 'extra'");
     expect_error("nest n\nbounds 0..3\nstatement s t\n",
                  "line 3: unexpected token 't'");
+}
+
+// A line with no token -- "\v", or "\f # x" once its comment is
+// gone -- is skipped, and still counts toward the line numbers.
+TEST(NestParser, SkipsLinesWithoutAToken)
+{
+    LoopNest nest = parseNestString("\v\nnest n\n\f # x\nbounds 0..3\n"
+                                    "statement s\n \r\n  write A[0]\n");
+    EXPECT_EQ(nest.name(), "n");
+    EXPECT_EQ(nest.statement(0).write.offset, (IVec{0}));
+    expect_error("\v\n\f # x\nnest n\nbounds 0..3\nfrobnicate\n",
+                 "line 5: unknown keyword 'frobnicate'");
+}
+
+// Lines are numbered as std::getline reads them: a final newline ends
+// the last line and opens none.
+TEST(NestParser, FinalNewlineOpensNoLine)
+{
+    const std::string text = "nest n\nbounds 0..3\nstatement s";
+    expect_error(text, "line 3: statement 's' has no write access");
+    expect_error(text + "\n", "line 3: statement 's' has no write access");
+    expect_error(text + "\n\n",
+                 "line 4: statement 's' has no write access");
+    // The stream overload reads the same lines.
+    std::istringstream in(text + "\n");
+    try {
+        parseNest(in);
+        FAIL() << "expected parse failure";
+    } catch (const UovUserError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 3: statement 's'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(NestParser, StructuralErrors)

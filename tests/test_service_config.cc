@@ -343,6 +343,25 @@ TEST(ServiceConfig, AdminPortMustFitAPort)
     EXPECT_EQ(parsed({"--admin-port", "0"}).admin_port, 0);
 }
 
+// --threads starts that many OS threads and --flight-size allocates
+// that many digest slots, so each stops at a bound with one error
+// line; 0 keeps its meaning (hardware threads, the smallest ring).
+TEST(ServiceConfig, ThreadsAndFlightSizeAreBounded)
+{
+    EXPECT_EQ(parsed({"--threads", "1024"}).threads, 1024u);
+    EXPECT_EQ(parsed({"--threads", "0"}).threads, 0u);
+    EXPECT_EQ(serviceError({"--threads", "1025"}),
+              "--threads must be in [0, 1024]");
+    EXPECT_EQ(serviceError({"--threads", "4294967295"}),
+              "--threads must be in [0, 1024]");
+    EXPECT_EQ(parsed({"--flight-size", "65536"}).flight_size, 65536u);
+    EXPECT_EQ(parsed({"--flight-size", "0"}).flight_size, 0u);
+    EXPECT_EQ(serviceError({"--flight-size", "65537"}),
+              "--flight-size must be in [0, 65536]");
+    EXPECT_EQ(serviceError({"--flight-size", "18446744073709551615"}),
+              "--flight-size must be in [0, 65536]");
+}
+
 TEST(ServiceConfig, LogLevelNames)
 {
     EXPECT_EQ(parsed({"--log-level", "error"}).log_level,

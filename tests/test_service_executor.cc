@@ -17,6 +17,7 @@
 #include "codegen/jit.h"
 #include "service/executor.h"
 #include "support/failpoint.h"
+#include "support/rng.h"
 
 namespace uov {
 namespace service {
@@ -190,6 +191,126 @@ TEST(Executor, SkipsCommentsAndBlankLines)
     EXPECT_TRUE(reqs[0].error.empty());
     EXPECT_EQ(reqs[1].index, 2u);
     EXPECT_FALSE(reqs[1].error.empty());
+}
+
+// A line with no token once its comment is stripped -- "\v", or
+// "\f # x" -- is skipped like a blank line and uses no request index.
+TEST(Executor, SkipsLinesWithoutAToken)
+{
+    std::istringstream in("\v\n"
+                          "\f # x\n"
+                          "query shortest deps [1,0]\n"
+                          " \v\f\r\n"
+                          "query shortest deps [0,1]\n");
+    std::vector<Request> reqs = parseRequests(in);
+    ASSERT_EQ(reqs.size(), 2u);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_EQ(reqs[i].index, i + 1);
+        EXPECT_TRUE(reqs[i].error.empty()) << reqs[i].error;
+    }
+}
+
+/** A random well-formed request and its line: every verb, bounds,
+ *  deadline_ms, 1-D to 4-D deps, separators drawn from the five
+ *  spaces a line can hold, and sometimes a trailing comment. */
+std::string
+randomRequestLine(SplitMix64 &rng, Request &want)
+{
+    const char spaces[] = {' ', '\t', '\v', '\f', '\r'};
+    auto gap = [&] {
+        std::string g(1 + rng.next() % 3, ' ');
+        for (char &c : g)
+            c = spaces[rng.next() % sizeof(spaces)];
+        return g;
+    };
+    auto coord = [&]() -> int64_t {
+        switch (rng.next() % 8) {
+          case 0: return INT64_MIN;
+          case 1: return INT64_MAX;
+          default: return static_cast<int64_t>(rng.next() % 19) - 9;
+        }
+    };
+
+    const char *verbs[] = {"shortest", "storage", "native", "tune"};
+    size_t verb = rng.next() % 4;
+    want.objective = verb == 1 ? SearchObjective::BoundedStorage
+                               : SearchObjective::ShortestVector;
+    want.native = verb == 2;
+    want.tune = verb == 3;
+    std::string line = (rng.next() % 2 ? gap() : "") + "query" + gap() +
+                       verbs[verb];
+
+    if (rng.next() % 2) {
+        const int64_t deadlines[] = {-1, 0, 5, 250, INT64_MAX};
+        want.deadline_ms = deadlines[rng.next() % 5];
+        line += gap() + "deadline_ms" + gap() +
+                std::to_string(want.deadline_ms);
+    }
+
+    size_t dim = 1 + rng.next() % 4;
+    if (verb != 0) {
+        IVec lo(dim), hi(dim);
+        line += gap() + "bounds";
+        for (size_t c = 0; c < dim; ++c) {
+            lo[c] = coord();
+            hi[c] = lo[c] == INT64_MAX
+                        ? lo[c]
+                        : lo[c] + static_cast<int64_t>(rng.next() % 40);
+            line += gap() + std::to_string(lo[c]) + ".." +
+                    std::to_string(hi[c]);
+        }
+        want.isg_lo = lo;
+        want.isg_hi = hi;
+    }
+
+    line += gap() + "deps";
+    for (size_t d = 0, n = 1 + rng.next() % 5; d < n; ++d) {
+        IVec dep(dim);
+        line += gap() + "[";
+        for (size_t c = 0; c < dim; ++c) {
+            dep[c] = coord();
+            line += (c ? "," : "") + std::to_string(dep[c]);
+        }
+        line += "]";
+        want.deps.push_back(dep);
+    }
+    if (rng.next() % 3 == 0)
+        line += gap() + "# query shortest deps [1,0]";
+    else if (rng.next() % 2)
+        line += gap();
+    return line;
+}
+
+// Rendering a request and reading it back gives every field back.
+// '\n' ends lines, so it appears between requests, sometimes with a
+// blank or comment-only line that uses no request index.  (Lines of
+// '\v' or '\f' alone are SkipsLinesWithoutAToken's business.)
+TEST(Executor, FuzzedRequestRoundTrip1000)
+{
+    SplitMix64 rng(20261018);
+    std::vector<Request> want(1000);
+    std::string text;
+    for (size_t i = 0; i < want.size(); ++i) {
+        want[i].index = i + 1;
+        text += randomRequestLine(rng, want[i]) + "\n";
+        if (rng.next() % 4 == 0)
+            text += rng.next() % 2 ? " \t\r\n" : "\t# [1,0] query\n";
+    }
+    std::istringstream in(text);
+    std::vector<Request> got = parseRequests(in);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        const Request &a = want[i], &b = got[i];
+        ASSERT_EQ(b.error, "") << "request " << a.index;
+        EXPECT_EQ(b.index, a.index);
+        EXPECT_EQ(b.deps, a.deps) << "request " << a.index;
+        EXPECT_EQ(b.objective, a.objective) << "request " << a.index;
+        EXPECT_EQ(b.native, a.native) << "request " << a.index;
+        EXPECT_EQ(b.tune, a.tune) << "request " << a.index;
+        EXPECT_EQ(b.isg_lo, a.isg_lo) << "request " << a.index;
+        EXPECT_EQ(b.isg_hi, a.isg_hi) << "request " << a.index;
+        EXPECT_EQ(b.deadline_ms, a.deadline_ms) << "request " << a.index;
+    }
 }
 
 std::vector<Request>
@@ -367,6 +488,28 @@ TEST(Executor, ZeroDeadlineBatchStaysByteIdentical)
     }
 }
 
+// A deadline past the clock's range never expires: on a line or as
+// the default, it answers like no deadline, not with ov_o at once.
+TEST(Executor, HugeDeadlineAnswersLikeNoDeadline)
+{
+    const char *deps = " deps [1,-1] [1,0] [1,1]";
+    std::vector<Request> reqs = {
+        parseRequestLine(std::string("query shortest") + deps, 1),
+        parseRequestLine(
+            std::string("query shortest deadline_ms 9223372036854775807") +
+                deps,
+            2),
+        parseRequestLine(std::string("query shortest") + deps, 3,
+                         INT64_MAX)};
+    std::vector<std::string> got = runBatchDirect(reqs, kVisitCap);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].rfind("answer 1 best=(2, 0) value=4 ", 0), 0u)
+        << got[0];
+    EXPECT_EQ(got[0].find(" degraded="), std::string::npos) << got[0];
+    for (size_t i = 1; i < got.size(); ++i)
+        EXPECT_EQ(got[i].substr(9), got[0].substr(9)) << got[i];
+}
+
 TEST(Executor, FailPointErrorsAreIsolatedPerRequest)
 {
     std::vector<Request> reqs = mixedBatch();
@@ -456,6 +599,15 @@ TEST(Executor, WatchdogFinishedRequestCannotBecomeOverdue)
     dog.finish(0);
     EXPECT_EQ(dog.flagOverdue(), 0u);
     EXPECT_EQ(overdue.value(), 0u);
+}
+
+TEST(Executor, WatchdogNeverFlagsHugeDeadlines)
+{
+    // Twice these deadlines is past INT64_MAX.
+    Watchdog dog(0, nullptr);
+    dog.start(0, INT64_MAX);
+    dog.start(1, INT64_MAX / 2 + 1);
+    EXPECT_EQ(dog.flagOverdue(), 0u);
 }
 
 TEST(Executor, WatchdogWithoutCounterStillFlags)
