@@ -37,13 +37,6 @@ using namespace uov::service;
 
 namespace {
 
-double
-qps(size_t requests, double wall_ns)
-{
-    return wall_ns > 0 ? static_cast<double>(requests) * 1e9 / wall_ns
-                       : 0.0;
-}
-
 struct RegimeResult
 {
     std::vector<std::string> responses;

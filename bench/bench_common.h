@@ -18,8 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/reduction.h"
 #include "sim/machine.h"
 #include "sim/streaming.h"
+#include "support/rng.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
 #include "support/trace.h"
@@ -150,6 +152,35 @@ inline double
 mEventsPerSec(double events, double wall_ns)
 {
     return wall_ns > 0 ? events * 1000.0 / wall_ns : 0.0;
+}
+
+/** Requests per second: @p requests answered in @p wall_ns. */
+inline double
+qps(size_t requests, double wall_ns)
+{
+    return wall_ns > 0 ? static_cast<double>(requests) * 1e9 / wall_ns
+                       : 0.0;
+}
+
+/**
+ * Seeded PARTITION instance of @p n values in [1, 10], the last one
+ * bumped to make the sum even.  bench_fig4_search_bound and
+ * bench_search_anytime draw from the same seed, so they sweep the same
+ * hard instances; bench_tune takes one small instance.
+ */
+inline PartitionInstance
+randomPartition(size_t n, SplitMix64 &rng)
+{
+    PartitionInstance inst;
+    for (size_t i = 0; i < n; ++i)
+        inst.values.push_back(
+            1 + static_cast<int64_t>(rng.nextInRange(0, 9)));
+    int64_t total = 0;
+    for (int64_t v : inst.values)
+        total += v;
+    if (total % 2)
+        inst.values.back() += 1;
+    return inst;
 }
 
 /** Header label of the throughput column the scaling benches emit. */

@@ -16,26 +16,6 @@ using namespace uov;
 
 namespace {
 
-/**
- * Seeded PARTITION instance sized n, parity-fixed to an even sum --
- * the same construction (and seed, in main) as bench_search_anytime,
- * so the two benches exercise identical hard instances.
- */
-PartitionInstance
-randomInstance(size_t n, SplitMix64 &rng)
-{
-    PartitionInstance inst;
-    for (size_t i = 0; i < n; ++i)
-        inst.values.push_back(
-            1 + static_cast<int64_t>(rng.nextInRange(0, 9)));
-    int64_t total = 0;
-    for (int64_t v : inst.values)
-        total += v;
-    if (total % 2)
-        inst.values.back() += 1;
-    return inst;
-}
-
 int64_t
 nodesPerSecond(uint64_t visited, int64_t elapsed_us)
 {
@@ -111,7 +91,7 @@ main(int argc, char **argv)
     SplitMix64 rng(19981004);
     size_t max_n = opt.quick ? 6 : 8;
     for (size_t n = 3; n <= max_n; ++n) {
-        PartitionInstance inst = randomInstance(n, rng);
+        PartitionInstance inst = bench::randomPartition(n, rng);
         UovMembershipInstance red = buildReduction(inst);
         if (n < 6)
             continue; // keep the RNG stream aligned with the

@@ -36,22 +36,6 @@ struct Observation
     int64_t elapsed_us = 0;
 };
 
-/** Seeded PARTITION instance sized n, parity-fixed to an even sum. */
-PartitionInstance
-randomInstance(size_t n, SplitMix64 &rng)
-{
-    PartitionInstance inst;
-    for (size_t i = 0; i < n; ++i)
-        inst.values.push_back(
-            1 + static_cast<int64_t>(rng.nextInRange(0, 9)));
-    int64_t total = 0;
-    for (int64_t v : inst.values)
-        total += v;
-    if (total % 2)
-        inst.values.back() += 1;
-    return inst;
-}
-
 } // namespace
 
 int
@@ -78,7 +62,7 @@ main(int argc, char **argv)
     size_t max_n = opt.quick ? 5 : 8;
     bool sound = true;
     for (size_t n = 3; n <= max_n; ++n) {
-        PartitionInstance inst = randomInstance(n, rng);
+        PartitionInstance inst = bench::randomPartition(n, rng);
         UovMembershipInstance red = buildReduction(inst);
 
         std::vector<Observation> obs;

@@ -26,17 +26,6 @@ using namespace uov;
 using namespace uov::bench;
 using namespace uov::service;
 
-namespace {
-
-double
-qps(size_t requests, double wall_ns)
-{
-    return wall_ns > 0 ? static_cast<double>(requests) * 1e9 / wall_ns
-                       : 0.0;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {

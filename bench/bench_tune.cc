@@ -17,6 +17,7 @@
 
 #include "codegen/jit.h"
 #include "core/reduction.h"
+#include "geometry/box.h"
 #include "support/rng.h"
 #include "tune/tune.h"
 
@@ -47,25 +48,7 @@ Stencil
 partitionStencil()
 {
     SplitMix64 rng(19981004);
-    PartitionInstance inst;
-    for (size_t i = 0; i < 4; ++i)
-        inst.values.push_back(
-            1 + static_cast<int64_t>(rng.nextInRange(0, 9)));
-    int64_t total = 0;
-    for (int64_t v : inst.values)
-        total += v;
-    if (total % 2)
-        inst.values.back() += 1;
-    return buildReduction(inst).stencil;
-}
-
-int64_t
-boxPoints(const IVec &lo, const IVec &hi)
-{
-    int64_t n = 1;
-    for (size_t k = 0; k < lo.dim(); ++k)
-        n *= hi[k] - lo[k] + 1;
-    return n;
+    return buildReduction(bench::randomPartition(4, rng)).stencil;
 }
 
 } // namespace
@@ -169,7 +152,7 @@ main(int argc, char **argv)
                 floor.best.schedule.legal(c.stencil);
 
         summary.addRow()
-            .cell(boxPoints(c.lo, c.hi))
+            .cell(boxVolume(c.lo, c.hi))
             .cell(static_cast<int64_t>(res.candidates_total))
             .cell(static_cast<int64_t>(res.evaluated))
             .cell(tuner.scores()[0], 0)
@@ -181,7 +164,7 @@ main(int argc, char **argv)
         // (the PARTITION reduction) are skipped: per-call time there
         // is dominated by call overhead, so a "speedup" would be
         // measurement noise, not the kernel.
-        if (jit && boxPoints(c.lo, c.hi) >= 256 &&
+        if (jit && boxVolume(c.lo, c.hi) >= 256 &&
             res.best.schedule.lower(c.stencil).has_value()) {
             tune::JitEvalOptions jopts;
             jopts.runs = opt.quick ? 3 : 5;

@@ -12,6 +12,7 @@
  *   $ ./uovc --multi nest.txt        # per-array plans, multi-statement
  */
 
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -148,7 +149,9 @@ main(int argc, char **argv)
             }
         }
         return 0;
-    } catch (const UovError &e) {
+    } catch (const std::exception &e) {
+        // One error line, as uovd answers it: a UovError or running out
+        // of memory (std::bad_alloc).
         std::cerr << "uovc: " << e.what() << "\n";
         return 1;
     }

@@ -382,9 +382,13 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
                                "cost model choose");
     }
 
+    // One row-major layout of the nest box: the expanded sm() indexes
+    // through it, and the output copy through its strides over
+    // dimensions 1..d-1.
+    BoxLayout box(lo, hi);
     int64_t cells = options.storage == GenStorage::OvMapped
                         ? sm.cellCount()
-                        : nest.tripCount();
+                        : box.cells();
 
     // Output: the final hyperplane of dimension 0, linearized
     // row-major over dimensions 1..d-1 (a scalar when d == 1).
@@ -420,15 +424,9 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
     c << "static long sm(" << argList(d) << ")\n{\n";
     if (options.storage == GenStorage::Expanded) {
         c << "    long idx = 0;\n";
-        int64_t stride = 1;
-        std::vector<int64_t> strides(d, 1);
-        for (size_t k = d; k-- > 0;) {
-            strides[k] = stride;
-            stride *= hi[k] - lo[k] + 1;
-        }
         for (size_t k = 0; k < d; ++k)
             c << "    idx += (q" << k << " - " << lo[k] << "L)*"
-              << strides[k] << "L;\n";
+              << box.stride(k) << "L;\n";
         c << "    return idx;\n";
     } else {
         c << "    long lin = 0;\n";
@@ -523,17 +521,12 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
               << lo[k] << "L; q" << k << " <= " << hi[k] << "L; ++q"
               << k << ") {\n";
         }
-        // Row-major output index over dims 1..d-1.
+        // Row-major output index over dims 1..d-1: for k >= 1 the
+        // plane's strides are the box's.
         c << std::string(4 * d, ' ') << "output[0";
-        int64_t stride = 1;
-        std::vector<int64_t> strides(d, 1);
-        for (size_t k = d; k-- > 1;) {
-            strides[k] = stride;
-            stride *= hi[k] - lo[k] + 1;
-        }
         for (size_t k = 1; k < d; ++k)
-            c << " + (q" << k << " - " << lo[k] << "L)*" << strides[k]
-              << "L";
+            c << " + (q" << k << " - " << lo[k] << "L)*"
+              << box.stride(k) << "L";
         c << "] = TMP[sm(" << callArgs(d, qs) << ")];\n";
         for (size_t k = d; k-- > 1;)
             c << std::string(4 * k, ' ') << "}\n";

@@ -32,16 +32,9 @@
 #include "analysis/pipeline.h"
 #include "geometry/matrix.h"
 #include "ir/program.h"
+#include "schedule/builder.h"
 
 namespace uov {
-
-/** How the generated loops are ordered. */
-enum class GenSchedule
-{
-    Lexicographic, ///< original program order
-    SkewedTiled,   ///< rectangular tiles of the skewed space
-    RegisterTiled, ///< unroll-and-jam in program order (regcost.h)
-};
 
 /** Storage discipline of the generated temporary array. */
 enum class GenStorage

@@ -14,9 +14,10 @@ mappingVector2D(const IVec &ov)
 {
     UOV_REQUIRE(ov.dim() == 2, "mappingVector2D needs a 2-D OV");
     UOV_REQUIRE(!ov.isZero(), "zero occupancy vector");
-    int64_t g = ov.content();
-    IVec prim = ov.dividedBy(g);
-    return IVec{checkedNeg(prim[1]), prim[0]};
+    IVec mv;
+    ovProjectionRows(ov.dividedBy(ov.content()),
+                     [&](const IVec &row) { mv = row; });
+    return mv;
 }
 
 int64_t
@@ -25,17 +26,10 @@ storageCellCount(const IVec &ov, const Polyhedron &isg)
     UOV_REQUIRE(ov.dim() == isg.dim(), "OV/ISG dimension mismatch");
     UOV_REQUIRE(!ov.isZero(), "zero occupancy vector");
     int64_t g = ov.content();
-
-    if (ov.dim() == 2) {
-        IVec mv = mappingVector2D(ov);
-        return checkedMul(isg.projectionCount(mv), g);
-    }
-
-    IVec prim = ov.dividedBy(g);
-    IMatrix u = unimodularCompletion(prim);
     int64_t cells = g;
-    for (size_t r = 1; r < u.rows(); ++r)
-        cells = checkedMul(cells, isg.projectionCount(u.row(r)));
+    ovProjectionRows(ov.dividedBy(g), [&](const IVec &row) {
+        cells = checkedMul(cells, isg.projectionCount(row));
+    });
     return cells;
 }
 

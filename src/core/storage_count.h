@@ -24,7 +24,8 @@ namespace uov {
 /**
  * The 2-D mapping direction for an occupancy vector: for prime
  * ov == (i, j) this is mv == (-j, i) (Section 4.1); for non-prime OVs
- * the primitive part is used.  @pre ov is 2-D and nonzero
+ * the primitive part is used.  The one row of ovProjectionRows in 2-D,
+ * by name.  @pre ov is 2-D and nonzero
  */
 IVec mappingVector2D(const IVec &ov);
 
@@ -32,11 +33,12 @@ IVec mappingVector2D(const IVec &ov);
  * Number of storage cells required when reusing storage along @p ov
  * over the iteration space @p isg:
  *
- *   2-D:  projectionCount(primitive mv) * content(ov)
- *         -- exact (Figure 6: |mv.xp1 - mv.xp2| + 1 for prime OVs).
+ *   g * product over the rows of ovProjectionRows(ov / g) of
+ *   projectionCount(row), g = content(ov):
  *
- *   d-D:  product of projected bounding-box extents (rows 1..d-1 of a
- *         unimodular completion of ov / g) * g -- exact for boxes whose
+ *   2-D:  exact (Figure 6: |mv.xp1 - mv.xp2| + 1 for prime OVs).
+ *
+ *   d-D:  the projected bounding-box volume -- exact for boxes whose
  *         projection is again a box, an upper bound otherwise.
  *
  * This is the number of cells the OV storage mapping *allocates* (the

@@ -10,8 +10,10 @@
  * kernel is checked against.  They all enumerate through scanBox or
  * scanBall, test membership with inBox and count with boxVolume, so
  * one visit order, one size limit and one overflow rule hold
- * everywhere.  (The fuzz oracles, tests and benches keep their own
- * loops on purpose: they check this code.)
+ * everywhere.  Every row-major cell index and cell count over a box
+ * comes from BoxLayout, whose index order is scanBox's visit order.
+ * (The fuzz oracles, tests and benches keep their own loops on
+ * purpose: they check this code.)
  */
 
 #ifndef UOV_GEOMETRY_BOX_H
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 
 #include "geometry/isqrt.h"
 #include "geometry/ivec.h"
@@ -53,6 +56,88 @@ boxVolume(const IVec &lo, const IVec &hi)
         n = checkedMul(n, checkedAdd(checkedSub(hi[c], lo[c]), 1));
     return n;
 }
+
+/**
+ * Row-major layout of the box [lo, hi]: the last coordinate varies
+ * fastest, so the k-th point scanBox visits has index k.  It owns
+ * the strides and the cell count of an expanded array, of an OV
+ * storage mapping's projected rows, of modular storage, of the
+ * emitted sm() and output copy, and of the tuner's access stream.
+ */
+class BoxLayout
+{
+  public:
+    /** The zero-dimensional box: one cell, index 0. */
+    BoxLayout() = default;
+
+    /**
+     * @throws UovUserError when the corners differ in dimension or
+     *         lo[c] > hi[c] ("empty box dimension c", the highest such
+     *         c); UovOverflowError when the cell count does not fit
+     *         int64
+     */
+    BoxLayout(IVec lo, IVec hi)
+        : _lo(std::move(lo)), _hi(std::move(hi)), _stride(_lo.dim())
+    {
+        UOV_REQUIRE(_lo.dim() == _hi.dim(), "box dimension mismatch");
+        for (size_t c = _lo.dim(); c-- > 0;) {
+            UOV_REQUIRE(_lo[c] <= _hi[c], "empty box dimension " << c);
+            _stride[c] = _cells;
+            _cells = checkedMul(_cells,
+                                checkedAdd(checkedSub(_hi[c], _lo[c]), 1));
+        }
+    }
+
+    size_t dim() const { return _lo.dim(); }
+    const IVec &lo() const { return _lo; }
+    const IVec &hi() const { return _hi; }
+
+    /** Points in the box (the array size); fits int64. */
+    int64_t cells() const { return _cells; }
+
+    /** Index step between neighbours along coordinate @p c. */
+    int64_t stride(size_t c) const { return _stride[c]; }
+
+    /**
+     * Index of @p p, in [0, cells()).  @pre inBox(p, lo(), hi()).
+     * Then p[c] - lo[c] <= hi[c] - lo[c] and every partial sum stays
+     * below cells(), so no step can overflow and none is checked:
+     * this runs on every interpreter read and every simulated access.
+     */
+    int64_t
+    index(const IVec &p) const
+    {
+        const int64_t *x = p.data();
+        const int64_t *lo = _lo.data();
+        const int64_t *stride = _stride.data();
+        int64_t i = 0;
+        for (size_t c = 0; c < _lo.dim(); ++c)
+            i += (x[c] - lo[c]) * stride[c];
+        return i;
+    }
+
+    /**
+     * The same affine form, sum_c (coord(c) - lo[c]) * stride(c), for
+     * coordinates anywhere, given one at a time by @p coord.
+     * @throws UovOverflowError when a step does not fit int64
+     */
+    template <typename Coord>
+    int64_t
+    checkedIndex(Coord &&coord) const
+    {
+        int64_t i = 0;
+        for (size_t c = 0; c < _lo.dim(); ++c)
+            i = checkedAdd(i, checkedMul(checkedSub(coord(c), _lo[c]),
+                                         _stride[c]));
+        return i;
+    }
+
+  private:
+    IVec _lo;
+    IVec _hi;
+    IVec _stride;
+    int64_t _cells = 1;
+};
 
 namespace detail {
 

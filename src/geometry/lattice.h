@@ -16,6 +16,7 @@
 
 #include "geometry/ivec.h"
 #include "geometry/matrix.h"
+#include "support/checked.h"
 
 namespace uov {
 
@@ -49,6 +50,34 @@ IVec bezoutVector(const IVec &v);
  * @pre v.content() == 1
  */
 IMatrix unimodularCompletion(const IVec &v);
+
+/**
+ * The projection basis of a primitive occupancy vector: d - 1 integer
+ * rows whose joint kernel is exactly the lattice line Z*prim, so two
+ * points share a storage class of prim iff every row gives them the
+ * same value.  storageCellCount counts and StorageMapping lays out
+ * one range per row, so a different basis is an edit here alone.
+ *
+ *   1-D:   no rows (every iteration projects to one slot);
+ *   2-D:   mv = (-prim[1], prim[0]), the paper's Section 4.1 vector;
+ *   d-D:   rows 1..d-1 of unimodularCompletion(prim).
+ *
+ * Calls visit(row) once per row, in order.  The 2-D row lives inline,
+ * so the search's per-candidate objective allocates nothing.
+ * @pre prim.content() == 1
+ */
+template <typename Visit>
+void
+ovProjectionRows(const IVec &prim, Visit &&visit)
+{
+    if (prim.dim() == 2) {
+        visit(IVec{checkedNeg(prim[1]), prim[0]});
+    } else if (prim.dim() >= 3) {
+        IMatrix u = unimodularCompletion(prim);
+        for (size_t r = 1; r < u.rows(); ++r)
+            visit(u.row(r));
+    }
+}
 
 /**
  * Solve a * x == c (mod m) for x in [0, m).

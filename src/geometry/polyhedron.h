@@ -13,14 +13,15 @@
  * The vertices are kept twice.  The exact rational table behind
  * vertices(), maxDot() and minDot() is the reference.  An integer
  * table -- per vertex one positive common denominator and d
- * numerators, in one flat array -- serves projectionCount() and
- * boundingBox(), which the branch-and-bound search calls for every
- * candidate OV.  Floor and ceil are monotone, so floor(max) ==
- * max(floor) and the integer answer is the rational one.  A step that
- * overflows int64, or lands on INT64_MIN (which no Rational numerator
- * holds), hands the query to the rational path; on integer vertices --
- * every box and 2-D hull -- both paths therefore fail on exactly the
- * same inputs, with the same error (DESIGN.md section 6).
+ * numerators, in one flat array -- serves projectedRange() and so
+ * projectionCount() and boundingBox(), which the branch-and-bound
+ * search calls for every candidate OV.  Floor and ceil are monotone,
+ * so floor(max) == max(floor) and the integer answer is the rational
+ * one.  A step that overflows int64, or lands on INT64_MIN (which no
+ * Rational numerator holds), hands the query to the rational path; on
+ * integer vertices -- every box and 2-D hull -- both paths therefore
+ * fail on exactly the same inputs, with the same error (DESIGN.md
+ * section 6).
  */
 
 #ifndef UOV_GEOMETRY_POLYHEDRON_H
@@ -89,6 +90,15 @@ class Polyhedron
     int64_t projectionCount(const IVec &dir) const;
 
     /**
+     * [ceil(minDot), floor(maxDot)] of dir . x, from the integer table
+     * when every step fits int64, else from the rational vertices
+     * (hi < lo when the range holds no integer).  The one row-range
+     * rule: projectionCount, boundingBox and the storage mapping's
+     * rows all read it.
+     */
+    void projectedRange(const IVec &dir, int64_t &lo, int64_t &hi) const;
+
+    /**
      * Minimum projection count over candidate directions: the paper's
      * P_M ("minimum projection of the ISG on any hyperplane").  Exact
      * for 2-D polytopes (the minimizing direction is an edge normal);
@@ -114,12 +124,6 @@ class Polyhedron
     Polyhedron(IMatrix a, IVec b);
 
     void computeVertices() const;
-
-    /**
-     * [ceil(minDot), floor(maxDot)] of dir . x, from the integer table
-     * when every step fits int64, else from the rational vertices.
-     */
-    void projectedRange(const IVec &dir, int64_t &lo, int64_t &hi) const;
 
     IMatrix _a;
     IVec _b;

@@ -10,11 +10,11 @@
 #define UOV_MAPPING_EXPANDED_ARRAY_H
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.h"
 #include "geometry/ivec.h"
-#include "support/checked.h"
 #include "support/error.h"
 
 namespace uov {
@@ -25,19 +25,9 @@ class ExpandedArray
 {
   public:
     ExpandedArray(IVec lo, IVec hi, T fill = T{})
-        : _lo(std::move(lo)), _hi(std::move(hi))
+        : _box(std::move(lo), std::move(hi)),
+          _data(static_cast<size_t>(_box.cells()), fill)
     {
-        UOV_REQUIRE(_lo.dim() == _hi.dim(), "box dimension mismatch");
-        // Row-major strides: last dimension contiguous.
-        _stride.assign(_lo.dim(), 1);
-        int64_t cells = 1;
-        for (size_t c = _lo.dim(); c-- > 0;) {
-            UOV_REQUIRE(_lo[c] <= _hi[c], "empty box dimension " << c);
-            _stride[c] = cells;
-            cells = checkedMul(cells,
-                               checkedAdd(checkedSub(_hi[c], _lo[c]), 1));
-        }
-        _data.assign(static_cast<size_t>(cells), fill);
     }
 
     int64_t cellCount() const { return static_cast<int64_t>(_data.size()); }
@@ -45,8 +35,8 @@ class ExpandedArray
     bool
     inBounds(const IVec &q) const
     {
-        UOV_CHECK(q.dim() == _lo.dim(), "point dimension mismatch");
-        return inBox(q, _lo, _hi);
+        UOV_CHECK(q.dim() == _box.dim(), "point dimension mismatch");
+        return inBox(q, _box.lo(), _box.hi());
     }
 
     T &
@@ -66,17 +56,10 @@ class ExpandedArray
     index(const IVec &q) const
     {
         UOV_CHECK(inBounds(q), "point " << q.str() << " outside box");
-        int64_t i = 0;
-        for (size_t c = 0; c < q.dim(); ++c)
-            i = checkedAdd(i,
-                           checkedMul(checkedSub(q[c], _lo[c]),
-                                      _stride[c]));
-        return static_cast<size_t>(i);
+        return static_cast<size_t>(_box.index(q));
     }
 
-    IVec _lo;
-    IVec _hi;
-    std::vector<int64_t> _stride;
+    BoxLayout _box;
     std::vector<T> _data;
 };
 

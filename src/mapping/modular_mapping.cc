@@ -15,32 +15,29 @@ ModularMapping::ModularMapping(IVec moduli, IVec lo)
 {
     UOV_REQUIRE(_m.dim() == _lo.dim() && _m.dim() >= 1,
                 "moduli/corner dimension mismatch");
-    _stride.assign(_m.dim(), 1);
-    _cells = 1;
+    IVec top(_m.dim());
     for (size_t c = _m.dim(); c-- > 0;) {
         UOV_REQUIRE(_m[c] >= 1, "modulus must be >= 1");
-        _stride[c] = _cells;
-        _cells = checkedMul(_cells, _m[c]);
+        top[c] = _m[c] - 1;
     }
+    _residues = BoxLayout(IVec(_m.dim()), std::move(top));
 }
 
 int64_t
 ModularMapping::operator()(const IVec &q) const
 {
     UOV_CHECK(q.dim() == _m.dim(), "point dimension mismatch");
-    int64_t idx = 0;
-    for (size_t c = 0; c < _m.dim(); ++c) {
-        int64_t coord = floorMod(checkedSub(q[c], _lo[c]), _m[c]);
-        idx = checkedAdd(idx, checkedMul(coord, _stride[c]));
-    }
-    return idx;
+    return _residues.checkedIndex([&](size_t c) {
+        return floorMod(checkedSub(q[c], _lo[c]), _m[c]);
+    });
 }
 
 std::string
 ModularMapping::str() const
 {
     std::ostringstream oss;
-    oss << "cell(q) = q mod " << _m << "  [" << _cells << " cells]";
+    oss << "cell(q) = q mod " << _m << "  [" << cellCount()
+        << " cells]";
     return oss.str();
 }
 
@@ -91,9 +88,7 @@ searchModuli(const IVec &lo, const IVec &hi, SafetyCheck safe_moduli)
     best.trivial = true;
 
     scanBox(ones, ext, [&](const IVec &m) {
-        int64_t cells = 1;
-        for (size_t c = 0; c < d; ++c)
-            cells = checkedMul(cells, m[c]);
+        int64_t cells = boxVolume(ones, m);
         if (cells < best.cells && safe_moduli(m, ext)) {
             best.moduli = m;
             best.cells = cells;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/stencil.h"
+#include "geometry/box.h"
 #include "geometry/ivec.h"
 #include "geometry/polyhedron.h"
 
@@ -44,7 +45,7 @@ class ModularMapping
     ModularMapping(IVec moduli, IVec lo);
 
     int64_t operator()(const IVec &q) const;
-    int64_t cellCount() const { return _cells; }
+    int64_t cellCount() const { return _residues.cells(); }
     const IVec &moduli() const { return _m; }
 
     std::string str() const;
@@ -52,8 +53,7 @@ class ModularMapping
   private:
     IVec _m;
     IVec _lo;
-    std::vector<int64_t> _stride;
-    int64_t _cells;
+    BoxLayout _residues; ///< row-major over [0, m - 1]
 };
 
 /** Result of a moduli search. */

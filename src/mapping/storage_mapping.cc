@@ -1,12 +1,32 @@
 #include "mapping/storage_mapping.h"
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "geometry/lattice.h"
 #include "support/checked.h"
 #include "support/error.h"
 
 namespace uov {
+
+namespace {
+
+/** Decimal text of @p v, as operator<< prints an int64_t. */
+std::string
+decimal(__int128 v)
+{
+    unsigned __int128 mag = v < 0 ? -static_cast<unsigned __int128>(v)
+                                  : static_cast<unsigned __int128>(v);
+    std::string digits;
+    do {
+        digits.insert(digits.begin(), static_cast<char>('0' + mag % 10));
+        mag /= 10;
+    } while (mag != 0);
+    return v < 0 ? "-" + digits : digits;
+}
+
+} // namespace
 
 StorageMapping
 StorageMapping::create(const IVec &ov, const Polyhedron &isg,
@@ -33,35 +53,18 @@ StorageMapping::create(const IVec &ov, const Polyhedron &isg,
     else
         sm._alpha = IVec(d); // unused
 
-    // Projection rows whose joint kernel is exactly the OV line.
-    if (d == 2) {
-        sm._mv.push_back(IVec{checkedNeg(prim[1]), prim[0]});
-    } else if (d == 1) {
-        // Degenerate: every iteration lands in the same projected slot
-        // (all reuse happens along the single axis).
-        sm._mv.clear();
-    } else {
-        IMatrix u = unimodularCompletion(prim);
-        for (size_t r = 1; r < u.rows(); ++r)
-            sm._mv.push_back(u.row(r));
-    }
-
-    // Per-row extents over the ISG, linearized row-major.
-    int64_t extent_product = 1;
-    sm._lo.resize(sm._mv.size());
-    std::vector<int64_t> extent(sm._mv.size());
+    // Projection rows whose joint kernel is exactly the OV line, each
+    // ranging over its projection of the ISG, linearized row-major.
+    ovProjectionRows(prim,
+                     [&](const IVec &row) { sm._mv.push_back(row); });
+    IVec lo(sm._mv.size()), hi(sm._mv.size());
     for (size_t k = 0; k < sm._mv.size(); ++k) {
-        int64_t lo = isg.minDot(sm._mv[k]).ceil();
-        int64_t hi = isg.maxDot(sm._mv[k]).floor();
-        UOV_REQUIRE(hi >= lo, "ISG projects to an empty range along "
-                                  << sm._mv[k].str());
-        sm._lo[k] = lo;
-        extent[k] = checkedAdd(checkedSub(hi, lo), 1);
-        extent_product = checkedMul(extent_product, extent[k]);
+        isg.projectedRange(sm._mv[k], lo[k], hi[k]);
+        UOV_REQUIRE(hi[k] >= lo[k], "ISG projects to an empty range along "
+                                        << sm._mv[k].str());
     }
-    sm._stride.assign(sm._mv.size(), 1);
-    for (size_t k = sm._mv.size(); k-- > 1;)
-        sm._stride[k - 1] = checkedMul(sm._stride[k], extent[k]);
+    sm._rows = BoxLayout(std::move(lo), std::move(hi));
+    int64_t extent_product = sm._rows.cells();
 
     if (layout == ModLayout::Blocked && sm._g > 1 && block_pad > 0) {
         int64_t padded = checkedAdd(extent_product, block_pad);
@@ -80,11 +83,8 @@ StorageMapping::operator()(const IVec &q) const
 {
     UOV_CHECK(q.dim() == _ov.dim(), "point dimension mismatch");
 
-    int64_t linear = 0;
-    for (size_t k = 0; k < _mv.size(); ++k) {
-        int64_t coord = checkedSub(_mv[k].dot(q), _lo[k]);
-        linear = checkedAdd(linear, checkedMul(coord, _stride[k]));
-    }
+    int64_t linear =
+        _rows.checkedIndex([&](size_t k) { return _mv[k].dot(q); });
 
     if (_g == 1)
         return linear;
@@ -98,36 +98,33 @@ StorageMapping::operator()(const IVec &q) const
 std::string
 StorageMapping::str() const
 {
+    // Interleaved classes scale the linear part, and the shift, by g.
+    int64_t scale = _layout == ModLayout::Interleaved ? _g : 1;
     std::ostringstream oss;
     oss << "SM(q) = ";
-    if (_mv.empty()) {
+    if (_mv.empty())
         oss << "0";
-    } else {
-        for (size_t k = 0; k < _mv.size(); ++k) {
-            if (k)
-                oss << " + ";
-            IVec scaled =
-                (_g > 1 && _layout == ModLayout::Interleaved)
-                    ? _mv[k] * _g
-                    : _mv[k];
-            int64_t stride = _stride[k];
-            oss << scaled.str() << ".q";
-            if (stride != 1)
-                oss << "*" << stride;
-        }
+    for (size_t k = 0; k < _mv.size(); ++k) {
+        oss << (k ? " + " : "") << (_mv[k] * scale).str() << ".q";
+        if (_rows.stride(k) != 1)
+            oss << "*" << _rows.stride(k);
     }
     if (_g > 1) {
         oss << " + (" << _alpha.str() << ".q mod " << _g << ")";
         if (_layout == ModLayout::Blocked)
             oss << "*" << _mod_factor;
     }
-    // Fold the shift: the -lo terms scaled like the linear part.
-    int64_t shift = 0;
-    for (size_t k = 0; k < _mv.size(); ++k)
-        shift += -_lo[k] * _stride[k];
-    if (_g > 1 && _layout == ModLayout::Interleaved)
-        shift *= _g;
-    oss << " + " << shift;
+    // Fold the shift, the -lo terms.  A scaled stride is at most
+    // cells, so each term is exact in 128 bits; the sum leaves int64
+    // when the rows' lows lie near the int64 limits.
+    __int128 shift = 0;
+    for (size_t k = 0; k < _mv.size(); ++k) {
+        __int128 term = static_cast<__int128>(_rows.lo()[k]) *
+                        checkedMul(_rows.stride(k), scale);
+        if (__builtin_sub_overflow(shift, term, &shift))
+            throw UovOverflowError("sub");
+    }
+    oss << " + " << decimal(shift);
     oss << "   [" << _cells << " cells, "
         << (_layout == ModLayout::Interleaved ? "interleaved" : "blocked")
         << "]";

@@ -16,8 +16,11 @@
  *
  * The 2-D construction follows the paper literally (mv = (-j, i)); the
  * d-dimensional construction generalizes it through a unimodular
- * completion of the primitive OV, with the projected coordinates
- * linearized row-major over the projected bounding box.
+ * completion of the primitive OV.  Both take their rows from
+ * ovProjectionRows (geometry/lattice.h), each row's range from
+ * Polyhedron::projectedRange, and linearize the projected coordinates
+ * with the BoxLayout of those ranges (geometry/box.h) -- the same
+ * rows and ranges storageCellCount multiplies.
  */
 
 #ifndef UOV_MAPPING_STORAGE_MAPPING_H
@@ -27,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "geometry/box.h"
 #include "geometry/ivec.h"
 #include "geometry/polyhedron.h"
 
@@ -91,8 +95,8 @@ class StorageMapping
      * linear + class*modFactor()).
      */
     const IVec &alphaVector() const { return _alpha; }
-    int64_t rowLow(size_t k) const { return _lo.at(k); }
-    int64_t rowStride(size_t k) const { return _stride.at(k); }
+    int64_t rowLow(size_t k) const { return _rows.lo()[k]; }
+    int64_t rowStride(size_t k) const { return _rows.stride(k); }
     int64_t modFactor() const { return _mod_factor; }
 
     /** Human-readable form, e.g. "(0,2).q + (q0 mod 2) + 0". */
@@ -106,8 +110,7 @@ class StorageMapping
     int64_t _g = 1;           ///< content(ov)
     IVec _alpha;              ///< class selector: alpha.q mod g
     std::vector<IVec> _mv;    ///< projection rows (1 in 2-D)
-    std::vector<int64_t> _lo; ///< per-row minimum over the ISG
-    std::vector<int64_t> _stride; ///< per-row linearization stride
+    BoxLayout _rows;          ///< the rows' ranges over the ISG
     int64_t _mod_factor = 0;  ///< multiplier of the mod class
     int64_t _cells = 0;
 };

@@ -225,7 +225,7 @@ ScheduleBuilder::lower(const Stencil &stencil) const
     if (identity && !tiled()) {
         LoweredSchedule out;
         if (_unroll > 1 || _jam > 1) {
-            out.form = LoweredForm::RegisterTiled;
+            out.form = GenSchedule::RegisterTiled;
             out.unroll = _unroll;
             out.jam = _jam;
         }
@@ -244,7 +244,7 @@ ScheduleBuilder::lower(const Stencil &stencil) const
         return std::nullopt;
     }
     LoweredSchedule out;
-    out.form = LoweredForm::SkewedTiled;
+    out.form = GenSchedule::SkewedTiled;
     out.tile_sizes = {_tiles[0], _tiles[1]};
     return out;
 }

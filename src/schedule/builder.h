@@ -34,19 +34,23 @@
 
 namespace uov {
 
-/** The GenSchedule form a builder lowers to (codegen.h re-exported
- *  would be a cyclic include; the integer values match GenSchedule). */
-enum class LoweredForm
+/** How the generated loops are ordered (codegen/codegen.h): the
+ *  forms a builder lowers to and the C emitter writes. */
+enum class GenSchedule
 {
-    Lexicographic,
-    SkewedTiled,
-    RegisterTiled,
+    Lexicographic, ///< original program order
+    SkewedTiled,   ///< rectangular tiles of the skewed space
+    RegisterTiled, ///< unroll-and-jam in program order (regcost.h)
 };
+
+/** GenSchedule under the lowering's name, which perfbench's traced
+ *  pass still spells. */
+using LoweredForm = GenSchedule;
 
 /** Exact CodegenOptions fields for a lowerable builder. */
 struct LoweredSchedule
 {
-    LoweredForm form = LoweredForm::Lexicographic;
+    GenSchedule form = GenSchedule::Lexicographic;
     std::vector<int64_t> tile_sizes; ///< SkewedTiled only: two sizes
     int64_t unroll = 0;              ///< RegisterTiled only
     int64_t jam = 0;                 ///< RegisterTiled only

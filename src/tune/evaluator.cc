@@ -57,13 +57,9 @@ class AccessStream
     AccessStream(MemorySystem &mem, const TuneCandidate &cand,
                  const std::vector<IVec> &deps, const IVec &lo,
                  const IVec &hi)
-        : _mem(mem), _cand(cand), _deps(deps), _lo(lo), _hi(hi),
+        : _mem(mem), _cand(cand), _deps(deps), _box(lo, hi),
           _ov(cand.storage == GenStorage::OvMapped)
     {
-        size_t d = lo.dim();
-        _stride.assign(d, 1);
-        for (size_t k = d; k-- > 1;)
-            _stride[k - 1] = _stride[k] * (hi[k] - lo[k] + 1);
     }
 
     void
@@ -82,20 +78,20 @@ class AccessStream
         for (const IVec &q : _group) {
             for (const IVec &v : _deps) {
                 IVec src = q - v;
-                if (!inBox(src, _lo, _hi)) {
+                if (!inBox(src, _box.lo(), _box.hi())) {
                     // Boundary value: computed arithmetically by the
                     // generated bval(), no memory traffic.
                     _mem.compute(1.0);
                     continue;
                 }
-                if (_executed.count(linear(src)) != 0)
+                if (_executed.count(_box.index(src)) != 0)
                     continue; // forwarded through a register
                 int64_t cell = cellOf(src);
                 if (_loaded.insert(cell).second)
                     _mem.access(static_cast<uint64_t>(cell) * 8, false);
             }
             _mem.access(static_cast<uint64_t>(cellOf(q)) * 8, true);
-            _executed.insert(linear(q));
+            _executed.insert(_box.index(q));
             // The add chain: one flop per read plus the store issue.
             _mem.compute(1.0 +
                          0.5 * static_cast<double>(_deps.size()));
@@ -105,28 +101,18 @@ class AccessStream
     }
 
   private:
-    int64_t
-    linear(const IVec &q) const
-    {
-        int64_t idx = 0;
-        for (size_t k = 0; k < q.dim(); ++k)
-            idx += (q[k] - _lo[k]) * _stride[k];
-        return idx;
-    }
-
+    /** @pre q lies in the box */
     int64_t
     cellOf(const IVec &q) const
     {
-        return _ov ? _cand.plan->mapping(q) : linear(q);
+        return _ov ? _cand.plan->mapping(q) : _box.index(q);
     }
 
     MemorySystem &_mem;
     const TuneCandidate &_cand;
     const std::vector<IVec> &_deps;
-    const IVec &_lo;
-    const IVec &_hi;
+    BoxLayout _box; ///< expanded storage; also names executed points
     bool _ov;
-    std::vector<int64_t> _stride;
     std::vector<IVec> _group;
     std::set<int64_t> _loaded;
     std::unordered_set<int64_t> _executed;
@@ -217,7 +203,7 @@ SimEvaluator::score(TuneContext &ctx, const TuneCandidate &cand)
     AccessStream stream(mem, cand, deps, lo, hi);
 
     auto lowered = cand.schedule.lower(ctx.stencil());
-    if (lowered && lowered->form == LoweredForm::RegisterTiled) {
+    if (lowered && lowered->form == GenSchedule::RegisterTiled) {
         replayRegisterTiled(stream, lo, hi,
                             std::max<int64_t>(lowered->jam, 1),
                             std::max<int64_t>(lowered->unroll, 1));
@@ -249,17 +235,7 @@ lowerForJit(const Stencil &stencil, const TuneCandidate &cand)
                     << "' has no native lowering (simulator only)");
 
     CodegenOptions opts;
-    switch (lowered->form) {
-    case LoweredForm::Lexicographic:
-        opts.schedule = GenSchedule::Lexicographic;
-        break;
-    case LoweredForm::SkewedTiled:
-        opts.schedule = GenSchedule::SkewedTiled;
-        break;
-    case LoweredForm::RegisterTiled:
-        opts.schedule = GenSchedule::RegisterTiled;
-        break;
-    }
+    opts.schedule = lowered->form;
     opts.storage = cand.storage;
     opts.tile_sizes = lowered->tile_sizes;
     opts.unroll = lowered->unroll;

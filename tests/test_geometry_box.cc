@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the integer box module (geometry/box.h): the
- * lexicographic box scan, the ball scan and its size limit, inBox and
- * the checked boxVolume.  Expected sequences are hand-listed or come
- * from a brute-force loop written here, independent of scanBox.
+ * lexicographic box scan, the ball scan and its size limit, inBox,
+ * the checked boxVolume and the row-major BoxLayout.  Expected
+ * sequences are hand-listed or come from a brute-force loop written
+ * here, independent of scanBox.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "geometry/box.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace uov {
 namespace {
@@ -207,6 +209,74 @@ TEST(Box, BoxVolumeOverflowThrows)
     EXPECT_THROW(boxVolume(IVec{INT64_MIN}, IVec{INT64_MAX}),
                  UovOverflowError);
     EXPECT_THROW(boxVolume(IVec{0}, IVec{INT64_MAX}), UovOverflowError);
+}
+
+TEST(Box, LayoutIndexIsScanOrder)
+{
+    // Over seeded boxes of 1 to 4 dimensions: the k-th point scanBox
+    // visits has index k, the affine checkedIndex agrees inside the
+    // box, and the cell count is the box volume.
+    SplitMix64 rng(20261018);
+    for (int trial = 0; trial < 200; ++trial) {
+        size_t d = 1 + static_cast<size_t>(rng.nextBelow(4));
+        IVec lo(d), hi(d);
+        for (size_t c = 0; c < d; ++c) {
+            lo[c] = rng.nextInRange(-6, 6);
+            hi[c] = lo[c] + rng.nextInRange(0, 4);
+        }
+        BoxLayout layout(lo, hi);
+        int64_t k = 0;
+        scanBox(lo, hi, [&](const IVec &p) {
+            EXPECT_EQ(layout.index(p), k) << lo << " " << hi << " " << p;
+            EXPECT_EQ(layout.checkedIndex([&](size_t c) { return p[c]; }),
+                      k);
+            ++k;
+        });
+        EXPECT_EQ(layout.cells(), k) << lo << " " << hi;
+        EXPECT_EQ(layout.cells(), boxVolume(lo, hi)) << lo << " " << hi;
+    }
+}
+
+TEST(Box, LayoutStridesAndCorners)
+{
+    BoxLayout layout(IVec{-1, 4, 0}, IVec{2, 5, 9});
+    EXPECT_EQ(layout.dim(), 3u);
+    EXPECT_EQ(layout.cells(), 4 * 2 * 10);
+    EXPECT_EQ(layout.stride(0), 20);
+    EXPECT_EQ(layout.stride(1), 10);
+    EXPECT_EQ(layout.stride(2), 1);
+    EXPECT_EQ(layout.index(IVec{-1, 4, 0}), 0);
+    EXPECT_EQ(layout.index(IVec{2, 5, 9}), layout.cells() - 1);
+    // Outside the box checkedIndex extends the same affine form.
+    EXPECT_EQ(layout.checkedIndex([](size_t c) { return c == 0 ? -2 : 0; }),
+              -20 - 40);
+    EXPECT_EQ(BoxLayout().cells(), 1);
+    EXPECT_EQ(BoxLayout().index(IVec()), 0);
+}
+
+TEST(Box, LayoutRejectsEmptyAndOverflowingBoxes)
+{
+    try {
+        BoxLayout(IVec{0, 5, 3}, IVec{-1, 4, 3});
+        ADD_FAILURE() << "an empty box was laid out";
+    } catch (const UovUserError &e) {
+        EXPECT_STREQ(e.what(), "empty box dimension 1");
+    }
+    EXPECT_THROW(BoxLayout(IVec{0}, IVec{1, 1}), UovUserError);
+
+    // A cell count past int64, through the product or one extent.
+    int64_t big = int64_t{1} << 32;
+    EXPECT_THROW(BoxLayout(IVec{0, 0}, IVec{big - 1, big - 1}),
+                 UovOverflowError);
+    EXPECT_THROW(BoxLayout(IVec{INT64_MIN}, IVec{INT64_MAX}),
+                 UovOverflowError);
+    EXPECT_THROW(BoxLayout(IVec{0}, IVec{INT64_MAX}), UovOverflowError);
+    EXPECT_EQ(BoxLayout(IVec{0}, IVec{INT64_MAX - 1}).cells(), INT64_MAX);
+
+    // The affine index past int64 throws as well.
+    BoxLayout wide(IVec{0, 0}, IVec{1, INT64_MAX / 2 - 1});
+    EXPECT_THROW(wide.checkedIndex([](size_t c) { return c == 0 ? 3 : 0; }),
+                 UovOverflowError);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/storage_count.h"
 #include "mapping/storage_mapping.h"
@@ -123,11 +124,40 @@ TEST(StorageMapping, ConsecutiveStorageForPaperCases)
 
 TEST(StorageMapping, CellCountMatchesStorageCount)
 {
-    Polyhedron isg = Polyhedron::box(IVec{0, 0}, IVec{11, 7});
-    for (const IVec &ov :
-         {IVec{1, 1}, IVec{2, 0}, IVec{2, 1}, IVec{2, 2}, IVec{3, -2}}) {
-        StorageMapping sm = StorageMapping::create(ov, isg);
-        EXPECT_EQ(sm.cellCount(), storageCellCount(ov, isg)) << ov.str();
+    // The search's objective and the mapping read one projection basis
+    // and one row-range rule, so with the interleaved layout and no
+    // padding the cells the search ranks are the cells allocated.
+    struct Case
+    {
+        Polyhedron isg;
+        std::vector<IVec> ovs;
+    };
+    const Case cases[] = {
+        {Polyhedron::box(IVec{0}, IVec{20}),
+         {IVec{1}, IVec{3}, IVec{-4}}},
+        {Polyhedron::box(IVec{0, 0}, IVec{11, 7}),
+         {IVec{1, 1}, IVec{2, 0}, IVec{2, 1}, IVec{2, 2}, IVec{3, -2},
+          IVec{4, 6}, IVec{0, -3}, IVec{-6, 9}}},
+        // Figure 3's hull: the winner (3,1), the shorter (3,0) and
+        // non-prime multiples of both.
+        {Polyhedron::fromVertices2D(
+             {IVec{1, 1}, IVec{1, 6}, IVec{10, 4}, IVec{10, 9}}),
+         {IVec{3, 1}, IVec{3, 0}, IVec{6, 2}, IVec{6, 0}, IVec{1, 1},
+          IVec{2, -4}}},
+        // The boxes and OVs StorageCount.PinnedObjectiveIn3DAnd4D pins.
+        {Polyhedron::box(IVec{-3, 0, -2}, IVec{4, 5, 6}),
+         {IVec{2, -4, 6}, IVec{3, 0, -6}, IVec{1, -2, 3}, IVec{4, 6, -2},
+          IVec{0, 3, -6}, IVec{5, -3, 2}, IVec{1, 1, -1}, IVec{0, 0, 2}}},
+        {Polyhedron::box(IVec{-1, 0, -2, 1}, IVec{3, 4, 2, 5}),
+         {IVec{2, -4, 6, 8}, IVec{1, -2, 3, -5}, IVec{3, 0, -3, 6},
+          IVec{0, 2, -2, 4}, IVec{1, 1, 1, 1}, IVec{-2, 3, 0, 1}}},
+    };
+    for (const Case &c : cases) {
+        for (const IVec &ov : c.ovs) {
+            StorageMapping sm = StorageMapping::create(ov, c.isg);
+            EXPECT_EQ(sm.cellCount(), storageCellCount(ov, c.isg))
+                << ov.str();
+        }
     }
 }
 
@@ -207,6 +237,20 @@ TEST(StorageMapping, RejectsBadInput)
     EXPECT_THROW(StorageMapping::create(IVec{0, 0}, isg), UovUserError);
     EXPECT_THROW(StorageMapping::create(IVec{1, 1, 1}, isg),
                  UovUserError);
+}
+
+TEST(StorageMapping, StrPrintsAShiftPastInt64Exactly)
+{
+    // tests/data/far_shift.nest: rows of (-1,1) range over
+    // [-2^62 - 3, -2^62 + 3], so the shift -lo * g is 2^63 + 6 while
+    // every cell index stays below 14.
+    int64_t x0 = int64_t{1} << 62;
+    Polyhedron isg = Polyhedron::box(IVec{x0, 0}, IVec{x0 + 3, 3});
+    StorageMapping sm = StorageMapping::create(IVec{2, 2}, isg);
+    EXPECT_EQ(sm.str(), "SM(q) = (-2, 2).q + ((0, 1).q mod 2) + "
+                        "9223372036854775814   [14 cells, interleaved]");
+    EXPECT_EQ(sm(IVec{x0 + 3, 0}), 0);
+    EXPECT_EQ(sm(IVec{x0, 3}), 13);
 }
 
 TEST(StorageMapping, StrMentionsLayoutAndCells)
