@@ -7,6 +7,9 @@ namespace uov {
 
 namespace {
 
+/** DFS frames one membership query may stack (8 MiB of frames). */
+constexpr size_t kMaxDepth = size_t{1} << 20;
+
 bool
 allZero(const int64_t *w, size_t d)
 {
@@ -157,8 +160,12 @@ ConeSolver::search(const int64_t *w0)
                             "cone membership search budget of "
                                 << _max_nodes << " nodes exceeded (stencil "
                                 << memo._stencil.str() << ")");
-                UOV_CHECK(stack.size() < 1u << 20,
-                          "cone search depth runaway");
+                // The depth follows the input (about w / min v in
+                // 1-D), so it is a budget like the node count.
+                UOV_REQUIRE(stack.size() < kMaxDepth,
+                            "cone membership search depth of "
+                                << kMaxDepth << " frames exceeded (stencil "
+                                << memo._stencil.str() << ")");
                 stack.push_back({h, 0});
                 continue;
             }

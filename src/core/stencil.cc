@@ -1,7 +1,6 @@
 #include "core/stencil.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/checked.h"
 #include "support/error.h"
@@ -130,15 +129,15 @@ Stencil::extremeVectors2D() const
 std::string
 Stencil::str() const
 {
-    std::ostringstream oss;
-    oss << "{";
+    TextWriter out;
+    out << '{';
     for (size_t i = 0; i < _deps.size(); ++i) {
         if (i)
-            oss << ", ";
-        oss << _deps[i];
+            out << ", ";
+        out << _deps[i];
     }
-    oss << "}";
-    return oss.str();
+    out << '}';
+    return out.take();
 }
 
 namespace stencils {

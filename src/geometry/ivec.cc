@@ -1,7 +1,5 @@
 #include "geometry/ivec.h"
 
-#include <sstream>
-
 #include "support/checked.h"
 #include "support/error.h"
 
@@ -198,9 +196,9 @@ IVec::dividedBy(int64_t s) const
 std::string
 IVec::str() const
 {
-    std::ostringstream oss;
-    oss << *this;
-    return oss.str();
+    TextWriter out;
+    out << *this;
+    return out.take();
 }
 
 size_t
@@ -222,14 +220,20 @@ IVec::hash() const
 std::ostream &
 operator<<(std::ostream &os, const IVec &v)
 {
-    os << "(";
+    return os << v.str();
+}
+
+TextWriter &
+TextWriter::operator<<(const IVec &v)
+{
+    const int64_t *a = v.data();
+    *this << '(';
     for (size_t i = 0; i < v.dim(); ++i) {
         if (i)
-            os << ", ";
-        os << v[i];
+            *this << ", ";
+        *this << a[i];
     }
-    os << ")";
-    return os;
+    return *this << ')';
 }
 
 } // namespace uov

@@ -18,12 +18,15 @@
 #ifndef UOV_GEOMETRY_IVEC_H
 #define UOV_GEOMETRY_IVEC_H
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace uov {
@@ -222,7 +225,56 @@ class IVec
     };
 };
 
+/** Writes IVec::str(): flags such as std::hex leave it unchanged. */
 std::ostream &operator<<(std::ostream &os, const IVec &v);
+
+/**
+ * Text built by appending to one std::string, with integers written
+ * by std::to_chars: no stream, no locale.  The one writer behind
+ * IVec::str(), operator<< on IVec, Stencil::str() and the service's
+ * answer line.
+ */
+class TextWriter
+{
+  public:
+    TextWriter &
+    operator<<(std::string_view s)
+    {
+        _text.append(s);
+        return *this;
+    }
+
+    TextWriter &
+    operator<<(char c)
+    {
+        _text.push_back(c);
+        return *this;
+    }
+
+    /** Decimal, as std::ostream writes it without flags. */
+    template <std::integral T>
+        requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+    TextWriter &
+    operator<<(T x)
+    {
+        char buf[24]; // INT64_MIN and UINT64_MAX take 20
+        _text.append(buf, std::to_chars(buf, buf + sizeof buf, x).ptr);
+        return *this;
+    }
+
+    /** "(a, b, c)"; "()" for the zero-dimensional vector. */
+    TextWriter &operator<<(const IVec &v);
+
+    /** Move the text out; the writer is left empty. */
+    std::string
+    take()
+    {
+        return std::move(_text);
+    }
+
+  private:
+    std::string _text;
+};
 
 /** Hash functor for std::unordered_map<IVec, ...>. */
 struct IVecHash

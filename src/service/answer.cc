@@ -1,7 +1,5 @@
 #include "service/answer.h"
 
-#include <sstream>
-
 #include "core/uov.h"
 #include "geometry/polyhedron.h"
 #include "service/canonical.h"
@@ -25,23 +23,23 @@ ServiceAnswer::byteSize() const
 std::string
 ServiceAnswer::str() const
 {
-    std::ostringstream oss;
-    oss << "best=" << best_uov << " value=" << best_objective
+    TextWriter out;
+    out << "best=" << best_uov << " value=" << best_objective
         << " initial=" << initial_objective
         << " canon=" << canonical_deps;
     if (degraded)
-        oss << " degraded=" << degraded_reason;
-    oss << " cert=";
+        out << " degraded=" << degraded_reason;
+    out << " cert=";
     for (size_t i = 0; i < cert.size(); ++i) {
         if (i)
-            oss << "|";
+            out << '|';
         for (size_t j = 0; j < cert[i].size(); ++j) {
             if (j)
-                oss << ",";
-            oss << cert[i][j];
+                out << ',';
+            out << cert[i][j];
         }
     }
-    return oss.str();
+    return out.take();
 }
 
 ServiceAnswer

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <chrono>
+#include <utility>
 
 #include "support/failpoint.h"
 #include "support/logging.h"
@@ -60,7 +61,8 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
         makeKey(canonical, objective, isg_lo, isg_hi, deadline_ms);
     telemetry::noteKeyHash(key.hash());
 
-    auto finish = [&](const ServiceAnswer &answer) {
+    // By value, so each path's own copy is moved out, not copied.
+    auto finish = [&](ServiceAnswer answer) {
         auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
@@ -75,7 +77,7 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
         span.arg("hit", static_cast<int64_t>(cached ? 1 : 0));
         if (cached) {
             telemetry::noteCacheHit();
-            return finish(*cached);
+            return finish(std::move(*cached));
         }
     }
 
@@ -91,7 +93,7 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
             telemetry::noteStoreHit();
             if (use_cache)
                 _cache.insert(key, *stored);
-            return finish(*stored);
+            return finish(std::move(*stored));
         }
     }
 
@@ -174,7 +176,7 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
     }
     if (error)
         std::rethrow_exception(error);
-    return finish(answer);
+    return finish(std::move(answer));
 }
 
 uint64_t

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
 #include <unordered_set>
 
 #include "geometry/ivec.h"
@@ -95,6 +97,26 @@ TEST(IVec, Printing)
 {
     EXPECT_EQ((IVec{1, -2}).str(), "(1, -2)");
     EXPECT_EQ(IVec{}.str(), "()");
+}
+
+TEST(IVec, PrintsInt64LimitsAndSpilledDimensions)
+{
+    const int64_t lo = std::numeric_limits<int64_t>::min();
+    const int64_t hi = std::numeric_limits<int64_t>::max();
+    EXPECT_EQ((IVec{lo, 0, hi}).str(),
+              "(-9223372036854775808, 0, 9223372036854775807)");
+    IVec six{1, -2, 3, -4, 5, lo};
+    EXPECT_EQ(six.str(), "(1, -2, 3, -4, 5, -9223372036854775808)");
+    // operator<< writes the same text whatever the stream's flags.
+    std::ostringstream oss;
+    oss << std::hex << std::showpos << six;
+    EXPECT_EQ(oss.str(), six.str());
+
+    TextWriter out;
+    out << "n=" << size_t{18446744073709551615u} << ' ' << -7 << ' ' << six;
+    EXPECT_EQ(out.take(),
+              "n=18446744073709551615 -7 (1, -2, 3, -4, 5, "
+              "-9223372036854775808)");
 }
 
 TEST(IVec, OverflowPropagates)

@@ -1,17 +1,24 @@
 /**
  * @file
- * Unit tests for the service's stencil canonicalizer and cache key:
- * the removal theorem's worked examples (including the counterexample
- * that motivates condition (b)), idempotence, key equality across
- * presentations, and fuzz-generated evidence that canonicalization
- * preserves the UOV set pointwise and the search optimum exactly.
+ * Unit tests for the service's stencil canonicalizer, cache key and
+ * answer text: the removal theorem's worked examples (including the
+ * counterexample that motivates condition (b)), idempotence, key
+ * equality across presentations, fuzz-generated evidence that
+ * canonicalization preserves the UOV set pointwise and the search
+ * optimum exactly, and the answer line against an std::ostringstream
+ * rendering.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <sstream>
+
 #include "core/search.h"
 #include "core/uov.h"
 #include "fuzz/oracles.h"
+#include "service/answer.h"
 #include "service/canonical.h"
 #include "support/rng.h"
 
@@ -166,6 +173,88 @@ TEST(Canonical, FuzzShortestOptimumUnchanged)
             << "stencil " << s.str() << " canon " << canon.str();
     }
     EXPECT_GE(compared, 10u);
+}
+
+/** IVec::str() and ServiceAnswer::str() as std::ostream writes them. */
+std::string
+streamed(const IVec &v)
+{
+    std::ostringstream oss;
+    oss << "(";
+    for (size_t i = 0; i < v.dim(); ++i)
+        oss << (i ? ", " : "") << v.data()[i];
+    oss << ")";
+    return oss.str();
+}
+
+std::string
+streamed(const ServiceAnswer &a)
+{
+    std::ostringstream oss;
+    oss << "best=" << streamed(a.best_uov) << " value=" << a.best_objective
+        << " initial=" << a.initial_objective
+        << " canon=" << a.canonical_deps;
+    if (a.degraded)
+        oss << " degraded=" << a.degraded_reason;
+    oss << " cert=";
+    for (size_t i = 0; i < a.cert.size(); ++i) {
+        if (i)
+            oss << "|";
+        for (size_t j = 0; j < a.cert[i].size(); ++j)
+            oss << (j ? "," : "") << a.cert[i][j];
+    }
+    return oss.str();
+}
+
+/** An int64 limit, zero, any int64, or most often a small value. */
+int64_t
+edgyValue(SplitMix64 &rng)
+{
+    switch (rng.nextBelow(6)) {
+    case 0:
+        return std::numeric_limits<int64_t>::min();
+    case 1:
+        return std::numeric_limits<int64_t>::max();
+    case 2:
+        return 0;
+    case 3:
+        return static_cast<int64_t>(rng.next());
+    default:
+        return rng.nextInRange(-1000, 1000);
+    }
+}
+
+TEST(AnswerText, MatchesStreamReference)
+{
+    SplitMix64 rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        IVec v(1 + rng.nextBelow(6)); // past IVec's inline four
+        for (size_t c = 0; c < v.dim(); ++c)
+            v[c] = edgyValue(rng);
+        ASSERT_EQ(v.str(), streamed(v));
+        std::ostringstream via_operator;
+        via_operator << v;
+        ASSERT_EQ(via_operator.str(), streamed(v));
+
+        ServiceAnswer a;
+        a.best_uov = v;
+        a.best_objective = edgyValue(rng);
+        a.initial_objective = edgyValue(rng);
+        a.canonical_deps = rng.nextBelow(2) ? rng.nextBelow(33)
+                                            : static_cast<size_t>(
+                                                  rng.next());
+        a.degraded = rng.nextBelow(2);
+        if (a.degraded)
+            a.degraded_reason = rng.nextBelow(2) ? "node-budget"
+                                                 : "deadline";
+        a.cert.resize(rng.nextBelow(5)); // empty, one or several rows
+        for (auto &row : a.cert) {
+            row.resize(rng.nextBelow(7));
+            for (auto &x : row)
+                x = edgyValue(rng);
+        }
+        ASSERT_EQ(a.str(), streamed(a));
+    }
 }
 
 } // namespace

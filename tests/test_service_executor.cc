@@ -108,6 +108,34 @@ TEST(Executor, TuneQueryOverflowingTripCountIsAnError)
     }
 }
 
+TEST(Executor, DeepConeSearchIsAnErrorLine)
+{
+    // A cone search's depth follows its input (about w / min v in
+    // 1-D): verifying this stencil's candidates runs past the depth
+    // cap.  That is one error line about the input, not an internal
+    // error naming a source file.
+    Request r = parseRequestLine(
+        "query shortest deps [7] [11] [1000000000]", 1);
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    ServiceOptions opt;
+    opt.max_visits = 1000;
+    MetricsRegistry metrics;
+    QueryService svc(opt, metrics);
+    ThreadPool pool(1);
+    std::vector<std::string> batch = runBatch(svc, {r}, pool);
+    ASSERT_EQ(batch.size(), 1u);
+    for (const std::string &line : {runRequest(svc, r), batch[0]}) {
+        EXPECT_EQ(line.rfind("error 1 cone membership search depth of "
+                             "1048576 frames exceeded (stencil {(7), "
+                             "(11), (1000000000)})",
+                             0),
+                  0u)
+            << line;
+        EXPECT_EQ(line.find("internal error"), std::string::npos) << line;
+        EXPECT_EQ(line.find(".cc:"), std::string::npos) << line;
+    }
+}
+
 TEST(Executor, ParsesNativeQuery)
 {
     Request r = parseRequestLine(
