@@ -6,32 +6,30 @@
  * degrading as its footprint explodes) are architecture-robust even
  * though the host is not a 1998 machine.
  *
- * --native-table switches to the codegen comparison instead: for each
- * config it plans the storage mapping, JIT-compiles the lexicographic
- * and register-tiled OV-mapped kernels (codegen/jit.h), verifies both
- * bit-exactly against interpretKernel, and prints an
- * interpreter-vs-native speedup table with a nodes-touched traffic
- * column (nodes x (reads+1) x 8 bytes, reported as GB and as the
- * register-tiled kernel's GB/s).  Skips with a message when no host C
- * compiler is available.
+ * --native-table switches to the codegen comparison instead: each
+ * config is measured by tune::JitEvaluator::measureNative, as 'query
+ * native' is (storage mapping plan, lexicographic and register-tiled
+ * kernels JIT-compiled and verified bit-exactly against one
+ * interpreter run, each kernel the median of 5 timed runs), and
+ * printed as an interpreter-vs-native speedup table with a
+ * nodes-touched traffic column (nodes x (reads+1) x 8 bytes, reported
+ * as GB and as the register-tiled kernel's GB/s).  Skips with a
+ * message when no host C compiler is available.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "analysis/pipeline.h"
-#include "codegen/codegen.h"
 #include "codegen/jit.h"
 #include "kernels/psm.h"
 #include "kernels/simple.h"
 #include "kernels/stencil5.h"
 #include "support/error.h"
+#include "tune/evaluator.h"
 
 using namespace uov;
 
@@ -132,102 +130,28 @@ heatNest3d(int64_t t_steps, int64_t n)
     return nest;
 }
 
-/**
- * Best-of-3 wall-clock time of one @p fn invocation, in ns.  Each
- * sample repeats @p fn until ~2 ms have accumulated so sub-microsecond
- * kernels are still resolvable.
- */
-template <typename Fn>
-double
-bestOfThreeNs(Fn &&fn)
+/** Measure @p nest and print its row of the table. */
+void
+printNativeRow(const std::string &config, const LoopNest &nest,
+               tune::JitEvaluator &jit)
 {
-    using Clock = std::chrono::steady_clock;
-    constexpr int64_t kMinSampleNs = 2'000'000;
-    fn(); // warm up (page in the kernel, fault the output buffer)
-    double best = std::numeric_limits<double>::infinity();
-    for (int sample = 0; sample < 3; ++sample) {
-        int64_t reps = 0, elapsed = 0;
-        auto start = Clock::now();
-        do {
-            fn();
-            ++reps;
-            elapsed = std::chrono::duration_cast<
-                          std::chrono::nanoseconds>(Clock::now() -
-                                                    start)
-                          .count();
-        } while (elapsed < kMinSampleNs);
-        best = std::min(best,
-                        static_cast<double>(elapsed) /
-                            static_cast<double>(reps));
-    }
-    return best;
-}
-
-struct NativeRow
-{
-    std::string config;
-    int64_t nodes = 0;
-    double gb_touched = 0.0; ///< nodes x (reads+1) x 8 bytes, in GB
-    std::string storage;
-    int64_t unroll = 1, jam = 1;
-    double interp_ns = 0, lex_ns = 0, rtile_ns = 0;
-    bool verified = false;
-};
-
-NativeRow
-runNativeConfig(const std::string &config_name, const LoopNest &nest,
-                JitCompiler &jit)
-{
-    NativeRow row;
-    row.config = config_name;
-    const IVec &lo = nest.lo(), &hi = nest.hi();
-    row.nodes = 1;
-    for (size_t k = 0; k < lo.dim(); ++k)
-        row.nodes *= hi[k] - lo[k] + 1;
+    int64_t nodes = nest.tripCount();
     size_t reads = nest.statements()[0].reads.size();
-    row.gb_touched = static_cast<double>(row.nodes) *
-                     static_cast<double>(reads + 1) * 8.0 / 1e9;
+    double gb = static_cast<double>(nodes) *
+                static_cast<double>(reads + 1) * 8.0 / 1e9;
 
-    MappingPlan plan = planStorageMapping(nest, 0);
-    GenStorage storage = plan.mapping.ov()[0] >= 1
-                             ? GenStorage::OvMapped
-                             : GenStorage::Expanded;
-    row.storage = storage == GenStorage::OvMapped ? "ov" : "expanded";
-
-    std::vector<double> ref = interpretKernel(nest);
-    row.interp_ns = bestOfThreeNs([&] {
-        std::vector<double> out = interpretKernel(nest);
-        benchmark::DoNotOptimize(out.data());
-    });
-
-    std::vector<double> out(ref.size());
-    auto timeVariant = [&](GenSchedule schedule,
-                           const std::string &fn_name,
-                           int64_t *unroll, int64_t *jam) {
-        CodegenOptions opts;
-        opts.schedule = schedule;
-        opts.storage = storage;
-        opts.function_name = fn_name;
-        GeneratedCode code = generateC(nest, plan, opts);
-        if (unroll)
-            *unroll = code.unroll;
-        if (jam)
-            *jam = code.jam;
-        JitKernel kernel = jit.compileAndLoad(code);
-        auto fn = kernel.fn<void (*)(double *)>(code.function_name);
-        fn(out.data());
-        UOV_REQUIRE(out == ref, "native kernel '" + fn_name +
-                                    "' disagrees with the interpreter "
-                                    "on " + config_name);
-        return bestOfThreeNs([&] { fn(out.data()); });
-    };
-    row.lex_ns = timeVariant(GenSchedule::Lexicographic,
-                             "uov_bench_lex", nullptr, nullptr);
-    row.rtile_ns = timeVariant(GenSchedule::RegisterTiled,
-                               "uov_bench_rtile", &row.unroll,
-                               &row.jam);
-    row.verified = true;
-    return row;
+    tune::NativeMeasurement m = jit.measureNative(nest);
+    std::string uxj =
+        std::to_string(m.unroll) + "x" + std::to_string(m.jam);
+    auto interp = static_cast<double>(m.interp_ns);
+    auto lex = static_cast<double>(m.lex_ns);
+    auto rtile = static_cast<double>(m.rtile_ns);
+    std::printf("%-18s %10lld %8.4f %9s %6s %12.0f %12.0f %12.0f "
+                "%8.2f %8.2f %8.2f\n",
+                config.c_str(), static_cast<long long>(nodes), gb,
+                m.storage == GenStorage::OvMapped ? "ov" : "expanded",
+                uxj.c_str(), interp, lex, rtile, interp / lex,
+                interp / rtile, gb * 1e9 / rtile);
 }
 
 int
@@ -240,7 +164,7 @@ runNativeTable()
                      "--native-table\n");
         return 0;
     }
-    JitCompiler jit;
+    tune::JitEvaluator jit;
 
     struct Config
     {
@@ -255,28 +179,16 @@ runNativeTable()
     configs.push_back(Config{"heat3d_16x64", heatNest3d(16, 64)});
     configs.push_back(Config{"heat3d_32x96", heatNest3d(32, 96)});
 
-    std::printf("# interpreter vs JIT-compiled kernels "
-                "(bit-exact verified; best-of-3 wall clock)\n");
+    std::printf("# interpreter vs JIT-compiled kernels (bit-exact "
+                "verified; interp_ns one run, kernels median of 5)\n");
     std::printf("# gb = nodes x (reads+1) x 8 bytes of node traffic; "
                 "gb/s uses the register-tiled time\n");
     std::printf("%-18s %10s %8s %9s %6s %12s %12s %12s %8s %8s %8s\n",
                 "config", "nodes", "gb", "storage", "UxJ",
                 "interp_ns", "lex_ns", "rtile_ns", "lex_x",
                 "rtile_x", "gb/s");
-    for (const Config &c : configs) {
-        NativeRow row = runNativeConfig(c.name, c.nest, jit);
-        std::string uxj = std::to_string(row.unroll) + "x" +
-                          std::to_string(row.jam);
-        std::printf("%-18s %10lld %8.4f %9s %6s %12.0f %12.0f %12.0f "
-                    "%8.2f %8.2f %8.2f\n",
-                    row.config.c_str(),
-                    static_cast<long long>(row.nodes), row.gb_touched,
-                    row.storage.c_str(), uxj.c_str(), row.interp_ns,
-                    row.lex_ns, row.rtile_ns,
-                    row.interp_ns / row.lex_ns,
-                    row.interp_ns / row.rtile_ns,
-                    row.gb_touched * 1e9 / row.rtile_ns);
-    }
+    for (const Config &c : configs)
+        printNativeRow(c.name, c.nest, jit);
     return 0;
 }
 

@@ -16,6 +16,16 @@ namespace {
 
 /// Boundary-value weights per dimension (documented in the output).
 constexpr int64_t kBvalWeights[] = {3, 7, 11, 13, 17, 19};
+static_assert(std::size(kBvalWeights) == kMaxCodegenDepth);
+
+/** The emitter's and the interpreter's one depth gate. */
+void
+requireCodegenDepth(size_t d)
+{
+    UOV_REQUIRE(d >= 1 && d <= kMaxCodegenDepth,
+                "codegen supports 1- to " << kMaxCodegenDepth
+                                          << "-D nests");
+}
 
 /** Emit "a0*q0 + a1*q1 + ..." linear expressions. */
 std::string
@@ -247,8 +257,9 @@ outputCellCount(const LoopNest &nest)
 std::vector<double>
 interpretKernel(const LoopNest &nest)
 {
-    DependenceInfo deps = analyzeDependences(nest, 0);
     size_t d = nest.depth();
+    requireCodegenDepth(d);
+    DependenceInfo deps = analyzeDependences(nest, 0);
     ExpandedArray<double> vals(nest.lo(), nest.hi());
     auto bval = [&](const IVec &p) {
         int64_t acc = 1;
@@ -284,7 +295,7 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
           const CodegenOptions &options)
 {
     size_t d = nest.depth();
-    UOV_REQUIRE(d >= 1 && d <= 6, "codegen supports 1- to 6-D nests");
+    requireCodegenDepth(d);
     UOV_REQUIRE(options.schedule != GenSchedule::SkewedTiled || d == 2,
                 "skewed-tiled codegen currently targets 2-D nests "
                 "(the paper's Section 4 setting); use Lexicographic "

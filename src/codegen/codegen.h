@@ -36,6 +36,10 @@
 
 namespace uov {
 
+/** Deepest nest generateC emits and interpretKernel runs: the
+ *  boundary convention has one weight per dimension. */
+inline constexpr size_t kMaxCodegenDepth = 6;
+
 /** Storage discipline of the generated temporary array. */
 enum class GenStorage
 {
@@ -80,9 +84,10 @@ struct GeneratedCode
  * generated comment) and output receives one value per
  * iteration-space point on the final hyperplane of dimension 0.
  *
- * @pre the nest is 1- to 6-D with a single statement whose reads all
- *      carry constant loop-carried distances (the paper's program
- *      class); SkewedTiled additionally requires depth 2
+ * @pre the nest has a single statement whose reads all carry
+ *      constant loop-carried distances (the paper's program class);
+ *      SkewedTiled additionally requires depth 2
+ * @throws UovUserError unless the nest is 1- to kMaxCodegenDepth-D
  */
 GeneratedCode generateC(const LoopNest &nest, const MappingPlan &plan,
                         const CodegenOptions &options = {});
@@ -123,6 +128,8 @@ CodeBundle bundleUnits(const std::vector<GeneratedCode> &units);
  * Generated kernels of every (schedule, storage) combination must
  * reproduce this vector bit-for-bit; the codegen fuzz oracle and the
  * test matrix both compare against it.
+ * @throws UovUserError unless the nest is 1- to kMaxCodegenDepth-D
+ *         (generateC's text)
  */
 std::vector<double> interpretKernel(const LoopNest &nest);
 

@@ -5,7 +5,6 @@
 #include <future>
 #include <iomanip>
 #include <istream>
-#include <limits>
 #include <sstream>
 
 #include <algorithm>
@@ -186,23 +185,6 @@ render(size_t index, const Outcome &outcome)
     return "answer " + std::to_string(index) + " " + outcome.body;
 }
 
-/** Best-of-3 wall-clock nanoseconds for @p fn. */
-int64_t
-bestOfThreeNs(const std::function<void()> &fn)
-{
-    int64_t best = std::numeric_limits<int64_t>::max();
-    for (int rep = 0; rep < 3; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
-        fn();
-        auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      t1 - t0)
-                      .count());
-    }
-    return best < 1 ? 1 : best;
-}
-
 Outcome
 nativeOutcome(const Request &request)
 {
@@ -230,58 +212,22 @@ nativeOutcome(const Request &request)
         // over the bounds box (reads at minus each distance).
         LoopNest nest = nestFromStencil(stencil, *request.isg_lo,
                                         *request.isg_hi, "native");
-
-        MappingPlan plan = planStorageMapping(nest, 0);
-        GenStorage storage = plan.mapping.ov()[0] >= 1
-                                 ? GenStorage::OvMapped
-                                 : GenStorage::Expanded;
-
-        std::vector<double> ref;
-        int64_t interp_ns =
-            bestOfThreeNs([&] { ref = interpretKernel(nest); });
-        requireTime("after the interpreter baseline");
-
-        JitCompiler jit;
-        GeneratedCode lex_code, rtile_code;
-        {
-            CodegenOptions opts;
-            opts.storage = storage;
-            opts.function_name = "uov_native_lex";
-            lex_code = generateC(nest, plan, opts);
-            opts.schedule = GenSchedule::RegisterTiled;
-            opts.function_name = "uov_native_rtile";
-            rtile_code = generateC(nest, plan, opts);
-        }
-
-        auto timeKernel = [&](const GeneratedCode &code) {
-            requireTime("before JIT compilation");
-            JitKernel kernel = jit.compileAndLoad(code);
-            auto fn =
-                kernel.fn<void (*)(double *)>(code.function_name);
-            std::vector<double> out(ref.size(), 0.0);
-            int64_t ns = bestOfThreeNs([&] { fn(out.data()); });
-            UOV_REQUIRE(out == ref,
-                        "native kernel " << code.function_name
-                            << " diverged from the interpreter");
-            return ns;
-        };
-        int64_t lex_ns = timeKernel(lex_code);
-        int64_t rtile_ns = timeKernel(rtile_code);
+        tune::JitEvaluator jit;
+        tune::NativeMeasurement m = jit.measureNative(nest, requireTime);
 
         std::ostringstream oss;
-        oss << "native uov=" << plan.mapping.ov().str()
-            << " cells=" << plan.mapping.cellCount() << " storage="
-            << (storage == GenStorage::OvMapped ? "ov" : "expanded")
-            << " unroll=" << rtile_code.unroll
-            << " jam=" << rtile_code.jam << std::fixed
-            << std::setprecision(2) << " interp_ns=" << interp_ns
-            << " lex_ns=" << lex_ns << " rtile_ns=" << rtile_ns
+        oss << "native uov=" << m.plan.mapping.ov().str()
+            << " cells=" << m.plan.mapping.cellCount() << " storage="
+            << (m.storage == GenStorage::OvMapped ? "ov" : "expanded")
+            << " unroll=" << m.unroll << " jam=" << m.jam << std::fixed
+            << std::setprecision(2) << " interp_ns=" << m.interp_ns
+            << " lex_ns=" << m.lex_ns << " rtile_ns=" << m.rtile_ns
             << " speedup_lex="
-            << static_cast<double>(interp_ns) /
-                   static_cast<double>(lex_ns)
+            << static_cast<double>(m.interp_ns) /
+                   static_cast<double>(m.lex_ns)
             << " speedup_rtile="
-            << static_cast<double>(interp_ns) /
-                   static_cast<double>(rtile_ns)
+            << static_cast<double>(m.interp_ns) /
+                   static_cast<double>(m.rtile_ns)
             << " verified=ok";
         return answered(oss.str(), false, "");
     } catch (const UovError &e) {
@@ -323,8 +269,11 @@ tuneOutcome(const Request &request)
         };
 
         // Measurement tail: wall-clock figures, exempt from the
-        // byte-determinism contract like 'query native' timings.
-        if (!JitCompiler::hostCompilerAvailable()) {
+        // byte-determinism contract like 'query native' timings.  A
+        // nest the emitter cannot take reads like a missing compiler,
+        // so the line is the same on every host.
+        if (!JitCompiler::hostCompilerAvailable() ||
+            nest.depth() > kMaxCodegenDepth) {
             oss << " measure=unavailable";
             return done();
         }
@@ -426,20 +375,6 @@ shedFloor(const Request &request, const Stencil &stencil)
 }
 
 } // namespace
-
-std::string
-runNativeRequest(const Request &request)
-{
-    // A native request never reaches the solver.
-    return render(request.index, answer(request, {}));
-}
-
-std::string
-runTuneRequest(const Request &request)
-{
-    // A tune request never reaches the solver.
-    return render(request.index, answer(request, {}));
-}
 
 std::string
 runRequest(QueryService &service, const Request &request)

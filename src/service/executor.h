@@ -31,6 +31,51 @@
  * and the batch keeps going; the error text is part of the
  * deterministic contract.
  *
+ * A 'query native' line realizes the stencil as a single-statement
+ * nest over the bounds box and measures it through
+ * tune::JitEvaluator::measureNative: the storage mapping's plan, then
+ * the lexicographic and register-tiled kernels, JIT-compiled with the
+ * host C compiler and verified bit-exactly against one interpreter
+ * run:
+ *
+ *     answer <idx> native uov=<ov> cells=<n> storage=ov|expanded
+ *         unroll=<u> jam=<j> interp_ns=<t> lex_ns=<t> rtile_ns=<t>
+ *         speedup_lex=<x> speedup_rtile=<x> verified=ok
+ *
+ * interp_ns is the wall time of that one interpreter run, and lex_ns
+ * and rtile_ns are JitEvaluator's median of 5 timed runs.  The _ns
+ * figures and the speedups are wall-clock, outside the
+ * byte-determinism contract; everything before " interp_ns=" is
+ * deterministic.  A missing host compiler, an unplannable stencil,
+ * a nest the emitter cannot take, or a deadline that expires before
+ * compilation, after the interpreter baseline or before a JIT compile
+ * becomes an "error <idx>" line.
+ *
+ * A 'query tune' line realizes the stencil over the bounds box and
+ * runs the joint (UOV, schedule, tile/unroll) tuner under the request
+ * deadline, scoring with the deterministic cache/TLB simulator:
+ *
+ *     answer <idx> tune uov=(2, 0) storage=ov schedule=unroll(4)
+ *         cells=<n> sim_cycles=<c> evaluated=<k>/<total>
+ *         [degraded=<reason>] ...
+ *
+ * Everything up to here is byte-deterministic (deadline_ms in
+ * {-1, 0}; positive deadlines truncate the evaluated prefix).  When a
+ * host compiler is available and the deadline has not expired, the
+ * default lexicographic kernel and the top simulator-ranked lowerable
+ * candidates (Tuner::measuredSet) are then compiled as one
+ * translation unit and JIT-measured in that order (each verified
+ * bit-exactly against the interpreter); the deadline is checked once,
+ * before that compile.  The line continues in the _ns-exempt zone:
+ *
+ *     ... lex_ns=<t> best_ns=<t> speedup_vs_lex=<x>
+ *         best_measured={...} verified=ok
+ *
+ * With no compiler, or a nest deeper than the emitter takes
+ * (kMaxCodegenDepth dimensions), the tail is " measure=unavailable",
+ * so such a line reads the same on every host; with an expired
+ * deadline, " measure=deadline".
+ *
  * Every answer path -- service, direct, shed, native, tune, parse
  * error, admission fault, a throwing pool task -- returns one typed
  * outcome (optimal, degraded, shed, or error, with its cause), and
@@ -141,53 +186,6 @@ class Watchdog
  * errors propagate.
  */
 std::string runRequest(QueryService &service, const Request &request);
-
-/**
- * Answer a 'query native' request: realize the stencil as a
- * single-statement nest over the bounds box, plan its storage
- * mapping, JIT-compile the lexicographic and register-tiled OV-mapped
- * kernels with the host C compiler, verify both bit-exactly against
- * the interpreter, and report interpreter-vs-native timings:
- *
- *     answer <idx> native cells=<n> interp_ns=<t> lex_ns=<t>
- *         rtile_ns=<t> speedup_lex=<x> speedup_rtile=<x> verified=ok
- *
- * Timing figures are wall-clock and NOT covered by the
- * byte-determinism contract (which is scoped to shortest/storage);
- * everything before the first _ns field is deterministic.  A missing
- * host compiler or an unplannable stencil becomes an "error <idx>"
- * response, like any other input-dependent failure.  @p request is a
- * parsed 'query native' line (a parse error is echoed).
- */
-std::string runNativeRequest(const Request &request);
-
-/**
- * Answer a 'query tune' request: realize the stencil over the bounds
- * box and run the joint (UOV, schedule, tile/unroll) tuner under the
- * request deadline, scoring with the deterministic cache/TLB
- * simulator:
- *
- *     answer <idx> tune uov=(2, 0) storage=ov schedule=unroll(4)
- *         cells=<n> sim_cycles=<c> evaluated=<k>/<total>
- *         [degraded=<reason>] ...
- *
- * Everything up to here is byte-deterministic (deadline_ms in
- * {-1, 0}; positive deadlines truncate the evaluated prefix).  When a
- * host compiler is available and the deadline has not expired, the
- * default lexicographic kernel and the top simulator-ranked lowerable
- * candidates (Tuner::measuredSet) are then compiled as one
- * translation unit and JIT-measured in that order (each verified
- * bit-exactly against the interpreter); the deadline is checked once,
- * before that compile.  The line continues in the _ns-exempt zone:
- *
- *     ... lex_ns=<t> best_ns=<t> speedup_vs_lex=<x>
- *         best_measured={...} verified=ok
- *
- * With no compiler the tail is " measure=unavailable"; with an
- * expired deadline, " measure=deadline".  @p request is a parsed
- * 'query tune' line (a parse error is echoed).
- */
-std::string runTuneRequest(const Request &request);
 
 /** Admission-control configuration. */
 struct AdmissionOptions

@@ -244,16 +244,16 @@ lowerForJit(const Stencil &stencil, const TuneCandidate &cand)
     return opts;
 }
 
-/** Verify @p fn bit-exactly against @p ref (a divergence throws), then
- *  return the median of @p runs timings in nanoseconds. */
+/** Verify @p fn bit-exactly against @p ref (a divergence, reported
+ *  under @p label, throws), then return the median of @p runs timings
+ *  in nanoseconds. */
 double
 measureKernel(void (*fn)(double *), const std::vector<double> &ref,
-              const TuneCandidate &cand, int runs)
+              const std::string &label, int runs)
 {
     std::vector<double> out(ref.size(), 0.0);
     fn(out.data());
-    UOV_CHECK(out == ref, "tune candidate {" << cand.str()
-                              << "} diverged from the interpreter");
+    UOV_CHECK(out == ref, label << " diverged from the interpreter");
 
     // Small kernels finish in microseconds, where a single call is
     // mostly clock noise; amortize by looping each sample until it
@@ -285,6 +285,28 @@ measureKernel(void (*fn)(double *), const std::vector<double> &ref,
     return static_cast<double>(median < 1 ? 1 : median);
 }
 
+/**
+ * The one kernel measurement: compile @p units as one translation
+ * unit and dlopen it once, then verify and time each kernel against
+ * ctx's reference (measureKernel; @p labels[i] names unit i).  The
+ * object is released on return.
+ */
+std::vector<double>
+scoreUnits(JitCompiler &jit, TuneContext &ctx,
+           const std::vector<GeneratedCode> &units,
+           const std::vector<std::string> &labels, int runs)
+{
+    CodeBundle bundle = bundleUnits(units);
+    JitKernel kernel = jit.load(jit.compile(bundle.source));
+    const std::vector<double> &ref = ctx.reference();
+    std::vector<double> scores;
+    for (size_t i = 0; i < units.size(); ++i)
+        scores.push_back(measureKernel(
+            kernel.fn<void (*)(double *)>(bundle.symbols[i]), ref,
+            labels[i], runs));
+    return scores;
+}
+
 } // namespace
 
 JitEvaluator::JitEvaluator(JitEvalOptions options)
@@ -307,19 +329,56 @@ JitEvaluator::scoreAll(TuneContext &ctx,
 {
     TRACE_SPAN("tune.jit_score");
     std::vector<GeneratedCode> units;
-    for (const TuneCandidate &cand : cands)
+    std::vector<std::string> labels;
+    for (const TuneCandidate &cand : cands) {
         units.push_back(generateC(ctx.nest(), *cand.plan,
                                   lowerForJit(ctx.stencil(), cand)));
-    CodeBundle bundle = bundleUnits(units);
-    JitKernel kernel = _jit.load(_jit.compile(bundle.source));
+        labels.push_back("tune candidate {" + cand.str() + "}");
+    }
+    return scoreUnits(_jit, ctx, units, labels, _runs);
+}
 
-    const std::vector<double> &ref = ctx.reference();
-    std::vector<double> scores;
-    for (size_t i = 0; i < cands.size(); ++i)
-        scores.push_back(measureKernel(
-            kernel.fn<void (*)(double *)>(bundle.symbols[i]), ref,
-            cands[i], _runs));
-    return scores;
+NativeMeasurement
+JitEvaluator::measureNative(
+    const LoopNest &nest,
+    const std::function<void(const char *stage)> &checkpoint)
+{
+    auto reach = [&](const char *stage) {
+        if (checkpoint)
+            checkpoint(stage);
+    };
+    MappingPlan plan = planStorageMapping(nest, 0);
+    GenStorage storage = plan.mapping.ov()[0] >= 1
+                             ? GenStorage::OvMapped
+                             : GenStorage::Expanded;
+    CodegenOptions opts;
+    opts.storage = storage;
+    opts.function_name = "uov_native_lex";
+    GeneratedCode lex = generateC(nest, plan, opts);
+    opts.schedule = GenSchedule::RegisterTiled;
+    opts.function_name = "uov_native_rtile";
+    GeneratedCode rtile = generateC(nest, plan, opts);
+
+    TuneContext ctx(nest, plan.stencil);
+    auto t0 = std::chrono::steady_clock::now();
+    ctx.reference();
+    int64_t interp_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    reach("after the interpreter baseline");
+
+    auto score = [&](const GeneratedCode &unit) {
+        reach("before JIT compilation");
+        return static_cast<int64_t>(
+            scoreUnits(_jit, ctx, {unit},
+                       {"native kernel " + unit.function_name}, _runs)
+                .front());
+    };
+    int64_t lex_ns = score(lex);
+    int64_t rtile_ns = score(rtile);
+    return {std::move(plan), storage, rtile.unroll, rtile.jam,
+            interp_ns, lex_ns, rtile_ns};
 }
 
 } // namespace tune

@@ -18,12 +18,15 @@
  *    verifies each kernel bit-exactly against the interpreter
  *    reference, and returns the median of k timed runs in
  *    nanoseconds.  Nondeterministic (wall clock), so its figures live
- *    in the _ns-exempt zone of response lines.
+ *    in the _ns-exempt zone of response lines.  It is the one kernel
+ *    measurement: 'query native' and bench_native_kernels time their
+ *    kernels through its measureNative().
  */
 
 #ifndef UOV_TUNE_EVALUATOR_H
 #define UOV_TUNE_EVALUATOR_H
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -133,6 +136,20 @@ struct JitEvalOptions
     JitOptions jit; ///< compiler/flags/cache configuration
 };
 
+/** What JitEvaluator::measureNative found for one nest. */
+struct NativeMeasurement
+{
+    MappingPlan plan; ///< planStorageMapping(nest, 0)
+    /** OvMapped iff the plan's OV advances dimension 0 (only then does
+     *  the output hyperplane survive the mapping), else Expanded. */
+    GenStorage storage = GenStorage::Expanded;
+    int64_t unroll = 1; ///< factors the register-tiled kernel emitted
+    int64_t jam = 1;
+    int64_t interp_ns = 0; ///< wall time of the one interpreter run
+    int64_t lex_ns = 0;    ///< each kernel's score(): median of runs
+    int64_t rtile_ns = 0;
+};
+
 class JitEvaluator : public Evaluator
 {
   public:
@@ -152,6 +169,23 @@ class JitEvaluator : public Evaluator
      */
     std::vector<double> scoreAll(TuneContext &ctx,
                                  const std::vector<TuneCandidate> &cands);
+
+    /**
+     * Measure @p nest as 'query native' reports it: plan its storage
+     * mapping, emit the lexicographic kernel uov_native_lex and the
+     * register-tiled uov_native_rtile (regcost factors) under the
+     * plan's storage, time one interpreter reference run, then score
+     * each kernel like score() -- its own translation unit, released
+     * before the next one loads.  Planning and emitter errors throw
+     * before the interpreter runs.  @p checkpoint, when set, is called
+     * with "after the interpreter baseline" and then with "before JIT
+     * compilation" ahead of each compile; it stops the measurement by
+     * throwing.  @throws like score()
+     */
+    NativeMeasurement
+    measureNative(const LoopNest &nest,
+                  const std::function<void(const char *stage)>
+                      &checkpoint = {});
 
     JitCompiler &compiler() { return _jit; }
 

@@ -161,6 +161,33 @@ TEST(Codegen, RejectsNonFlowReads)
     EXPECT_THROW(generateC(nest, plan), UovUserError);
 }
 
+TEST(Codegen, SevenDimensionalNestIsRefusedByEmitterAndInterpreter)
+{
+    // The interpreter indexes one boundary weight per dimension, so it
+    // checks the emitter's depth limit itself, with the emitter's text,
+    // before it reads a weight.
+    std::vector<int64_t> zero(7, 0), one(7, 1), back(7, 0);
+    back[0] = -1;
+    LoopNest nest("seven", IVec(zero), IVec(one));
+    Statement s;
+    s.name = "S";
+    s.write = uniformAccess("S", IVec(zero));
+    s.reads = {uniformAccess("S", IVec(back))};
+    nest.addStatement(s);
+    ASSERT_EQ(nest.depth(), kMaxCodegenDepth + 1);
+    MappingPlan plan = planStorageMapping(nest, 0);
+    auto expectRefused = [](auto &&run) {
+        try {
+            run();
+            ADD_FAILURE() << "a 7-D nest was accepted";
+        } catch (const UovUserError &e) {
+            EXPECT_STREQ(e.what(), "codegen supports 1- to 6-D nests");
+        }
+    };
+    expectRefused([&] { interpretKernel(nest); });
+    expectRefused([&] { generateC(nest, plan); });
+}
+
 // ---------------------------------------------------------------- //
 // Option validation: knobs that a schedule would silently ignore    //
 // are rejected up front with a message naming the offender.         //

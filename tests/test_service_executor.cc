@@ -103,7 +103,7 @@ TEST(Executor, TuneQueryOverflowingTripCountIsAnError)
           "query tune bounds 0..4294967295 0..4294967295 deps [1,0]"}) {
         Request r = parseRequestLine(line, 1);
         ASSERT_TRUE(r.error.empty()) << r.error;
-        EXPECT_EQ(runTuneRequest(r), "error 1 integer overflow: mul")
+        EXPECT_EQ(runBatchDirect({r})[0], "error 1 integer overflow: mul")
             << line;
     }
 }
@@ -153,7 +153,7 @@ TEST(Executor, NativeQueryAnswersWithVerifiedTimings)
     Request r = parseRequestLine(
         "query native bounds 0..9 0..9 deps [1,-1] [1,0] [1,1]", 1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string resp = runNativeRequest(r);
+    std::string resp = runBatchDirect({r})[0];
     EXPECT_EQ(resp.rfind("answer 1 native uov=(2, 0) ", 0), 0u)
         << resp;
     EXPECT_NE(resp.find(" interp_ns="), std::string::npos) << resp;
@@ -199,6 +199,58 @@ TEST(Executor, DuplicateNativeLinesAllVerify)
                 << "round " << round << ": " << line;
         std::filesystem::remove_all(dir);
     }
+    if (old != nullptr)
+        ::setenv("TMPDIR", saved.c_str(), 1);
+    else
+        ::unsetenv("TMPDIR");
+}
+
+TEST(Executor, NativeLeavesTwoObjectsAndTuneOne)
+{
+    if (!JitCompiler::hostCompilerAvailable())
+        GTEST_SKIP() << "no host C compiler on PATH";
+    // A native request compiles its lexicographic and register-tiled
+    // kernels as two translation units -- even when the cost model
+    // picks 1x1 register tiling (the 6-D line) -- and a tune request
+    // its measured kernels as one; each leaves one object in an empty
+    // JIT cache.  perfbench's native pass counts on the two.
+    struct Case
+    {
+        const char *line;
+        size_t objects;
+    };
+    const Case cases[] = {
+        {"query native bounds 0..15 0..127 deps [1,-2] [1,-1] [1,0] "
+         "[1,1] [1,2]",
+         2},
+        {"query native bounds 0..2 0..2 0..2 0..2 0..2 0..2 deps "
+         "[1,0,0,0,0,0]",
+         2},
+        {"query tune bounds 0..15 0..127 deps [1,-2] [1,-1] [1,0] "
+         "[1,1] [1,2]",
+         1},
+    };
+    const char *old = std::getenv("TMPDIR");
+    std::string saved = old != nullptr ? old : "";
+    std::string dir = ::testing::TempDir() + "uov_objects_" +
+                      std::to_string(static_cast<long>(::getpid()));
+    std::vector<std::string> lines;
+    for (const Case &c : cases) {
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        ::setenv("TMPDIR", dir.c_str(), 1);
+        lines.push_back(runBatchDirect({parseRequestLine(c.line, 1)})[0]);
+        EXPECT_TRUE(lines.back().ends_with(" verified=ok")) << lines.back();
+        size_t objects = 0;
+        std::error_code ec;
+        for (const auto &entry : std::filesystem::directory_iterator(
+                 JitCompiler().cacheDir(), ec))
+            objects += entry.path().extension() == ".so";
+        EXPECT_EQ(objects, c.objects) << c.line;
+    }
+    EXPECT_NE(lines[1].find(" unroll=1 jam=1 "), std::string::npos)
+        << lines[1];
+    std::filesystem::remove_all(dir);
     if (old != nullptr)
         ::setenv("TMPDIR", saved.c_str(), 1);
     else

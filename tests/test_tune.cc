@@ -384,8 +384,8 @@ TEST(TuneService, ZeroDeadlineResponseIsDeterministic)
         "[1,1]",
         1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string a = service::runTuneRequest(r);
-    std::string b = service::runTuneRequest(r);
+    std::string a = service::runBatchDirect({r})[0];
+    std::string b = service::runBatchDirect({r})[0];
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.rfind("answer 1 tune uov=", 0), 0u) << a;
     EXPECT_NE(a.find(" degraded=deadline"), std::string::npos) << a;
@@ -403,7 +403,7 @@ TEST(TuneService, BatchDirectRoutesTuneRequests)
     ASSERT_EQ(reqs.size(), 1u);
     std::vector<std::string> out = service::runBatchDirect(reqs);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], service::runTuneRequest(reqs[0]));
+    EXPECT_EQ(out[0], service::runBatchDirect({reqs[0]})[0]);
 }
 
 TEST(TuneService, MeasuredResponseReportsSpeedup)
@@ -413,7 +413,7 @@ TEST(TuneService, MeasuredResponseReportsSpeedup)
     service::Request r = service::parseRequestLine(
         "query tune bounds 0..5 0..9 deps [1,-1] [1,0] [1,1]", 1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string line = service::runTuneRequest(r);
+    std::string line = service::runBatchDirect({r})[0];
     EXPECT_EQ(line.rfind("answer 1 tune uov=", 0), 0u) << line;
     EXPECT_NE(line.find(" lex_ns="), std::string::npos) << line;
     EXPECT_NE(line.find(" best_ns="), std::string::npos) << line;
@@ -441,7 +441,7 @@ TEST(TuneService, OneCompilePerRequest)
     std::string saved = old != nullptr ? old : "";
     ::setenv("TMPDIR", dir.c_str(), 1);
 
-    std::string line = service::runTuneRequest(r);
+    std::string line = service::runBatchDirect({r})[0];
     EXPECT_TRUE(line.ends_with(" verified=ok")) << line;
     std::vector<std::string> files;
     std::error_code ec;
@@ -459,6 +459,31 @@ TEST(TuneService, OneCompilePerRequest)
     std::filesystem::remove_all(dir);
 }
 
+TEST(TuneService, DeepNestAnswersAlikeWithAndWithoutACompiler)
+{
+    if (!JitCompiler::hostCompilerAvailable())
+        GTEST_SKIP() << "no host C compiler on PATH";
+    // The emitter takes 1- to 6-D nests, so a 7-D line ends its
+    // measurement tail as a missing compiler does, and the whole line
+    // is the same on every host.
+    service::Request r = service::parseRequestLine(
+        "query tune bounds 0..1 0..1 0..1 0..1 0..1 0..1 0..1 deps "
+        "[1,0,0,0,0,0,0]",
+        1);
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    std::string with_cc = service::runBatchDirect({r})[0];
+    const char *old = std::getenv("UOV_CC");
+    std::string saved = old != nullptr ? old : "";
+    ::setenv("UOV_CC", "/nonexistent/cc", 1);
+    std::string without_cc = service::runBatchDirect({r})[0];
+    if (old != nullptr)
+        ::setenv("UOV_CC", saved.c_str(), 1);
+    else
+        ::unsetenv("UOV_CC");
+    EXPECT_EQ(with_cc, without_cc);
+    EXPECT_TRUE(with_cc.ends_with(" measure=unavailable")) << with_cc;
+}
+
 TEST(NativeService, ExpiredDeadlineIsOneActionableError)
 {
     // 'query native' exists to time a full JIT run; a deadline it
@@ -469,8 +494,8 @@ TEST(NativeService, ExpiredDeadlineIsOneActionableError)
         "[1,0] [1,1]",
         1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string a = service::runNativeRequest(r);
-    std::string b = service::runNativeRequest(r);
+    std::string a = service::runBatchDirect({r})[0];
+    std::string b = service::runBatchDirect({r})[0];
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.rfind("error 1 ", 0), 0u) << a;
     EXPECT_NE(a.find("deadline_ms 0 expired"), std::string::npos)
