@@ -14,6 +14,7 @@
 #include <functional>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/reduction.h"
 #include "sim/machine.h"
 #include "sim/streaming.h"
+#include "support/flags.h"
 #include "support/rng.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
@@ -36,21 +38,24 @@ struct Options
     bool quick = false; ///< shrink sweeps (used by CI smoke runs)
 };
 
+/**
+ * Parse argv through one FlagTable: --help exits 0 with the usage on
+ * stdout; an unknown flag or a stray word exits 2 with its error line
+ * (and the usage) on stderr.
+ */
 inline Options
 parseArgs(int argc, char **argv)
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--csv")
-            o.csv = true;
-        else if (a == "--quick")
-            o.quick = true;
-        else if (a == "--help" || a == "-h") {
-            std::cout << "usage: " << argv[0] << " [--csv] [--quick]\n";
-            std::exit(0);
-        }
-    }
+    std::string path = argv[0];
+    FlagTable flags(path.substr(path.rfind('/') + 1),
+                    "usage: " + path + " [--csv] [--quick]\n", 11);
+    flags.add("--csv", "emit CSV instead of aligned tables",
+              [&](auto &) { o.csv = true; })
+        .add("--quick", "shrink sweeps (CI smoke runs)",
+             [&](auto &) { o.quick = true; });
+    if (std::optional<int> rc = flags.run(argc, argv))
+        std::exit(*rc);
     return o;
 }
 

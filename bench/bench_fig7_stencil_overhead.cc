@@ -55,30 +55,28 @@ main(int argc, char **argv)
     Table t("Figure 7: cycles per iteration, L=" +
             std::to_string(cfg.length) + ", T=" +
             std::to_string(cfg.steps) + " (fits L1)");
+    const std::vector<MachineConfig> machines = bench::paperMachines();
     std::vector<std::string> header = {"version"};
-    for (const auto &m : bench::paperMachines())
+    for (const auto &m : machines)
         header.push_back(m.name);
     t.header(header);
 
-    double max_spread = 0;
+    // Per machine, the fastest and slowest version's cycles/iter.
+    std::vector<double> lo(machines.size(), 1e30), hi(machines.size(), 0);
     for (Stencil5Variant v : versions) {
         auto row = t.addRow();
         row.cell(stencil5VariantName(v));
-        for (const auto &machine : bench::paperMachines()) {
-            double cpi = simCyclesPerIter(v, cfg, machine, reps);
+        for (size_t m = 0; m < machines.size(); ++m) {
+            double cpi = simCyclesPerIter(v, cfg, machines[m], reps);
             row.cell(cpi, 2);
+            lo[m] = std::min(lo[m], cpi);
+            hi[m] = std::max(hi[m], cpi);
         }
     }
     // Spread check: per machine, max/min across versions.
-    for (const auto &machine : bench::paperMachines()) {
-        double lo = 1e30, hi = 0;
-        for (Stencil5Variant v : versions) {
-            double cpi = simCyclesPerIter(v, cfg, machine, reps);
-            lo = std::min(lo, cpi);
-            hi = std::max(hi, cpi);
-        }
-        max_spread = std::max(max_spread, hi / lo);
-    }
+    double max_spread = 0;
+    for (size_t m = 0; m < machines.size(); ++m)
+        max_spread = std::max(max_spread, hi[m] / lo[m]);
     bench::emit(t, opt);
 
     std::cout << "paper's claim: with in-cache sizes the versions "

@@ -49,28 +49,30 @@ main(int argc, char **argv)
 
     Table t("Figure 8: cycles per iteration, n0=n1=" +
             std::to_string(cfg.n0) + " (fits L1)");
+    const std::vector<MachineConfig> machines = bench::paperMachines();
     std::vector<std::string> header = {"version"};
-    for (const auto &m : bench::paperMachines())
+    for (const auto &m : machines)
         header.push_back(m.name);
     t.header(header);
 
+    // cpi[i][m]: versions[i] on machines[m].
+    std::vector<std::vector<double>> cpi;
     for (PsmVariant v : versions) {
         auto row = t.addRow();
         row.cell(psmVariantName(v));
-        for (const auto &machine : bench::paperMachines())
-            row.cell(simCyclesPerIter(v, cfg, machine, reps), 2);
+        cpi.emplace_back();
+        for (const auto &machine : machines) {
+            double c = simCyclesPerIter(v, cfg, machine, reps);
+            cpi.back().push_back(c);
+            row.cell(c, 2);
+        }
     }
     bench::emit(t, opt);
 
     // Ordering check per machine: optimized <= ov <= natural.
     bool ordered = true;
-    for (const auto &machine : bench::paperMachines()) {
-        double so = simCyclesPerIter(PsmVariant::StorageOptimized, cfg,
-                                     machine, reps);
-        double ov = simCyclesPerIter(PsmVariant::Ov, cfg, machine,
-                                     reps);
-        double nat = simCyclesPerIter(PsmVariant::Natural, cfg, machine,
-                                      reps);
+    for (size_t m = 0; m < machines.size(); ++m) {
+        double so = cpi[0][m], nat = cpi[1][m], ov = cpi[2][m];
         if (!(so <= ov * 1.02 && ov <= nat * 1.02))
             ordered = false;
     }

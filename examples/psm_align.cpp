@@ -8,18 +8,24 @@
 
 #include <chrono>
 #include <iostream>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "analysis/pipeline.h"
 #include "kernels/psm.h"
+#include "support/flags.h"
+#include "support/lex.h"
 #include "support/table.h"
 
 using namespace uov;
 
-int
-main(int argc, char **argv)
-{
-    int64_t n = argc > 1 ? std::stoll(argv[1]) : 1500;
+namespace {
 
+/** Align two length-@p n proteins with every variant; 0 iff all agree. */
+int
+align(int64_t n)
+{
     std::cout << "aligning two synthetic proteins of length " << n
               << " over the " << kPsmAlphabet
               << "-letter amino-acid alphabet\n\n";
@@ -77,4 +83,35 @@ main(int argc, char **argv)
               << " -- and unlike the storage-optimized version it can "
                  "still be tiled.\n";
     return agree ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    std::vector<std::string> words;
+    FlagTable flags("psm_align",
+                    "usage: psm_align [N]\n"
+                    "  aligns two synthetic proteins of length N >= 1 "
+                    "(default 1500)\n",
+                    0);
+    if (std::optional<int> rc = flags.run(argc, argv, &words))
+        return *rc;
+    int64_t n = 1500;
+    for (size_t i = 0; i < words.size(); ++i) {
+        if (i > 0 || !parseWholeNumber(words[i], n) || n < 1) {
+            std::cerr << "psm_align: want one length N >= 1, got '"
+                      << words[i] << "'\n";
+            return 2;
+        }
+    }
+    try {
+        return align(n);
+    } catch (const std::exception &e) {
+        // One error line, as uovc gives it: a length whose region scan
+        // the planner refuses, or running out of memory.
+        std::cerr << "psm_align: " << e.what() << "\n";
+        return 1;
+    }
 }

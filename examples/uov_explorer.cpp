@@ -9,7 +9,7 @@
  */
 
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,63 +19,57 @@
 #include "core/uov.h"
 #include "mapping/storage_mapping.h"
 #include "support/error.h"
+#include "support/flags.h"
+#include "support/lex.h"
 
 using namespace uov;
-
-namespace {
-
-IVec
-parseVector(const std::string &arg)
-{
-    std::vector<int64_t> coords;
-    std::stringstream ss(arg);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        coords.push_back(std::stoll(tok));
-    UOV_REQUIRE(!coords.empty(), "empty vector argument '" << arg << "'");
-    return IVec(coords);
-}
-
-void
-usage(const char *prog)
-{
-    std::cout
-        << "usage: " << prog << " [--bounds NxM] v1 v2 ...\n"
-        << "  each vi is a comma-separated dependence vector, e.g. "
-           "1,-2\n"
-        << "  --bounds NxM enables the known-bounds storage "
-           "objective over the box (0,0)..(N,M) (2-D only)\n"
-        << "example: " << prog << " 1,-2 1,-1 1,0 1,1 1,2\n";
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<IVec> deps;
     int64_t bound_n = -1, bound_m = -1;
+    std::vector<std::string> words;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
+    const std::string prog = argv[0];
+    FlagTable flags("uov_explorer",
+                    "usage: " + prog +
+                        " [--bounds NxM] v1 v2 ...\n"
+                        "  each vi is a comma-separated dependence "
+                        "vector, e.g. 1,-2\n",
+                    15);
+    flags.add("--bounds NxM",
+              "enables the known-bounds storage objective over the box "
+              "(0,0)..(N,M) (2-D only)",
+              [&](const std::string &v) {
+                  auto x = v.find('x');
+                  if (x == std::string::npos)
+                      throw FlagError("bad --bounds '" + v +
+                                      "', want NxM");
+                  if (!parseWholeNumber(v.substr(0, x), bound_n) ||
+                      !parseWholeNumber(v.substr(x + 1), bound_m))
+                      throw std::invalid_argument(v);
+              });
+    const std::string example =
+        "example: " + prog + " 1,-2 1,-1 1,0 1,1 1,2\n";
+    if (std::optional<int> rc = flags.run(argc, argv, &words)) {
+        if (*rc == 0) // --help: the usage is on stdout
+            std::cout << example;
+        return *rc;
+    }
+    for (const std::string &word : words) {
+        std::vector<int64_t> coords;
+        if (!parseTuple("[" + word + "]", coords)) {
+            std::cerr << "uov_explorer: bad dependence vector '" << word
+                      << "'\n";
+            return 2;
         }
-        if (arg == "--bounds") {
-            UOV_REQUIRE(i + 1 < argc, "--bounds needs NxM");
-            std::string b = argv[++i];
-            auto x = b.find('x');
-            UOV_REQUIRE(x != std::string::npos, "--bounds needs NxM");
-            bound_n = std::stoll(b.substr(0, x));
-            bound_m = std::stoll(b.substr(x + 1));
-            continue;
-        }
-        deps.push_back(parseVector(arg));
+        deps.emplace_back(coords);
     }
     if (deps.empty()) {
-        usage(argv[0]);
-        std::cout << "\nno stencil given; using the paper's 5-point "
+        flags.usage(std::cout);
+        std::cout << example
+                  << "\nno stencil given; using the paper's 5-point "
                      "stencil.\n\n";
         deps = stencils::fivePoint().deps();
     }

@@ -1,19 +1,8 @@
 #include "analysis/dependence.h"
 
-#include <sstream>
-
 #include "support/error.h"
 
 namespace uov {
-
-std::string
-ReadDependence::str() const
-{
-    std::ostringstream oss;
-    oss << "read#" << read_index << " distance " << distance << " ("
-        << (kind == ReadKind::LoopCarriedFlow ? "flow" : "import") << ")";
-    return oss.str();
-}
 
 std::vector<IVec>
 DependenceInfo::flowDistances() const

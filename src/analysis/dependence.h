@@ -15,7 +15,6 @@
 #ifndef UOV_ANALYSIS_DEPENDENCE_H
 #define UOV_ANALYSIS_DEPENDENCE_H
 
-#include <string>
 #include <vector>
 
 #include "core/stencil.h"
@@ -42,8 +41,6 @@ struct ReadDependence
     size_t read_index;  ///< position in Statement::reads
     IVec distance;      ///< consumer - producer (write-to-read)
     ReadKind kind;
-
-    std::string str() const;
 };
 
 /** Full dependence summary of one statement. */

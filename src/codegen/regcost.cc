@@ -1,21 +1,11 @@
 #include "codegen/regcost.h"
 
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "support/error.h"
 
 namespace uov {
-
-std::string
-RegisterPlan::str() const
-{
-    std::ostringstream oss;
-    oss << "jam=" << jam << " unroll=" << unroll << " loads=" << loads
-        << " forwards=" << forwards << " regs=" << regs;
-    return oss.str();
-}
 
 RegisterPlan
 evaluateRegisterPlan(const std::vector<IVec> &dists, size_t depth,

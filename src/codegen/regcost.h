@@ -24,7 +24,6 @@
 #define UOV_CODEGEN_REGCOST_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "geometry/ivec.h"
@@ -52,8 +51,6 @@ struct RegisterPlan
         return static_cast<double>(loads) /
                static_cast<double>(copies());
     }
-
-    std::string str() const;
 };
 
 /**

@@ -65,10 +65,6 @@ serviceFlags(ServiceConfig &c)
                 "(default: shed-high / 2; the hysteresis\n"
                 "band)",
                 c.admission.low_water)
-        .number("--store-compact-every N",
-                "compact the store after every N\n"
-                "acknowledged appends (0 = never)",
-                c.service.store_compact_every)
         .add("--admin-port N",
              "serve the admin plane on 127.0.0.1:N\n"
              "(/metrics /healthz /readyz /slo /flight\n"

@@ -81,18 +81,6 @@ IVec::operator+=(const IVec &o)
     return *this;
 }
 
-IVec &
-IVec::operator-=(const IVec &o)
-{
-    UOV_CHECK(dim() == o.dim(), "dimension mismatch " << dim() << " vs "
-                                                      << o.dim());
-    int64_t *a = data();
-    const int64_t *b = o.data();
-    for (size_t i = 0; i < _size; ++i)
-        a[i] = checkedSub(a[i], b[i]);
-    return *this;
-}
-
 bool
 IVec::operator<(const IVec &o) const
 {
@@ -143,16 +131,6 @@ int64_t
 IVec::normSquared() const
 {
     return dot(*this);
-}
-
-int64_t
-IVec::norm1() const
-{
-    const int64_t *a = data();
-    int64_t acc = 0;
-    for (size_t i = 0; i < _size; ++i)
-        acc = checkedAdd(acc, checkedAbs(a[i]));
-    return acc;
 }
 
 int64_t

@@ -128,7 +128,6 @@ class IVec
     IVec operator-() const;
     IVec operator*(int64_t s) const;
     IVec &operator+=(const IVec &o);
-    IVec &operator-=(const IVec &o);
 
     bool
     operator==(const IVec &o) const
@@ -157,9 +156,6 @@ class IVec
 
     /** Squared Euclidean length (exact). */
     int64_t normSquared() const;
-
-    /** Sum of |coordinate| (L1 norm, exact). */
-    int64_t norm1() const;
 
     /** max |coordinate| (Linf norm, exact). */
     int64_t normInf() const;

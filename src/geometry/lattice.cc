@@ -127,19 +127,4 @@ unimodularCompletion(const IVec &v)
     return u;
 }
 
-int64_t
-solveCongruence(int64_t a, int64_t c, int64_t m)
-{
-    UOV_REQUIRE(m > 0, "solveCongruence requires positive modulus");
-    ExtGcd e = extGcd(a, m);
-    UOV_REQUIRE(e.g != 0 && c % e.g == 0,
-                "congruence " << a << "*x == " << c << " (mod " << m
-                              << ") has no solution");
-    // a*x == c (mod m)  with  a*e.x == g (mod m)  =>  x = e.x * (c/g).
-    int64_t x = checkedMul(e.x, c / e.g);
-    int64_t mg = m / e.g;
-    (void)mg;
-    return floorMod(x, m);
-}
-
 } // namespace uov

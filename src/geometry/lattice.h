@@ -79,12 +79,6 @@ ovProjectionRows(const IVec &prim, Visit &&visit)
     }
 }
 
-/**
- * Solve a * x == c (mod m) for x in [0, m).
- * @pre m > 0 and gcd(a, m) divides c
- */
-int64_t solveCongruence(int64_t a, int64_t c, int64_t m);
-
 } // namespace uov
 
 #endif // UOV_GEOMETRY_LATTICE_H

@@ -55,16 +55,6 @@ IMatrix::row(size_t r) const
     return IVec(_data.data() + idx(r, 0), _cols);
 }
 
-IVec
-IMatrix::col(size_t c) const
-{
-    UOV_CHECK(c < _cols, "col out of range");
-    std::vector<int64_t> v(_rows);
-    for (size_t r = 0; r < _rows; ++r)
-        v[r] = _data[idx(r, c)];
-    return IVec(std::move(v));
-}
-
 IMatrix
 IMatrix::operator*(const IMatrix &o) const
 {
@@ -95,26 +85,6 @@ IMatrix::operator*(const IVec &v) const
             acc = checkedAdd(acc, checkedMul(_data[idx(i, j)], v[j]));
         r[i] = acc;
     }
-    return r;
-}
-
-IMatrix
-IMatrix::operator+(const IMatrix &o) const
-{
-    UOV_CHECK(_rows == o._rows && _cols == o._cols, "shape mismatch");
-    IMatrix r(_rows, _cols);
-    for (size_t i = 0; i < _data.size(); ++i)
-        r._data[i] = checkedAdd(_data[i], o._data[i]);
-    return r;
-}
-
-IMatrix
-IMatrix::operator-(const IMatrix &o) const
-{
-    UOV_CHECK(_rows == o._rows && _cols == o._cols, "shape mismatch");
-    IMatrix r(_rows, _cols);
-    for (size_t i = 0; i < _data.size(); ++i)
-        r._data[i] = checkedSub(_data[i], o._data[i]);
     return r;
 }
 
@@ -221,16 +191,6 @@ IMatrix::addRowMultiple(size_t r, size_t s, int64_t k)
     for (size_t c = 0; c < _cols; ++c)
         _data[idx(r, c)] =
             checkedAdd(_data[idx(r, c)], checkedMul(k, _data[idx(s, c)]));
-}
-
-void
-IMatrix::swapRows(size_t r, size_t s)
-{
-    UOV_CHECK(r < _rows && s < _rows, "bad row swap");
-    if (r == s)
-        return;
-    for (size_t c = 0; c < _cols; ++c)
-        std::swap(_data[idx(r, c)], _data[idx(s, c)]);
 }
 
 std::string

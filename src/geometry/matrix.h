@@ -39,12 +39,9 @@ class IMatrix
     int64_t &operator()(size_t r, size_t c);
 
     IVec row(size_t r) const;
-    IVec col(size_t c) const;
 
     IMatrix operator*(const IMatrix &o) const;
     IVec operator*(const IVec &v) const;
-    IMatrix operator+(const IMatrix &o) const;
-    IMatrix operator-(const IMatrix &o) const;
     bool operator==(const IMatrix &o) const;
 
     IMatrix transposed() const;
@@ -63,9 +60,6 @@ class IMatrix
 
     /** Elementary row op: row[r] += k * row[s]. @pre r != s */
     void addRowMultiple(size_t r, size_t s, int64_t k);
-
-    /** Elementary row op: swap rows. */
-    void swapRows(size_t r, size_t s);
 
     std::string str() const;
 

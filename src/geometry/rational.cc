@@ -1,7 +1,5 @@
 #include "geometry/rational.h"
 
-#include <sstream>
-
 #include "support/checked.h"
 #include "support/error.h"
 
@@ -92,23 +90,6 @@ int64_t
 Rational::ceil() const
 {
     return ceilDiv(_num, _den);
-}
-
-std::string
-Rational::str() const
-{
-    std::ostringstream oss;
-    oss << *this;
-    return oss.str();
-}
-
-std::ostream &
-operator<<(std::ostream &os, const Rational &r)
-{
-    os << r.num();
-    if (r.den() != 1)
-        os << "/" << r.den();
-    return os;
 }
 
 } // namespace uov

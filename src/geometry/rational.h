@@ -10,8 +10,6 @@
 #define UOV_GEOMETRY_RATIONAL_H
 
 #include <cstdint>
-#include <ostream>
-#include <string>
 
 namespace uov {
 
@@ -54,16 +52,12 @@ class Rational
         return static_cast<double>(_num) / static_cast<double>(_den);
     }
 
-    std::string str() const;
-
   private:
     void normalize();
 
     int64_t _num;
     int64_t _den;
 };
-
-std::ostream &operator<<(std::ostream &os, const Rational &r);
 
 } // namespace uov
 

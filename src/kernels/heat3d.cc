@@ -33,22 +33,6 @@ heat3DVariantTiled(Heat3DVariant v)
            v == Heat3DVariant::OvTiled;
 }
 
-int64_t
-heat3DTemporaryStorage(Heat3DVariant v, const Heat3DConfig &cfg)
-{
-    switch (v) {
-      case Heat3DVariant::Natural:
-      case Heat3DVariant::NaturalTiled:
-        return cfg.steps * cfg.nx * cfg.ny;
-      case Heat3DVariant::Ov:
-      case Heat3DVariant::OvTiled:
-        return 2 * cfg.nx * cfg.ny;
-      case Heat3DVariant::StorageOptimized:
-        return cfg.nx * cfg.ny + 2 * cfg.ny;
-    }
-    return 0;
-}
-
 std::vector<float>
 heat3DInput(int64_t nx, int64_t ny, uint64_t seed)
 {

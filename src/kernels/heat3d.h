@@ -56,9 +56,6 @@ struct Heat3DConfig
     bool operator==(const Heat3DConfig &) const = default;
 };
 
-/** Temporary-storage cells per variant. */
-int64_t heat3DTemporaryStorage(Heat3DVariant v, const Heat3DConfig &cfg);
-
 /** Deterministic initial plane. */
 std::vector<float> heat3DInput(int64_t nx, int64_t ny,
                                uint64_t seed = 5);

@@ -1,7 +1,5 @@
 #include "mapping/modular_mapping.h"
 
-#include <sstream>
-
 #include "core/uov.h"
 // ovLegalForLinearSchedule comes from core (schedule-free rule).
 #include "geometry/box.h"
@@ -30,15 +28,6 @@ ModularMapping::operator()(const IVec &q) const
     return _residues.checkedIndex([&](size_t c) {
         return floorMod(checkedSub(q[c], _lo[c]), _m[c]);
     });
-}
-
-std::string
-ModularMapping::str() const
-{
-    std::ostringstream oss;
-    oss << "cell(q) = q mod " << _m << "  [" << cellCount()
-        << " cells]";
-    return oss.str();
 }
 
 namespace {

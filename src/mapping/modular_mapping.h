@@ -48,8 +48,6 @@ class ModularMapping
     int64_t cellCount() const { return _residues.cells(); }
     const IVec &moduli() const { return _m; }
 
-    std::string str() const;
-
   private:
     IVec _m;
     IVec _lo;

@@ -10,19 +10,6 @@ namespace uov {
 
 namespace {
 
-/** Lexicographic positivity of one transformed distance. */
-bool
-lexPositive(const IVec &v)
-{
-    for (size_t k = 0; k < v.dim(); ++k) {
-        if (v[k] > 0)
-            return true;
-        if (v[k] < 0)
-            return false;
-    }
-    return false;
-}
-
 /** Render an integer list as "a,b,c". */
 template <typename Seq>
 std::string
@@ -178,7 +165,7 @@ ScheduleBuilder::validate(const Stencil &stencil) const
     transformed.reserve(stencil.size());
     for (const IVec &v : stencil.deps()) {
         IVec y = _transform * v;
-        UOV_REQUIRE(lexPositive(y),
+        UOV_REQUIRE(y.isLexPositive(),
                     "illegal schedule '"
                         << str() << "': dependence " << v.str()
                         << " maps to non-positive " << y.str());

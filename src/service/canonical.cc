@@ -1,7 +1,5 @@
 #include "service/canonical.h"
 
-#include <sstream>
-
 #include "core/cone.h"
 #include "support/error.h"
 
@@ -97,22 +95,6 @@ CanonicalKey::byteSize() const
     if (isg_lo)
         bytes += 2 * dim * sizeof(int64_t);
     return bytes;
-}
-
-std::string
-CanonicalKey::str() const
-{
-    std::ostringstream oss;
-    oss << (objective == SearchObjective::ShortestVector ? "shortest"
-                                                         : "storage");
-    oss << " deps";
-    for (const auto &v : deps)
-        oss << " " << v;
-    if (isg_lo && isg_hi)
-        oss << " box " << *isg_lo << ".." << *isg_hi;
-    if (deadline_ms >= 0)
-        oss << " deadline_ms " << deadline_ms;
-    return oss.str();
 }
 
 CanonicalKey

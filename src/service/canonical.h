@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/search.h"
@@ -86,8 +85,6 @@ struct CanonicalKey
 
     /** Approximate heap footprint, for cache byte accounting. */
     size_t byteSize() const;
-
-    std::string str() const;
 };
 
 struct CanonicalKeyHash

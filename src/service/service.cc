@@ -145,17 +145,8 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
         // Persist after the search; a rolled-back append (fail point,
         // full disk) costs durability for this one answer, not the
         // answer itself.
-        if (_store && _store->append(key, answer) &&
-            _options.store_compact_every > 0) {
-            // Periodic compaction: every Nth acknowledged append
-            // rewrites the log down to the live index, so a daemon
-            // that keeps re-answering its corpus bounds its log.
-            uint64_t n = _appends_since_compact.fetch_add(
-                             1, std::memory_order_relaxed) +
-                         1;
-            if (n % _options.store_compact_every == 0)
-                _store->compact();
-        }
+        if (_store)
+            _store->append(key, answer);
     } catch (...) {
         error = std::current_exception();
     }

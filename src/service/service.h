@@ -22,7 +22,6 @@
 #ifndef UOV_SERVICE_SERVICE_H
 #define UOV_SERVICE_SERVICE_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -62,14 +61,6 @@ struct ServiceOptions
      * it never takes the service down.
      */
     std::string store_path;
-    /**
-     * Compact the store after every N acknowledged appends (drop
-     * superseded duplicate records via the store's atomic tmp+rename
-     * rewrite); 0 disables periodic compaction.  Counted across the
-     * service lifetime, so long-running daemons bound their log growth
-     * without an operator cron job.
-     */
-    uint64_t store_compact_every = 0;
 };
 
 class QueryService
@@ -127,8 +118,6 @@ class QueryService
     std::unordered_map<CanonicalKey, std::shared_ptr<Flight>,
                        CanonicalKeyHash>
         _flights;
-
-    std::atomic<uint64_t> _appends_since_compact{0};
 
     Counter &_requests;
     Counter &_searches;

@@ -236,10 +236,6 @@ ResultStore::ResultStore(std::string path, MetricsRegistry *metrics)
         _loaded_metric = &metrics->counter("service.store.loaded");
         _truncated_metric =
             &metrics->counter("service.store.truncated_bytes");
-        _compactions_metric =
-            &metrics->counter("service.store.compactions");
-        _reclaimed_metric =
-            &metrics->counter("service.store.reclaimed_bytes");
     }
     open();
     if (_loaded_metric != nullptr)
@@ -482,34 +478,6 @@ ResultStore::forEachRaw(const std::function<void(const CanonicalKey &,
     std::lock_guard<std::mutex> lock(_mutex);
     for (const Record &rec : _log)
         fn(rec.key, rec.answer);
-}
-
-uint64_t
-ResultStore::compact()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    uint64_t before = _end;
-    std::vector<Record> live;
-    live.reserve(_index.size());
-    for (size_t i = 0; i < _log.size(); ++i) {
-        auto it = _index.find(_log[i].key);
-        if (it != _index.end() && it->second == i)
-            live.push_back(_log[i]);
-    }
-    publishSegment(live);
-    _log = std::move(live);
-    _index.clear();
-    for (size_t i = 0; i < _log.size(); ++i)
-        _index[_log[i].key] = i;
-    _stats.entries = _index.size();
-    uint64_t reclaimed = before - _end;
-    _stats.compactions += 1;
-    _stats.reclaimed_bytes += reclaimed;
-    if (_compactions_metric != nullptr)
-        _compactions_metric->inc();
-    if (_reclaimed_metric != nullptr)
-        _reclaimed_metric->inc(reclaimed);
-    return reclaimed;
 }
 
 size_t

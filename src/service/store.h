@@ -38,9 +38,6 @@
  *    never a half-repaired hybrid.  The reopened store is always a
  *    checksummed prefix of what was acknowledged.
  *
- *  - compact() rewrites the live index (last record per key wins) via
- *    the same tmp+rename publish, dropping superseded duplicates.
- *
  * Thread safety: all members are safe to call concurrently (one mutex
  * over the fd, the index, and the counters -- the store sits behind
  * the cache, so it is not a hot path).
@@ -84,8 +81,6 @@ class ResultStore
         uint64_t hits = 0;
         uint64_t entries = 0;         ///< live (deduped) index size
         uint64_t file_bytes = 0;      ///< log size after open/append
-        uint64_t compactions = 0;     ///< compact() calls completed
-        uint64_t reclaimed_bytes = 0; ///< total bytes compact() dropped
     };
 
     /**
@@ -132,13 +127,6 @@ class ResultStore
     void forEachRaw(const std::function<void(const CanonicalKey &,
                                              const ServiceAnswer &)>
                         &fn) const;
-
-    /**
-     * Rewrite the log as the live index only (last record per key
-     * wins), published atomically via tmp+rename.  Returns the bytes
-     * reclaimed.
-     */
-    uint64_t compact();
 
     /** Insert every live record into @p cache; returns the count. */
     size_t preload(ResultCache &cache) const;
@@ -188,8 +176,6 @@ class ResultStore
     Counter *_append_errors_metric = nullptr;
     Counter *_loaded_metric = nullptr;
     Counter *_truncated_metric = nullptr;
-    Counter *_compactions_metric = nullptr;
-    Counter *_reclaimed_metric = nullptr;
 };
 
 } // namespace service

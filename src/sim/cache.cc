@@ -101,13 +101,4 @@ Cache::missRate() const
                             static_cast<double>(total);
 }
 
-void
-Cache::reset()
-{
-    for (auto &w : _ways)
-        w = Way{};
-    _stamp = _hits = _misses = 0;
-    _writebacks = 0;
-}
-
 } // namespace uov

@@ -51,9 +51,6 @@ class Cache
     uint64_t writebacks() const { return _writebacks; }
     double missRate() const;
 
-    /** Drop all contents and zero the statistics. */
-    void reset();
-
   private:
     CacheConfig _config;
     int64_t _sets;

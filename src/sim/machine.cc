@@ -1,9 +1,6 @@
 #include "sim/machine.h"
 
-#include <sstream>
-
 #include "support/error.h"
-#include "support/table.h"
 
 namespace uov {
 
@@ -157,75 +154,6 @@ MemorySystem::branch()
     _cycles += _config.branch_cycles +
                _config.branch_mispredict_rate *
                    _config.branch_mispredict_cycles;
-}
-
-void
-MemorySystem::reset()
-{
-    _l1.reset();
-    _l2.reset();
-    if (_l3)
-        _l3->reset();
-    _tlb.reset();
-    _resident.reset();
-    _cycles = 0.0;
-    _accesses = _branches = _page_faults = 0;
-    _prefetch_hits = 0;
-    for (auto &l : _recent_miss_lines)
-        l = 0;
-    _recent_next = 0;
-}
-
-Table
-MemorySystem::statsTable() const
-{
-    Table t(_config.name + " memory-system statistics");
-    t.header({"level", "accesses", "misses", "miss rate",
-              "writebacks"});
-    auto add = [&](const char *name, const Cache &cache) {
-        t.addRow()
-            .cell(name)
-            .cell(formatCount(static_cast<int64_t>(cache.accesses())))
-            .cell(formatCount(static_cast<int64_t>(cache.misses())))
-            .cell(formatDouble(cache.missRate() * 100, 2) + "%")
-            .cell(formatCount(
-                static_cast<int64_t>(cache.writebacks())));
-    };
-    add("L1", _l1);
-    add("L2", _l2);
-    if (_l3)
-        add("L3", *_l3);
-    t.addRow()
-        .cell("TLB")
-        .cell(formatCount(
-            static_cast<int64_t>(_tlb.hits() + _tlb.misses())))
-        .cell(formatCount(static_cast<int64_t>(_tlb.misses())))
-        .cell(formatDouble(_tlb.missRate() * 100, 2) + "%")
-        .cell("-");
-    t.addRow()
-        .cell("memory")
-        .cell(formatCount(static_cast<int64_t>(_accesses)))
-        .cell(formatCount(static_cast<int64_t>(_page_faults)))
-        .cell("(major faults)")
-        .cell(formatCount(static_cast<int64_t>(_prefetch_hits)) +
-              " prefetched");
-    return t;
-}
-
-std::string
-MemorySystem::statsString() const
-{
-    std::ostringstream oss;
-    oss << _config.name << ": " << formatCount(_accesses)
-        << " accesses, L1 miss " << formatDouble(_l1.missRate() * 100, 1)
-        << "%, L2 miss " << formatDouble(_l2.missRate() * 100, 1) << "%";
-    if (_l3)
-        oss << ", L3 miss " << formatDouble(_l3->missRate() * 100, 1)
-            << "%";
-    oss << ", TLB miss " << formatDouble(_tlb.missRate() * 100, 2)
-        << "%, " << formatCount(_page_faults) << " page faults, "
-        << formatDouble(_cycles, 0) << " cycles";
-    return oss.str();
 }
 
 } // namespace uov

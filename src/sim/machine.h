@@ -28,7 +28,6 @@
 
 #include "sim/cache.h"
 #include "sim/tlb.h"
-#include "support/table.h"
 
 namespace uov {
 
@@ -103,14 +102,6 @@ class MemorySystem
     const Cache &l2() const { return _l2; }
     const Cache *l3() const { return _l3 ? &*_l3 : nullptr; }
     const Tlb &tlb() const { return _tlb; }
-
-    /** Cold-start everything and zero the counters. */
-    void reset();
-
-    std::string statsString() const;
-
-    /** Per-level breakdown as a printable table. */
-    Table statsTable() const;
 
   private:
     MachineConfig _config;

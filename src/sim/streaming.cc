@@ -23,14 +23,6 @@ MultiMachineSim::system(size_t i)
     return *_systems[i];
 }
 
-const MemorySystem &
-MultiMachineSim::system(size_t i) const
-{
-    UOV_REQUIRE(i < _systems.size(),
-                "machine index " << i << " out of range");
-    return *_systems[i];
-}
-
 StreamingSim
 MultiMachineSim::policy()
 {
@@ -61,13 +53,6 @@ MultiMachineSim::traceCycleCounters() const
     for (size_t i = 0; i < _systems.size() && i < kMaxKeys; ++i)
         trace::counter("sim.machine.cycles", kKeys[i],
                        static_cast<int64_t>(_systems[i]->cycles()));
-}
-
-void
-MultiMachineSim::reset()
-{
-    for (auto &ms : _systems)
-        ms->reset();
 }
 
 } // namespace uov

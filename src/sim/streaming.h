@@ -83,7 +83,6 @@ class MultiMachineSim
 
     size_t size() const { return _systems.size(); }
     MemorySystem &system(size_t i);
-    const MemorySystem &system(size_t i) const;
 
     /** The fused policy feeding every owned system. */
     StreamingSim policy();
@@ -99,9 +98,6 @@ class MultiMachineSim
      * (counter keys must be static strings).
      */
     void traceCycleCounters() const;
-
-    /** Cold-start every system. */
-    void reset();
 
   private:
     std::vector<std::unique_ptr<MemorySystem>> _systems;

@@ -44,12 +44,4 @@ Tlb::missRate() const
                             static_cast<double>(total);
 }
 
-void
-Tlb::reset()
-{
-    _order.clear();
-    _where.clear();
-    _hits = _misses = 0;
-}
-
 } // namespace uov

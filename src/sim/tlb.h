@@ -38,8 +38,6 @@ class Tlb
     uint64_t misses() const { return _misses; }
     double missRate() const;
 
-    void reset();
-
   private:
     int64_t _entries;
     unsigned _page_shift;

@@ -1,22 +1,10 @@
 #include "sim/trace.h"
 
-#include <sstream>
 #include <unordered_set>
 
 #include "support/error.h"
-#include "support/table.h"
 
 namespace uov {
-
-void
-Trace::reserve(size_t n)
-{
-    size_t want = (n + kChunkEvents - 1) / kChunkEvents;
-    while (_chunks.size() < want) {
-        _chunks.emplace_back();
-        _chunks.back().reserve(kChunkEvents);
-    }
-}
 
 uint64_t
 Trace::footprintBytes(int64_t line_bytes) const
@@ -51,21 +39,6 @@ Trace::replay(MemorySystem &ms) const
         }
     });
     return ms.cycles();
-}
-
-std::string
-Trace::summary() const
-{
-    std::ostringstream oss;
-    oss << formatCount(static_cast<int64_t>(size())) << " events ("
-        << formatCount(static_cast<int64_t>(loadCount())) << " loads, "
-        << formatCount(static_cast<int64_t>(storeCount()))
-        << " stores, "
-        << formatCount(static_cast<int64_t>(branchCount()))
-        << " branches), footprint "
-        << formatCount(static_cast<int64_t>(footprintBytes()))
-        << " bytes";
-    return oss.str();
 }
 
 } // namespace uov

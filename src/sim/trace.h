@@ -4,19 +4,18 @@
  *
  * TraceRecorder is a memory policy (like SimMem) that captures the
  * exact access stream a kernel produces; traces can be replayed
- * through any MemorySystem, diffed, or summarized.  This is the
+ * through any MemorySystem or diffed.  This is the
  * glue for trace-driven experiments: record once, replay across all
  * three machine models without re-running the kernel.
  *
  * Storage is tuned for the 1e7-point scaling sweeps: each event packs
  * into 8 bytes (kind tagged in the high bits of the address word) and
  * events live in fixed-size chunks, so recording never copies the
- * events already captured the way a doubling std::vector would and
- * reserve() can preallocate a sweep's worth up front.  Compute hints
- * are recorded as events too, which makes replay() reproduce a direct
- * SimMem run's cycle count bit-for-bit (see StreamingSim's regression
- * test) -- the hint is stored as float bits, exact for the small
- * constant costs the kernels charge.
+ * events already captured the way a doubling std::vector would.
+ * Compute hints are recorded as events too, which makes replay()
+ * reproduce a direct SimMem run's cycle count bit-for-bit (see
+ * StreamingSim's regression test) -- the hint is stored as float
+ * bits, exact for the small constant costs the kernels charge.
  */
 
 #ifndef UOV_SIM_TRACE_H
@@ -113,9 +112,6 @@ class Trace
         append(TraceEvent::compute(cycles));
     }
 
-    /** Preallocate chunk capacity for @p n events. */
-    void reserve(size_t n);
-
     size_t size() const { return _size; }
 
     /** The i-th event (chunk-indexed; O(1)). */
@@ -149,9 +145,6 @@ class Trace
      * direct SimMem run bit-for-bit.
      */
     double replay(MemorySystem &ms) const;
-
-    /** Compact text summary. */
-    std::string summary() const;
 
   private:
     void

@@ -54,17 +54,6 @@ Registry::arm(const std::string &site, Config config)
 }
 
 void
-Registry::disarm(const std::string &site)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _points.find(site);
-    if (it == _points.end() || !it->second.armed)
-        return;
-    it->second.armed = false;
-    _armed_count.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void
 Registry::clear()
 {
     std::lock_guard<std::mutex> lock(_mutex);

@@ -68,9 +68,6 @@ class Registry
     /** Arm (or re-arm, resetting the stream) one site. */
     void arm(const std::string &site, Config config);
 
-    /** Disarm one site; its fire count is retained. */
-    void disarm(const std::string &site);
-
     /** Disarm every site and zero all fire counts. */
     void clear();
 

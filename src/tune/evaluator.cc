@@ -310,7 +310,7 @@ scoreUnits(JitCompiler &jit, TuneContext &ctx,
 } // namespace
 
 JitEvaluator::JitEvaluator(JitEvalOptions options)
-    : _jit(options.jit), _runs(options.runs < 1 ? 1 : options.runs)
+    : _runs(options.runs < 1 ? 1 : options.runs)
 {
     UOV_REQUIRE(_jit.available(),
                 "tune JIT evaluator needs a host C compiler (set "

@@ -132,8 +132,7 @@ class SimEvaluator : public Evaluator
  */
 struct JitEvalOptions
 {
-    int runs = 5;   ///< timed runs per candidate (median taken)
-    JitOptions jit; ///< compiler/flags/cache configuration
+    int runs = 5; ///< timed runs per candidate (median taken)
 };
 
 /** What JitEvaluator::measureNative found for one nest. */

@@ -133,7 +133,6 @@ Tuner::run()
     // (1) Plan once without searching: dependence analysis, regions,
     // and the ov_o-seeded mapping every candidate plan is copied from.
     PlanOptions popt;
-    popt.layout = _options.layout;
     popt.use_initial_uov = true;
     MappingPlan base = planStorageMapping(_nest, 0, popt);
 
@@ -176,8 +175,7 @@ Tuner::run()
     auto planFor = [&](const IVec &uov) {
         auto p = std::make_shared<MappingPlan>(base);
         if (!(uov == base.mapping.ov())) {
-            p->mapping = StorageMapping::create(uov, _nest.domain(),
-                                                _options.layout);
+            p->mapping = StorageMapping::create(uov, _nest.domain());
             p->search.best_uov = uov;
         }
         return p;

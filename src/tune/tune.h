@@ -75,9 +75,6 @@ struct TuneOptions
     /** Evaluate at most this many candidates (0 = all). */
     size_t max_candidates = 0;
 
-    /** Layout for non-prime OVs (pipeline.h convention). */
-    ModLayout layout = ModLayout::Interleaved;
-
     /**
      * Observer invoked after every evaluation with the candidate,
      * its score, its enumeration index, and elapsed microseconds --

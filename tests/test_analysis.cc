@@ -20,7 +20,7 @@ TEST(DependenceAnalysis, SimpleExampleDistances)
     DependenceInfo info = analyzeDependences(nest, 0);
     ASSERT_EQ(info.reads.size(), 3u);
     for (const auto &r : info.reads)
-        EXPECT_EQ(r.kind, ReadKind::LoopCarriedFlow) << r.str();
+        EXPECT_EQ(r.kind, ReadKind::LoopCarriedFlow) << r.distance.str();
     auto flows = info.flowDistances();
     EXPECT_NE(std::find(flows.begin(), flows.end(), IVec{1, 0}),
               flows.end());

@@ -177,18 +177,6 @@ TEST(FailPoint, DelayActionSleepsInsteadOfThrowing)
     EXPECT_EQ(Registry::instance().fires("slow"), 1u);
 }
 
-TEST(FailPoint, DisarmStopsFiringButKeepsCount)
-{
-    ScopedFailPoints scope;
-    Config config;
-    config.probability = 1.0;
-    Registry::instance().arm("once", config);
-    EXPECT_THROW(failpoint::fire("once"), FailPointError);
-    Registry::instance().disarm("once");
-    EXPECT_NO_THROW(failpoint::fire("once"));
-    EXPECT_EQ(Registry::instance().fires("once"), 1u);
-}
-
 TEST(FailPoint, SpecParsing)
 {
     ScopedFailPoints scope(

@@ -14,6 +14,7 @@
 #include "driver/nest_parser.h"
 #include "fuzz/fuzzer.h"
 #include "schedule/legality.h"
+#include "scoped_jit_cache.h"
 
 namespace uov {
 namespace fuzz {
@@ -155,6 +156,8 @@ TEST(FuzzOracles, BruteForceConeAgreesOnKnownPoints)
 
 TEST(FuzzHarness, ReportCountsAndDeterminism)
 {
+    // The sweep runs the codegen and tune oracles, which JIT-compile.
+    ScopedJitCache cache("fuzz_sweep");
     FuzzOptions opt;
     opt.seed = 7;
     opt.iters = 24;
@@ -171,6 +174,7 @@ TEST(FuzzHarness, ReportCountsAndDeterminism)
 
 TEST(FuzzHarness, CorpusDirectoryReplays)
 {
+    ScopedJitCache cache("fuzz_corpus");
     FuzzOptions opt;
     opt.iters = 0;
     for (const char *f :

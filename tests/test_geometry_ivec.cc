@@ -40,8 +40,6 @@ TEST(IVec, Arithmetic)
     IVec c = a;
     c += b;
     EXPECT_EQ(c, (IVec{4, 1}));
-    c -= b;
-    EXPECT_EQ(c, a);
 }
 
 TEST(IVec, DimensionMismatchThrows)
@@ -66,7 +64,6 @@ TEST(IVec, Norms)
     IVec v{3, -4};
     EXPECT_EQ(v.dot(v), 25);
     EXPECT_EQ(v.normSquared(), 25);
-    EXPECT_EQ(v.norm1(), 7);
     EXPECT_EQ(v.normInf(), 4);
 }
 
@@ -170,12 +167,6 @@ TEST(Rational, CrossReductionAvoidsOverflow)
     Rational big(1ll << 40, 3);
     Rational inv(3, 1ll << 40);
     EXPECT_EQ(big * inv, Rational(1));
-}
-
-TEST(Rational, Printing)
-{
-    EXPECT_EQ(Rational(3, 6).str(), "1/2");
-    EXPECT_EQ(Rational(4).str(), "4");
 }
 
 } // namespace

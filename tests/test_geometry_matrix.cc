@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for IMatrix and lattice algebra (extended gcd, Bezout
- * vectors, unimodular completion, congruence solving).
+ * vectors, unimodular completion).
  */
 
 #include <gtest/gtest.h>
@@ -71,8 +71,6 @@ TEST(IMatrix, RowOpsAndTranspose)
     m.addRowMultiple(1, 0, -3);
     EXPECT_EQ(m(1, 0), 0);
     EXPECT_EQ(m(1, 1), -2);
-    m.swapRows(0, 1);
-    EXPECT_EQ(m(0, 1), -2);
 
     IMatrix t = IMatrix({{1, 2, 3}}).transposed();
     EXPECT_EQ(t.rows(), 3u);
@@ -124,21 +122,6 @@ TEST(UnimodularCompletionTest, RejectsNonPrimitive)
 {
     EXPECT_THROW(unimodularCompletion(IVec{2, 4}), UovUserError);
     EXPECT_THROW(unimodularCompletion(IVec{0, 0}), UovUserError);
-}
-
-TEST(SolveCongruenceTest, SolvesAndValidates)
-{
-    // 3x == 1 (mod 7)  ->  x = 5.
-    EXPECT_EQ(solveCongruence(3, 1, 7), 5);
-    // 2x == 4 (mod 6) -> x in {2, 5}; result must satisfy and be in
-    // range.
-    int64_t x = solveCongruence(2, 4, 6);
-    EXPECT_EQ((2 * x) % 6, 4 % 6);
-    EXPECT_GE(x, 0);
-    EXPECT_LT(x, 6);
-    // 2x == 3 (mod 6) has no solution.
-    EXPECT_THROW(solveCongruence(2, 3, 6), UovUserError);
-    EXPECT_THROW(solveCongruence(2, 3, 0), UovUserError);
 }
 
 } // namespace

@@ -7,9 +7,7 @@
  */
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -17,39 +15,10 @@
 
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
+#include "scoped_jit_cache.h"
 
 namespace uov {
 namespace {
-
-/** Scoped setenv/unsetenv that restores the old value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : _name(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            _had_old = true;
-            _old = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (_had_old)
-            ::setenv(_name.c_str(), _old.c_str(), 1);
-        else
-            ::unsetenv(_name.c_str());
-    }
-
-  private:
-    std::string _name;
-    bool _had_old = false;
-    std::string _old;
-};
 
 JitOptions
 freshCacheOptions(const std::string &tag)
@@ -215,22 +184,15 @@ TEST(Jit, TmpdirWithQuoteAndSpaceCompilesAndRuns)
     // The default object cache lives under $TMPDIR, and the compiler
     // runs without a shell, so a quote or a space in that path is just
     // another path character.
-    std::string dir = ::testing::TempDir() + "uov jit q'dir " +
-                      std::to_string(static_cast<long>(::getpid()));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    {
-        ScopedEnv tmpdir("TMPDIR", dir.c_str());
-        JitCompiler jit;
-        std::string so_path = jit.compile(kTrivialKernel);
-        EXPECT_EQ(so_path.rfind(dir, 0), 0u) << so_path;
-        EXPECT_EQ(jit.compilesInvoked(), 1u);
-        JitKernel kernel = jit.load(so_path);
-        double out = 0.0;
-        kernel.fn<void (*)(double *)>("jit_trivial")(&out);
-        EXPECT_EQ(out, 42.0);
-    }
-    std::filesystem::remove_all(dir);
+    ScopedJitCache cache("q'dir with space");
+    JitCompiler jit;
+    std::string so_path = jit.compile(kTrivialKernel);
+    EXPECT_EQ(so_path.rfind(cache.dir(), 0), 0u) << so_path;
+    EXPECT_EQ(jit.compilesInvoked(), 1u);
+    JitKernel kernel = jit.load(so_path);
+    double out = 0.0;
+    kernel.fn<void (*)(double *)>("jit_trivial")(&out);
+    EXPECT_EQ(out, 42.0);
 }
 
 TEST(Jit, CompileAndLoadGeneratedKernel)

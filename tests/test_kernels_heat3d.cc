@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the 3-D heat kernel: identical results across variants
- * and shapes, storage formulas, agreement with the 3-D UOV machinery,
- * and simulated runs.
+ * and shapes, the storage each variant touches, agreement with the
+ * 3-D UOV machinery, and simulated runs.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "core/uov.h"
 #include "kernels/heat3d.h"
 #include "schedule/legality.h"
+#include "sim/trace.h"
 
 namespace uov {
 namespace {
@@ -21,6 +22,17 @@ runNative(Heat3DVariant v, const Heat3DConfig &cfg)
     VirtualArena arena;
     NativeMem mem;
     return runHeat3D(v, cfg, mem, arena);
+}
+
+/** Bytes a variant's run touches, element-granular. */
+uint64_t
+footprintBytes(Heat3DVariant v, const Heat3DConfig &cfg)
+{
+    Trace trace;
+    VirtualArena arena;
+    TracingMem mem{&trace, 0};
+    runHeat3D(v, cfg, mem, arena);
+    return trace.footprintBytes(sizeof(float));
 }
 
 TEST(Heat3DKernel, AllVariantsAgreeBitwise)
@@ -70,17 +82,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Heat3DKernel, StorageFormulas)
 {
+    // Every cell a variant allocates is touched: T+1 planes for the
+    // natural layout, two for UOV (2,0,0), and one plane plus two rows
+    // for the in-place variant.
     Heat3DConfig cfg;
-    cfg.nx = 100;
-    cfg.ny = 80;
-    cfg.steps = 50;
-    EXPECT_EQ(heat3DTemporaryStorage(Heat3DVariant::Natural, cfg),
-              50 * 100 * 80);
-    EXPECT_EQ(heat3DTemporaryStorage(Heat3DVariant::OvTiled, cfg),
-              2 * 100 * 80);
-    EXPECT_EQ(
-        heat3DTemporaryStorage(Heat3DVariant::StorageOptimized, cfg),
-        100 * 80 + 2 * 80);
+    cfg.nx = 10;
+    cfg.ny = 8;
+    cfg.steps = 5;
+    const uint64_t row = 8 * sizeof(float);
+    const uint64_t plane = 10 * row;
+    EXPECT_EQ(footprintBytes(Heat3DVariant::Natural, cfg), 6 * plane);
+    EXPECT_EQ(footprintBytes(Heat3DVariant::OvTiled, cfg), 2 * plane);
+    EXPECT_EQ(footprintBytes(Heat3DVariant::StorageOptimized, cfg),
+              plane + 2 * row);
 }
 
 TEST(Heat3DKernel, UovMachineryAgreesWithHardcodedChoices)
@@ -116,11 +130,11 @@ TEST(Heat3DKernel, SimulatedRunMatchesNative)
 TEST(Heat3DKernel, OvUsesFarLessMemoryThanNatural)
 {
     Heat3DConfig cfg;
-    cfg.nx = 128;
-    cfg.ny = 128;
+    cfg.nx = 16;
+    cfg.ny = 16;
     cfg.steps = 64;
-    EXPECT_GT(heat3DTemporaryStorage(Heat3DVariant::Natural, cfg),
-              30 * heat3DTemporaryStorage(Heat3DVariant::Ov, cfg));
+    EXPECT_GT(footprintBytes(Heat3DVariant::Natural, cfg),
+              30 * footprintBytes(Heat3DVariant::Ov, cfg));
 }
 
 TEST(Heat3DKernel, RejectsDegenerate)

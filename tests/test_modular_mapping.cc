@@ -58,7 +58,6 @@ TEST(ModularMappingTest, IndexingAndWraparound)
     EXPECT_EQ(m(IVec{2, 3}), 0);  // wraps both dimensions
     EXPECT_EQ(m(IVec{1, 4}), m(IVec{1, 1}));
     EXPECT_NE(m(IVec{0, 1}), m(IVec{1, 1}));
-    EXPECT_FALSE(m.str().empty());
     EXPECT_THROW(ModularMapping(IVec{0, 3}, IVec{0, 0}), UovUserError);
 }
 

@@ -4,24 +4,19 @@
  * plane must not change a single response byte, the flight recorder
  * must hold a digest (with a matching trace id, outcome and cause)
  * for every response -- pooled, shed, or admission error alike --
- * the SLO tracker and outcome counters must reconcile with the
- * batch, and the periodic store compaction hook must fire on
- * schedule without disturbing answers.
+ * and the SLO tracker and outcome counters must reconcile with the
+ * batch.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "fuzz/workload.h"
 #include "service/executor.h"
-#include "service/store.h"
 #include "support/failpoint.h"
 #include "support/logging.h"
 #include "telemetry/flight_recorder.h"
@@ -31,8 +26,6 @@
 namespace uov {
 namespace service {
 namespace {
-
-namespace fs = std::filesystem;
 
 using telemetry::FlightDigest;
 
@@ -46,26 +39,6 @@ cappedOptions()
     opt.max_visits = kVisitCap;
     return opt;
 }
-
-/** Per-test scratch file, removed on destruction. */
-struct ScratchPath
-{
-    std::string path;
-    explicit ScratchPath(const std::string &tag)
-        : path((fs::temp_directory_path() /
-                ("uov-admin-test-" + tag + "-" +
-                 std::to_string(static_cast<long>(::getpid()))))
-                   .string())
-    {
-        std::error_code ec;
-        fs::remove(path, ec);
-    }
-    ~ScratchPath()
-    {
-        std::error_code ec;
-        fs::remove(path, ec);
-    }
-};
 
 /**
  * A mixed replay: a duplicate-heavy fuzz workload plus hand-written
@@ -363,52 +336,6 @@ TEST(AdminReplay, AdmissionFaultDigestsCarryTheWireMessage)
     EXPECT_EQ(slo.report().errors, reqs.size());
     EXPECT_EQ(metrics.counter("service.request_errors").value(),
               reqs.size());
-}
-
-TEST(AdminReplay, StoreCompactionFiresOnTheAppendSchedule)
-{
-    ScratchPath scratch("compact-sched");
-    ServiceOptions so;
-    so.store_path = scratch.path;
-    so.store_compact_every = 4;
-    MetricsRegistry metrics;
-    QueryService svc(so, metrics);
-    ASSERT_NE(svc.store(), nullptr);
-
-    // 8 distinct queries -> 8 fresh searches -> 8 store appends ->
-    // compactions at appends 4 and 8.
-    std::vector<Request> reqs;
-    for (int64_t k = 1; k <= 8; ++k) {
-        Request r;
-        r.index = static_cast<size_t>(k);
-        r.deps = {IVec{1, 0}, IVec{k, 1}};
-        reqs.push_back(std::move(r));
-    }
-    ThreadPool pool(1);
-    std::vector<std::string> first = runBatch(svc, reqs, pool);
-    EXPECT_EQ(svc.searchesExecuted(), reqs.size());
-
-    EXPECT_EQ(svc.store()->stats().compactions, 2u);
-    EXPECT_EQ(metrics.counter("service.store.compactions").value(),
-              2u);
-
-    // Replaying the same batch appends nothing (cache hits), so the
-    // schedule does not advance...
-    std::vector<std::string> again = runBatch(svc, reqs, pool);
-    EXPECT_EQ(again, first);
-    EXPECT_EQ(svc.store()->stats().compactions, 2u);
-
-    // ...and a compacted store still restarts warm, byte-identical,
-    // with zero searches.
-    {
-        ServiceOptions cold = so;
-        MetricsRegistry metrics2;
-        QueryService svc2(cold, metrics2);
-        ThreadPool pool2(2);
-        std::vector<std::string> warm = runBatch(svc2, reqs, pool2);
-        EXPECT_EQ(warm, first);
-        EXPECT_EQ(svc2.searchesExecuted(), 0u);
-    }
 }
 
 } // namespace

@@ -191,7 +191,6 @@ TEST(ServiceConfig, NoFlagsKeepTheDaemonDefaults)
     EXPECT_EQ(c.service.cache_shards, 16u);
     EXPECT_EQ(c.service.max_visits, 10'000'000u);
     EXPECT_EQ(c.service.store_path, "");
-    EXPECT_EQ(c.service.store_compact_every, 0u);
     EXPECT_EQ(c.admission.high_water, 0);
     EXPECT_EQ(c.admission.low_water, -1);
     EXPECT_EQ(c.slo.window_s, 60);
@@ -215,7 +214,6 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
         "--threads", "3", "--cache-bytes", "1024", "--cache-shards", "4",
         "--max-visits", "500", "--store", "s.log",
         "--shed-high", "40", "--shed-low", "10",
-        "--store-compact-every", "7",
         "--admin-port", "0", "--admin-port-file", "port.txt",
         "--admin-hold", "--flight-size", "32", "--trace-ids",
         "--slo-window-s", "30", "--slo-p50-us", "100",
@@ -238,7 +236,6 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
     EXPECT_EQ(c.service.store_path, "s.log");
     EXPECT_EQ(c.admission.high_water, 40);
     EXPECT_EQ(c.admission.low_water, 10);
-    EXPECT_EQ(c.service.store_compact_every, 7u);
     EXPECT_EQ(c.admin_port, 0);
     EXPECT_EQ(c.admin_port_file, "port.txt");
     EXPECT_TRUE(c.admin_hold);
@@ -271,7 +268,7 @@ TEST(ServiceConfig, UsageListsEveryFlag)
          {"--input FILE", "--output FILE", "--nest FILE", "--threads N",
           "--cache-bytes N", "--cache-shards N", "--no-cache",
           "--max-visits N", "--store FILE", "--shed-high N",
-          "--shed-low N", "--store-compact-every N", "--admin-port N",
+          "--shed-low N", "--admin-port N",
           "--admin-port-file F", "--admin-hold", "--flight-size K",
           "--trace-ids", "--slo-window-s N", "--slo-p50-us N",
           "--slo-p99-us N", "--slo-p999-us N", "--slo-max-degraded R",
@@ -324,7 +321,7 @@ TEST(ServiceConfig, BadNumbersAreRejected)
              {"--slo-max-shed", "0.5x"},
              {"--threads", "4294967296"}, // out of range
              {"--slo-window-s", "9223372036854775808"},
-             {"--store-compact-every", ""}}) {
+             {"--max-visits", ""}}) { // an empty value
         EXPECT_EQ(serviceError({c.flag, c.value}),
                   std::string("bad numeric value for ") + c.flag)
             << c.flag << " " << c.value;

@@ -8,13 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
 #include "codegen/jit.h"
+#include "scoped_jit_cache.h"
 #include "service/executor.h"
 #include "support/failpoint.h"
 #include "support/rng.h"
@@ -153,6 +151,7 @@ TEST(Executor, NativeQueryAnswersWithVerifiedTimings)
     Request r = parseRequestLine(
         "query native bounds 0..9 0..9 deps [1,-1] [1,0] [1,1]", 1);
     ASSERT_TRUE(r.error.empty()) << r.error;
+    ScopedJitCache cache("native_query");
     std::string resp = runBatchDirect({r})[0];
     EXPECT_EQ(resp.rfind("answer 1 native uov=(2, 0) ", 0), 0u)
         << resp;
@@ -179,15 +178,8 @@ TEST(Executor, DuplicateNativeLinesAllVerify)
             "query native bounds 0..31 0..255 deps [1,-2] [1,-1] [1,0] "
             "[1,1] [1,2]",
             i));
-    const char *old = std::getenv("TMPDIR");
-    std::string saved = old != nullptr ? old : "";
     for (int round = 0; round < 8; ++round) {
-        std::string dir = ::testing::TempDir() + "uov_dup_native_" +
-                          std::to_string(static_cast<long>(::getpid())) +
-                          "_" + std::to_string(round);
-        std::filesystem::remove_all(dir);
-        std::filesystem::create_directories(dir);
-        ::setenv("TMPDIR", dir.c_str(), 1);
+        ScopedJitCache cache("dup_native_" + std::to_string(round));
         ServiceOptions opt;
         MetricsRegistry metrics;
         QueryService svc(opt, metrics);
@@ -197,12 +189,7 @@ TEST(Executor, DuplicateNativeLinesAllVerify)
         for (const std::string &line : got)
             EXPECT_TRUE(line.ends_with(" verified=ok"))
                 << "round " << round << ": " << line;
-        std::filesystem::remove_all(dir);
     }
-    if (old != nullptr)
-        ::setenv("TMPDIR", saved.c_str(), 1);
-    else
-        ::unsetenv("TMPDIR");
 }
 
 TEST(Executor, NativeLeavesTwoObjectsAndTuneOne)
@@ -230,15 +217,9 @@ TEST(Executor, NativeLeavesTwoObjectsAndTuneOne)
          "[1,1] [1,2]",
          1},
     };
-    const char *old = std::getenv("TMPDIR");
-    std::string saved = old != nullptr ? old : "";
-    std::string dir = ::testing::TempDir() + "uov_objects_" +
-                      std::to_string(static_cast<long>(::getpid()));
     std::vector<std::string> lines;
     for (const Case &c : cases) {
-        std::filesystem::remove_all(dir);
-        std::filesystem::create_directories(dir);
-        ::setenv("TMPDIR", dir.c_str(), 1);
+        ScopedJitCache cache("objects");
         lines.push_back(runBatchDirect({parseRequestLine(c.line, 1)})[0]);
         EXPECT_TRUE(lines.back().ends_with(" verified=ok")) << lines.back();
         size_t objects = 0;
@@ -250,11 +231,6 @@ TEST(Executor, NativeLeavesTwoObjectsAndTuneOne)
     }
     EXPECT_NE(lines[1].find(" unroll=1 jam=1 "), std::string::npos)
         << lines[1];
-    std::filesystem::remove_all(dir);
-    if (old != nullptr)
-        ::setenv("TMPDIR", saved.c_str(), 1);
-    else
-        ::unsetenv("TMPDIR");
 }
 
 TEST(Executor, SkipsCommentsAndBlankLines)

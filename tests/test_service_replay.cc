@@ -14,8 +14,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "fuzz/oracles.h"
@@ -118,11 +118,10 @@ TEST(ServiceReplay, ConcurrentServiceMatchesDirectByteForByte)
     // Duplicate ratio after canonicalization: count distinct
     // canonical keys among the replayed requests (well over the
     // >= 30% duplicate floor the service is specified against).
-    std::set<std::string> distinct;
+    std::unordered_set<CanonicalKey, CanonicalKeyHash> distinct;
     for (const Request &r : requests) {
         Stencil canon = canonicalizeStencil(Stencil(r.deps));
-        distinct.insert(
-            makeKey(canon, r.objective, r.isg_lo, r.isg_hi).str());
+        distinct.insert(makeKey(canon, r.objective, r.isg_lo, r.isg_hi));
     }
     double duplicate_ratio =
         1.0 - static_cast<double>(distinct.size()) /

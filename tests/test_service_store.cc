@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the persistent result store and its integration with
  * the query service: payload round-trips, torn-tail truncation,
- * checksum rejection, fail-point rollback, compaction, warm-restart
- * byte-identity with zero searches, store hits after cache eviction,
+ * checksum rejection, fail-point rollback, warm-restart byte-identity
+ * with zero searches, store hits after cache eviction,
  * and graceful storeless degradation when the store cannot open.
  */
 
@@ -246,25 +246,6 @@ TEST(ResultStore, FailedWriteRollsBackCompletely)
         EXPECT_EQ(reopened.stats().records_loaded, 2u) << site;
         EXPECT_EQ(reopened.stats().truncated_bytes, 0u) << site;
     }
-}
-
-TEST(ResultStore, CompactDropsSupersededRecords)
-{
-    ScratchPath scratch("compact");
-    ResultStore store(scratch.path);
-    for (int round = 0; round < 3; ++round)
-        for (int64_t k = 1; k <= 2; ++k)
-            EXPECT_TRUE(store.append(keyFor(k), answerFor(k)));
-    uint64_t before = fileSize(scratch.path);
-    uint64_t reclaimed = store.compact();
-    EXPECT_GT(reclaimed, 0u);
-    EXPECT_EQ(fileSize(scratch.path), before - reclaimed);
-    EXPECT_EQ(store.stats().entries, 2u);
-    ASSERT_TRUE(store.lookup(keyFor(1)).has_value());
-
-    ResultStore reopened(scratch.path);
-    EXPECT_EQ(reopened.stats().records_loaded, 2u);
-    EXPECT_EQ(reopened.lookup(keyFor(2))->str(), answerFor(2).str());
 }
 
 /** Protocol requests for a few distinct stencils. */

@@ -103,9 +103,6 @@ TEST(CacheModel, WorkingSetFitsAfterWarmup)
             c.access(a);
     // 3 warm passes out of 4: hit rate approaches 1 - 1/(4*8).
     EXPECT_GT(static_cast<double>(c.hits()) / c.accesses(), 0.95);
-    c.reset();
-    EXPECT_EQ(c.accesses(), 0u);
-    EXPECT_FALSE(c.access(0));
 }
 
 TEST(CacheModel, WritebacksTrackDirtyEvictions)
@@ -121,8 +118,6 @@ TEST(CacheModel, WritebacksTrackDirtyEvictions)
     c.access(64, true);  // evicts clean line 0
     c.access(0, false);  // evicts dirty line 64 -> writeback
     EXPECT_EQ(c.writebacks(), 2u);
-    c.reset();
-    EXPECT_EQ(c.writebacks(), 0u);
 }
 
 TEST(MemorySystemModel, WritebacksCostCycles)
@@ -186,7 +181,6 @@ TEST(MemorySystemModel, LargeFootprintCausesPageFaults)
         for (uint64_t a = 0; a < (4 << 20); a += 4096)
             ms.access(a, true);
     EXPECT_GT(ms.pageFaults(), 1024u);
-    EXPECT_NE(ms.statsString().find("page faults"), std::string::npos);
 }
 
 TEST(MemorySystemModel, SmallFootprintStaysResident)
@@ -227,34 +221,6 @@ TEST(MemorySystemModel, BranchAccounting)
                          cfg.branch_mispredict_rate *
                              cfg.branch_mispredict_cycles);
     EXPECT_EQ(ms.branches(), 1u);
-}
-
-TEST(MemorySystemModel, StatsTableBreakdown)
-{
-    MemorySystem ms(MachineConfig::alpha21164());
-    for (uint64_t a = 0; a < (256 << 10); a += 16)
-        ms.access(a, a % 64 == 0);
-    Table t = ms.statsTable();
-    std::ostringstream oss;
-    t.print(oss);
-    std::string out = oss.str();
-    EXPECT_NE(out.find("L1"), std::string::npos);
-    EXPECT_NE(out.find("L3"), std::string::npos); // Alpha has one
-    EXPECT_NE(out.find("TLB"), std::string::npos);
-    EXPECT_NE(out.find("prefetched"), std::string::npos);
-    EXPECT_GE(t.rowCount(), 5u);
-}
-
-TEST(MemorySystemModel, ResetClearsEverything)
-{
-    MemorySystem ms(MachineConfig::pentiumPro());
-    ms.access(0, false);
-    ms.branch();
-    ms.compute(10);
-    ms.reset();
-    EXPECT_EQ(ms.cycles(), 0.0);
-    EXPECT_EQ(ms.accesses(), 0u);
-    EXPECT_EQ(ms.branches(), 0u);
 }
 
 TEST(MemorySystemModel, NextLinePrefetchAcceleratesStreams)

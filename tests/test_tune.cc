@@ -8,9 +8,7 @@
  */
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <iomanip>
 #include <sstream>
@@ -19,6 +17,7 @@
 
 #include "codegen/jit.h"
 #include "core/uov.h"
+#include "scoped_jit_cache.h"
 #include "service/executor.h"
 #include "tune/tune.h"
 
@@ -413,6 +412,7 @@ TEST(TuneService, MeasuredResponseReportsSpeedup)
     service::Request r = service::parseRequestLine(
         "query tune bounds 0..5 0..9 deps [1,-1] [1,0] [1,1]", 1);
     ASSERT_TRUE(r.error.empty()) << r.error;
+    ScopedJitCache cache("tune_speedup");
     std::string line = service::runBatchDirect({r})[0];
     EXPECT_EQ(line.rfind("answer 1 tune uov=", 0), 0u) << line;
     EXPECT_NE(line.find(" lex_ns="), std::string::npos) << line;
@@ -433,14 +433,7 @@ TEST(TuneService, OneCompilePerRequest)
         "[1,2]",
         1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string dir = ::testing::TempDir() + "uov_tune_one_compile_" +
-                      std::to_string(static_cast<long>(::getpid()));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const char *old = std::getenv("TMPDIR");
-    std::string saved = old != nullptr ? old : "";
-    ::setenv("TMPDIR", dir.c_str(), 1);
-
+    ScopedJitCache cache("tune_one_compile");
     std::string line = service::runBatchDirect({r})[0];
     EXPECT_TRUE(line.ends_with(" verified=ok")) << line;
     std::vector<std::string> files;
@@ -451,12 +444,6 @@ TEST(TuneService, OneCompilePerRequest)
     EXPECT_EQ(files.size(), 1u);
     for (const std::string &file : files)
         EXPECT_EQ(std::filesystem::path(file).extension(), ".so") << file;
-
-    if (old != nullptr)
-        ::setenv("TMPDIR", saved.c_str(), 1);
-    else
-        ::unsetenv("TMPDIR");
-    std::filesystem::remove_all(dir);
 }
 
 TEST(TuneService, DeepNestAnswersAlikeWithAndWithoutACompiler)
@@ -472,14 +459,11 @@ TEST(TuneService, DeepNestAnswersAlikeWithAndWithoutACompiler)
         1);
     ASSERT_TRUE(r.error.empty()) << r.error;
     std::string with_cc = service::runBatchDirect({r})[0];
-    const char *old = std::getenv("UOV_CC");
-    std::string saved = old != nullptr ? old : "";
-    ::setenv("UOV_CC", "/nonexistent/cc", 1);
-    std::string without_cc = service::runBatchDirect({r})[0];
-    if (old != nullptr)
-        ::setenv("UOV_CC", saved.c_str(), 1);
-    else
-        ::unsetenv("UOV_CC");
+    std::string without_cc;
+    {
+        ScopedEnv cc("UOV_CC", "/nonexistent/cc");
+        without_cc = service::runBatchDirect({r})[0];
+    }
     EXPECT_EQ(with_cc, without_cc);
     EXPECT_TRUE(with_cc.ends_with(" measure=unavailable")) << with_cc;
 }
@@ -511,6 +495,7 @@ TEST(Tuner, JitEvaluatedTuneVerifiesBitExactness)
     // JitEvaluator verifies every measured kernel against the
     // interpreter internally; a clean run over the lowerable space is
     // the positive half of that contract.
+    ScopedJitCache cache("tune_bit_exact");
     tune::JitEvalOptions jopts;
     jopts.runs = 1;
     tune::JitEvaluator jit_eval(jopts);
