@@ -8,7 +8,9 @@
 #   1. responses are byte-identical to a storeless reference run
 #      (recovery never changes an answer), and
 #   2. the final run served at least one answer from disk
-#      (service.store.hits > 0 -- the kills really persisted work).
+#      (uov_service_store_hits_total > 0 in its --metrics dump -- the
+#      kills really persisted work), and the dump passes
+#      scripts/check_prometheus.py.
 #
 # Torn tails left by the kills are truncated at the next open (see
 # src/service/store.h); this script is the end-to-end check that the
@@ -65,7 +67,7 @@ done
 echo "== clean run against the battered store"
 "$uovd" --input "$queries" --store "$store" \
     --output "$workdir/final.out" \
-    --metrics-json "$workdir/final.metrics.json" \
+    --metrics "$workdir/final.metrics.prom" \
     2> "$workdir/final.log"
 cat "$workdir/final.log"
 
@@ -77,15 +79,21 @@ if ! cmp -s "$workdir/reference.out" "$workdir/final.out"; then
 fi
 echo "   responses byte-identical to the storeless reference"
 
-python3 - "$workdir/final.metrics.json" <<'EOF'
-import json
+python3 "$repo_root/scripts/check_prometheus.py" \
+    "$workdir/final.metrics.prom"
+
+python3 - "$workdir/final.metrics.prom" <<'EOF'
 import sys
 
+counters = {}
 with open(sys.argv[1]) as f:
-    metrics = json.load(f)
-counters = metrics["counters"]
-hits = counters.get("service.store.hits", 0)
-loaded = counters.get("service.store.loaded", 0)
+    for line in f:
+        if line.startswith("#") or not line.strip():
+            continue
+        name, value = line.rsplit(None, 1)
+        counters[name] = int(value)
+hits = counters.get("uov_service_store_hits_total", 0)
+loaded = counters.get("uov_service_store_loaded_total", 0)
 print(f"   store hits: {hits}, records preloaded/loaded: {loaded}")
 if hits <= 0 and loaded <= 0:
     sys.exit("FAIL: final run never touched persisted answers -- the "

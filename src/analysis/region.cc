@@ -25,7 +25,8 @@ analyzeRegions(const LoopNest &nest, size_t stmt_index,
                 "region analysis scan over " << nest.tripCount()
                     << " iterations exceeds limit " << max_scan);
     const Statement &stmt = nest.statement(stmt_index);
-    Polyhedron domain = nest.domain();
+    const IVec &lo = nest.lo();
+    const IVec &hi = nest.hi();
 
     // Producer distances for reads of the written array.
     DependenceInfo deps = analyzeDependences(nest, stmt_index);
@@ -33,7 +34,8 @@ analyzeRegions(const LoopNest &nest, size_t stmt_index,
     std::unordered_set<IVec, IVecHash> written;
     std::unordered_set<IVec, IVecHash> imported;
 
-    for (const auto &q : domain.integerPoints(max_scan)) {
+    // The nest's domain is the box [lo, hi].
+    scanBox(lo, hi, [&](const IVec &q) {
         written.insert(stmt.write.elementAt(q));
         for (const auto &rd : deps.reads) {
             const Access &read = stmt.reads[rd.read_index];
@@ -44,10 +46,10 @@ analyzeRegions(const LoopNest &nest, size_t stmt_index,
             }
             // Flow read: imported only when the producer iteration
             // falls outside the domain (boundary inputs).
-            if (!domain.contains(q - rd.distance))
+            if (!inBox(q - rd.distance, lo, hi))
                 imported.insert(read.elementAt(q));
         }
-    }
+    });
 
     RegionSummary s;
     s.array = stmt.write.array;

@@ -359,13 +359,8 @@ generateC(const LoopNest &nest, const MappingPlan &plan,
     const IVec &hi = nest.hi();
     const StorageMapping &sm = plan.mapping;
 
-    // The output convention reads the final q0-hyperplane after the
-    // sweep.  Under OV-mapped storage that plane survives only when
-    // the OV advances dimension 0: cells recur along q + Z*ov, so an
-    // ov with ov[0] == 0 lets a later iteration in the same plane
-    // overwrite a result before the copy-out runs.
     UOV_REQUIRE(options.storage != GenStorage::OvMapped ||
-                    sm.ov()[0] >= 1,
+                    ovMappingKeepsOutput(sm.ov()),
                 "OV-mapped codegen requires an occupancy vector that "
                 "advances dimension 0 (the output hyperplane); ov "
                     << sm.ov().str()

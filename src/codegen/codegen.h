@@ -48,6 +48,22 @@ enum class GenStorage
 };
 
 /**
+ * Whether GenStorage::OvMapped can serve a plan whose occupancy
+ * vector is @p ov.  The output convention reads the final
+ * q0-hyperplane after the sweep, and under OV-mapped storage that
+ * plane survives only when the OV advances dimension 0: cells recur
+ * along q + Z*ov, so an ov with ov[0] == 0 lets a later iteration in
+ * the same plane overwrite a result before the copy-out runs.
+ * generateC requires it, and 'query native' and the tuner choose
+ * storage by it.
+ */
+inline bool
+ovMappingKeepsOutput(const IVec &ov)
+{
+    return ov[0] >= 1;
+}
+
+/**
  * Code-generation parameters.
  *
  * Options are validated up front: tile_sizes is meaningful only for

@@ -13,10 +13,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "codegen/codegen.h"
 #include "support/error.h"
@@ -87,13 +89,11 @@ slurp(const std::string &path)
  *  compiler's stderr going to @p log_path.  @throws UovError carrying
  *  the command line and that stderr */
 void
-runHostCompiler(const std::string &compiler,
-                const std::vector<std::string> &flags,
-                const std::string &c_path, const std::string &so_path,
-                const std::string &log_path)
+runHostCompiler(const std::string &compiler, const std::string &c_path,
+                const std::string &so_path, const std::string &log_path)
 {
     std::vector<std::string> args{compiler};
-    args.insert(args.end(), flags.begin(), flags.end());
+    args.insert(args.end(), std::begin(kJitFlags), std::end(kJitFlags));
     args.insert(args.end(), {"-shared", "-fPIC", "-o", so_path, c_path});
 
     // Spawn the compiler directly: no shell ever reads the paths, so
@@ -125,7 +125,7 @@ runHostCompiler(const std::string &compiler,
         // The command as a shell would spell it, for the reader.
         std::ostringstream cmd;
         cmd << "'" << compiler << "'";
-        for (const auto &f : flags)
+        for (const char *f : kJitFlags)
             cmd << " " << f;
         cmd << " -shared -fPIC -o '" << so_path << "' '" << c_path
             << "' 2> '" << log_path << "'";
@@ -267,21 +267,14 @@ JitKernel::sym(const std::string &name) const
 }
 
 JitCompiler::JitCompiler(JitOptions options)
-    : _flags(std::move(options.flags))
 {
-    // A compiler named explicitly -- via options or $UOV_CC -- that
-    // does not resolve is a configuration error surfaced once, here,
-    // rather than as a confusing shell failure on every compile().
-    // Only the unconfigured probe (cc/gcc/clang on PATH) may quietly
-    // come up empty; that is the graceful skip-not-fail path.
+    // A set $UOV_CC that does not resolve is a configuration error
+    // surfaced once, here, rather than as a confusing shell failure on
+    // every compile().  Only the unconfigured probe (cc/gcc/clang on
+    // PATH) may quietly come up empty; that is the graceful
+    // skip-not-fail path.
     const char *env = std::getenv("UOV_CC");
-    if (!options.compiler.empty()) {
-        _compiler = searchPath(options.compiler);
-        UOV_REQUIRE(!_compiler.empty(),
-                    "JIT compiler '" << options.compiler
-                        << "' is not an executable on PATH or disk; "
-                           "fix the compiler option");
-    } else if (env != nullptr && *env != '\0') {
+    if (env != nullptr && *env != '\0') {
         _compiler = searchPath(env);
         UOV_REQUIRE(!_compiler.empty(),
                     "UOV_CC='" << env
@@ -331,7 +324,7 @@ JitCompiler::cacheKey(const std::string &source) const
 {
     uint64_t h = 0xcbf29ce484222325ULL;
     h = fnv1a(h, _compiler);
-    for (const auto &f : _flags)
+    for (const char *f : kJitFlags)
         h = fnv1a(h, f);
     h = fnv1a(h, source);
     std::ostringstream oss;
@@ -376,7 +369,7 @@ JitCompiler::compile(const std::string &source)
         f << source;
     }
     ++_compiles;
-    runHostCompiler(_compiler, _flags, c_path, obj_path, temps.paths[2]);
+    runHostCompiler(_compiler, c_path, obj_path, temps.paths[2]);
     fs::rename(obj_path, so_path, ec);
     UOV_REQUIRE(!ec || fs::exists(so_path), "cannot publish " << so_path);
     UOV_LOG_INFO("jit: compiled " << so_path);

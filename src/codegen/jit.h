@@ -3,23 +3,23 @@
  * Compile-and-dlopen JIT pipeline for generated kernels.
  *
  * JitCompiler shells out to a host C compiler (UOV_CC, then cc / gcc /
- * clang on PATH) with -O2 -march=native, caches the shared objects it
+ * clang on PATH) with kJitFlags, caches the shared objects it
  * produces under a content hash of (compiler, flags, source) so
  * identical source is never compiled twice, and loads kernels through
  * dlopen/dlsym wrapped in the RAII JitKernel (dlclose on destruction).
  *
- * -ffp-contract=off is part of the default flags on purpose: the
- * differential oracle compares JIT output bit-exactly against the
- * C++ interpreter, and FMA contraction under -march=native would
- * change the rounding of the generated a*b+c chains.
+ * The flags are one constant on purpose: the differential oracle
+ * compares JIT output bit-exactly against the C++ interpreter, and
+ * FMA contraction under -march=native would change the rounding of
+ * the generated a*b+c chains, so no caller may drop -ffp-contract=off.
  *
  * Everything degrades loudly but gracefully: a missing compiler is
  * detectable up front (available() / hostCompilerAvailable()), and a
  * failed compile throws a UovError carrying the compiler's stderr.
- * A compiler named *explicitly* -- JitOptions::compiler or a set
- * UOV_CC -- that does not resolve to an executable is a configuration
- * error: construction throws one actionable UovUserError instead of
- * silently falling back or failing per compile.
+ * A set UOV_CC that does not resolve to an executable is a
+ * configuration error: construction throws one actionable
+ * UovUserError instead of silently falling back or failing per
+ * compile.
  */
 
 #ifndef UOV_CODEGEN_JIT_H
@@ -27,11 +27,16 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace uov {
 
 struct GeneratedCode;
+
+/** The compiler flags of every JIT compile (the cache key includes
+ *  them); -ffp-contract=off keeps kernels bit-exact with the
+ *  interpreter. */
+inline constexpr const char *kJitFlags[] = {"-O2", "-march=native",
+                                            "-ffp-contract=off"};
 
 /**
  * A dlopen'ed shared object; unloads (dlclose) on destruction.
@@ -94,12 +99,6 @@ class JitKernel
 /** JitCompiler configuration. */
 struct JitOptions
 {
-    /** Compiler executable; empty auto-detects (UOV_CC, cc, gcc,
-     *  clang -- first found on PATH). */
-    std::string compiler;
-    /** Optimization / codegen flags (the cache key includes them). */
-    std::vector<std::string> flags = {"-O2", "-march=native",
-                                      "-ffp-contract=off"};
     /** Shared-object cache directory; empty uses
      *  <tmp>/uov-jit-cache-<uid>. */
     std::string cache_dir;
@@ -121,9 +120,8 @@ struct JitOptions
 class JitCompiler
 {
   public:
-    /** @throws UovUserError when an explicitly named compiler
-     *  (options.compiler, else a nonempty $UOV_CC) is nonexistent or
-     *  not executable.  The unconfigured probe never throws. */
+    /** @throws UovUserError when a nonempty $UOV_CC is nonexistent
+     *  or not executable.  The unconfigured probe never throws. */
     explicit JitCompiler(JitOptions options = {});
 
     /** Detected compiler path ("" when none was found). */
@@ -168,7 +166,6 @@ class JitCompiler
 
   private:
     std::string _compiler;
-    std::vector<std::string> _flags;
     std::string _cache_dir;
     uint64_t _compiles = 0;
     uint64_t _cache_hits = 0;

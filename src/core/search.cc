@@ -217,14 +217,12 @@ BranchBoundSearch::run()
                               0, elapsed_us());
     trace_incumbent(result.best_objective, /*first=*/true);
 
-    // Budget poll: nodes and cancellation every expansion, the clock
-    // every 256th (and before the first, so a 0 ms deadline returns
-    // the ov_o seed with nodes == 0, deterministically).
+    // Budget poll: nodes every expansion, the clock every 256th (and
+    // before the first, so a 0 ms deadline returns the ov_o seed with
+    // nodes == 0, deterministically).
     auto out_of_budget = [&]() -> bool {
         if (result.stats.visited >= budget.max_nodes) {
             result.degraded_reason = "node-budget";
-        } else if (budget.cancel.cancelled()) {
-            result.degraded_reason = "cancelled";
         } else if (budget.deadline.bounded() &&
                    (result.stats.visited & 255) == 0 &&
                    budget.deadline.expired()) {

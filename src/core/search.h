@@ -55,9 +55,6 @@ struct SearchBudget
 
     /** Stop after this many point expansions. */
     uint64_t max_nodes = 10'000'000;
-
-    /** Cooperative cancellation from another thread. */
-    CancelToken cancel;
 };
 
 /** How a search run ended. */
@@ -87,7 +84,7 @@ struct SearchOptions
      */
     bool disable_bound_shrinking = false;
 
-    /** Node / wall-clock / cancellation limits for this run. */
+    /** Node and wall-clock limits for this run. */
     SearchBudget budget;
 
     /**
@@ -125,7 +122,7 @@ struct SearchResult
 
     /**
      * Which budget axis expired when status == Degraded:
-     * "node-budget", "deadline", or "cancelled".  Empty for Optimal.
+     * "node-budget" or "deadline".  Empty for Optimal.
      */
     std::string degraded_reason;
 

@@ -40,12 +40,12 @@ serviceFlags(ServiceConfig &c)
              [&c](const std::string &v) { c.nest_paths.push_back(v); })
         .add("--threads N", "worker threads (default: hardware)",
              within("--threads", c.threads, 0u, 1024u))
-        .number("--cache-bytes N", "result cache budget (default 64 MiB)",
+        .number("--cache-bytes N",
+                "result cache budget (default 64 MiB;\n"
+                "0 disables the cache)",
                 c.service.cache_bytes)
         .number("--cache-shards N", "cache stripe count (default 16)",
                 c.service.cache_shards)
-        .add("--no-cache", "disable the result cache",
-             [&c](auto &) { c.service.cache_bytes = 0; })
         .number("--max-visits N", "branch-and-bound visit cap per query",
                 c.service.max_visits)
         .add("--store FILE",
@@ -124,10 +124,10 @@ serviceFlags(ServiceConfig &c)
                 "(lines may override with 'deadline_ms N';\n"
                 "-1 = unbounded, 0 = degrade immediately)",
                 c.request_deadline_ms)
-        .add("--metrics", "dump the metrics table to stderr at exit",
-             enable(c.dump_metrics))
-        .add("--metrics-json F", "dump metrics as JSON to F ('-' = stderr)",
-             assign(c.metrics_json_path))
+        .add("--metrics FILE",
+             "at exit, write the /metrics text\n"
+             "(Prometheus 0.0.4) to FILE ('-' = stderr)",
+             assign(c.metrics_path))
         .add("--trace FILE",
              "record a span trace of the batch and\n"
              "write Chrome trace-event JSON to FILE\n"

@@ -25,11 +25,12 @@ struct ServiceConfig
     unsigned threads = 0; ///< 0 = hardware
     int64_t request_deadline_ms = -1;
     int64_t admin_port = -1; ///< -1 = no admin plane, 0 = ephemeral
-    std::string admin_port_file, metrics_json_path, trace_path;
+    std::string admin_port_file, trace_path;
+    std::string metrics_path; ///< "" = none, "-" = stderr
     size_t flight_size = 256;
     LogLevel log_level = LogLevel::Warn;
     bool admin_hold = false, trace_ids = false, log_json = false;
-    bool dump_metrics = false, version = false;
+    bool version = false;
 };
 
 /** uovd's flag table, writing into @p config (which must outlive it);

@@ -20,7 +20,7 @@
  * reports interpreter-vs-native timings; timing fields are wall-clock
  * and exempt from the byte-determinism contract.
  *
- *   $ ./uovd --input queries.txt --threads 8 --metrics
+ *   $ ./uovd --input queries.txt --threads 8 --metrics -
  *   $ ./uovd --nest examples/corpus/stencil5.nest
  *
  * --nest FILE converts a nest description (driver/nest_parser format)
@@ -52,6 +52,7 @@
 #include "support/trace.h"
 #include "support/version.h"
 #include "telemetry/admin_server.h"
+#include "telemetry/prometheus.h"
 #include "telemetry/trace_context.h"
 
 using namespace uov;
@@ -190,8 +191,6 @@ main(int argc, char **argv)
             h.queue_depth =
                 metrics.gauge("service.queue_depth").value();
             h.shed_high_water = high_water;
-            h.ready =
-                !h.shed_active && (!store_configured || h.store_ok);
             return h;
         };
         hooks.spans_json = [] {
@@ -266,19 +265,18 @@ main(int argc, char **argv)
         admin->waitQuit();
     }
 
-    if (config.dump_metrics)
-        metrics.table().print(std::cerr);
-    if (!config.metrics_json_path.empty()) {
-        if (config.metrics_json_path == "-") {
-            std::cerr << metrics.json() << "\n";
+    if (!config.metrics_path.empty()) {
+        std::string body = telemetry::renderPrometheus(metrics);
+        if (config.metrics_path == "-") {
+            std::cerr << body;
         } else {
-            std::ofstream mf(config.metrics_json_path);
+            std::ofstream mf(config.metrics_path);
             if (!mf) {
                 std::cerr << "uovd: cannot open metrics output '"
-                          << config.metrics_json_path << "'\n";
+                          << config.metrics_path << "'\n";
                 return 2;
             }
-            mf << metrics.json() << "\n";
+            mf << body;
         }
     }
     // Partial failure is success: only an all-error batch exits

@@ -39,7 +39,7 @@ struct ServiceAnswer
     /** Anytime answer: a budget axis expired (still certified). */
     bool degraded = false;
 
-    /** Which budget axis ("node-budget", "deadline", "cancelled"). */
+    /** Which budget axis ("node-budget" or "deadline"). */
     std::string degraded_reason;
 
     /**

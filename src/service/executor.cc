@@ -531,28 +531,23 @@ requestVerb(const Request &request)
 }
 
 /**
- * One request's telemetry: digest into the flight recorder, sample
- * into the SLO window, and an Info line per non-optimal outcome
+ * One request's telemetry: add the trace id, index, verb, outcome,
+ * cause and wall time to @p digest (a copy of what the request's
+ * layers noted in its scope), record it into the flight recorder,
+ * sample the SLO window, and log an Info line per non-optimal outcome
  * (inside the request's TraceScope, so the log line carries the id).
  */
 void
 recordOutcome(const TelemetryPlane &plane, const Request &request,
-              telemetry::TraceContext ctx,
-              const telemetry::RequestAnnotations &notes,
+              telemetry::FlightDigest digest, telemetry::TraceContext ctx,
               const Outcome &outcome, uint64_t wall_us)
 {
     using FD = telemetry::FlightDigest;
-    FD digest;
     digest.trace_id = ctx.id;
-    digest.key_hash = notes.key_hash;
     digest.request_index = request.index;
-    digest.nodes = notes.nodes;
     digest.wall_us = wall_us;
     digest.verb = requestVerb(request);
     digest.outcome = outcome.kind;
-    digest.cache_hit = notes.cache_hit;
-    digest.store_hit = notes.store_hit;
-    digest.coalesced = notes.coalesced;
     digest.setCause(outcome.cause);
     if (plane.flight != nullptr)
         plane.flight->record(digest);
@@ -624,7 +619,7 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
             degraded.inc();
         responses[i] = render(request.index, outcome);
         if (plane != nullptr) {
-            recordOutcome(*plane, request, ctx, scope->notes(), outcome,
+            recordOutcome(*plane, request, scope->digest(), ctx, outcome,
                           wallMicrosSince(started));
             if (plane->trace_ids)
                 responses[i] += " trace_id=" + traceIdHex(ctx.id);

@@ -1,21 +1,17 @@
 /**
  * @file
- * Steady-clock deadlines and cooperative cancellation.
+ * Steady-clock deadlines.
  *
  * A Deadline is a point on the monotonic clock (or "never"); long
  * loops poll expired() and degrade gracefully instead of running
- * unbounded.  A CancelToken is a tiny shared flag for cancelling work
- * from another thread (the service watchdog, tests).  Both are
- * header-only and allocation-free except for the token's shared state.
+ * unbounded.  Header-only and allocation-free.
  */
 
 #ifndef UOV_SUPPORT_DEADLINE_H
 #define UOV_SUPPORT_DEADLINE_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 namespace uov {
 
@@ -97,44 +93,6 @@ class Deadline
   private:
     bool _bounded = false;
     Clock::time_point _at{};
-};
-
-/**
- * Shared cooperative-cancellation flag.  Copies observe the same
- * state; cancellation is sticky.  Default-constructed tokens are
- * never cancelled and allocate nothing.
- */
-class CancelToken
-{
-  public:
-    CancelToken() = default;
-
-    /** A token that can actually be cancelled. */
-    static CancelToken
-    make()
-    {
-        CancelToken t;
-        t._flag = std::make_shared<std::atomic<bool>>(false);
-        return t;
-    }
-
-    /** Request cancellation; no-op on an inert token. */
-    void
-    requestCancel() const
-    {
-        if (_flag)
-            _flag->store(true, std::memory_order_relaxed);
-    }
-
-    /** Whether cancellation has been requested. */
-    bool
-    cancelled() const
-    {
-        return _flag && _flag->load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::shared_ptr<std::atomic<bool>> _flag;
 };
 
 } // namespace uov

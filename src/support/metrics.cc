@@ -1,9 +1,6 @@
 #include "support/metrics.h"
 
 #include <bit>
-#include <sstream>
-
-#include "support/json.h"
 
 namespace uov {
 
@@ -13,14 +10,13 @@ Histogram::observe(uint64_t v)
     size_t b = std::bit_width(v); // 0 -> bucket 0, 1 -> 1, 2..3 -> 2...
     if (b >= kBuckets)
         b = kBuckets - 1;
-    // Order matters for scrape consistency: the sum and count are
-    // added *before* the bucket increment is published with release
+    // Order matters for scrape consistency: the sum is added
+    // *before* the bucket increment is published with release
     // order.  A snapshot that observes the bucket increment (acquire)
     // is then guaranteed to also observe this observation's
     // contribution to _sum -- the rendered sum can never be missing a
     // rendered observation.  See Histogram::Snapshot.
     _sum.fetch_add(v, std::memory_order_relaxed);
-    _count.fetch_add(1, std::memory_order_relaxed);
     _buckets[b].fetch_add(1, std::memory_order_release);
 }
 
@@ -42,47 +38,6 @@ uint64_t
 Histogram::Snapshot::percentile(double q) const
 {
     return bucketPercentile(buckets, kBuckets, count, q);
-}
-
-uint64_t
-Histogram::count() const
-{
-    return _count.load(std::memory_order_relaxed);
-}
-
-uint64_t
-Histogram::sum() const
-{
-    return _sum.load(std::memory_order_relaxed);
-}
-
-uint64_t
-Histogram::bucketCount(size_t b) const
-{
-    return b < kBuckets ? _buckets[b].load(std::memory_order_relaxed)
-                        : 0;
-}
-
-uint64_t
-Histogram::quantileUpperBound(double q) const
-{
-    uint64_t total = count();
-    if (total == 0)
-        return 0;
-    if (q < 0)
-        q = 0;
-    if (q > 1)
-        q = 1;
-    uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total));
-    if (target == 0)
-        target = 1;
-    uint64_t seen = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-        seen += bucketCount(b);
-        if (seen >= target)
-            return b == 0 ? 0 : (uint64_t{1} << b) - 1;
-    }
-    return ~uint64_t{0};
 }
 
 uint64_t
@@ -173,60 +128,6 @@ MetricsRegistry::snapshot() const
     for (const auto &[name, h] : _histograms)
         s.histograms.emplace_back(name, h->snapshot());
     return s;
-}
-
-Table
-MetricsRegistry::table() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    Table t("Service metrics");
-    t.header({"Metric", "Type", "Value"});
-    for (const auto &[name, c] : _counters)
-        t.addRow().cell(name).cell("counter").cell(c->value());
-    for (const auto &[name, g] : _gauges)
-        t.addRow().cell(name).cell("gauge").cell(g->value());
-    for (const auto &[name, h] : _histograms) {
-        std::ostringstream oss;
-        oss << "count=" << h->count() << " sum=" << h->sum()
-            << " p50=" << h->percentile(0.5)
-            << " p95=" << h->percentile(0.95)
-            << " p99=" << h->percentile(0.99);
-        t.addRow().cell(name).cell("histogram").cell(oss.str());
-    }
-    return t;
-}
-
-std::string
-MetricsRegistry::json() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::ostringstream oss;
-    oss << "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, c] : _counters) {
-        oss << (first ? "" : ",") << "\"" << jsonEscape(name)
-            << "\":" << c->value();
-        first = false;
-    }
-    oss << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, g] : _gauges) {
-        oss << (first ? "" : ",") << "\"" << jsonEscape(name)
-            << "\":" << g->value();
-        first = false;
-    }
-    oss << "},\"histograms\":{";
-    first = true;
-    for (const auto &[name, h] : _histograms) {
-        oss << (first ? "" : ",") << "\"" << jsonEscape(name)
-            << "\":{\"count\":"
-            << h->count() << ",\"sum\":" << h->sum()
-            << ",\"p50_le\":" << h->quantileUpperBound(0.5)
-            << ",\"p99_le\":" << h->quantileUpperBound(0.99) << "}";
-        first = false;
-    }
-    oss << "}}";
-    return oss.str();
 }
 
 } // namespace uov

@@ -9,9 +9,9 @@
  * query service share one registry type; service/service.h re-exports
  * MetricsRegistry as uov::service::MetricsRegistry.
  *
- * Dumps are deterministic in *structure*: metrics are kept in a
- * sorted map, so the table and JSON renderings list them in name
- * order.  Values are whatever the run produced.
+ * Metrics leave the process in one format: snapshot() copies them
+ * name-sorted, and telemetry/prometheus renders that copy as the text
+ * that uovd's /metrics serves and `uovd --metrics FILE` writes.
  */
 
 #ifndef UOV_SUPPORT_METRICS_H
@@ -25,8 +25,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "support/table.h"
 
 namespace uov {
 
@@ -119,17 +117,8 @@ class Histogram
 
     void observe(uint64_t v);
 
+    /** The one way to read a histogram: count, sum and buckets. */
     Snapshot snapshot() const;
-
-    uint64_t count() const;
-    uint64_t sum() const;
-
-    /**
-     * Upper bound of the bucket containing the @p q quantile
-     * (q in [0, 1]); 0 when empty.  Coarse by design -- within a
-     * factor of 2 -- which is plenty for service dashboards.
-     */
-    uint64_t quantileUpperBound(double q) const;
 
     /**
      * Estimated @p q percentile (q in [0, 1]; 0 when empty) with
@@ -137,26 +126,17 @@ class Histogram
      * rank's position within bucket b (values in [2^(b-1), 2^b - 1])
      * interpolates linearly toward the bucket's upper bound, so a
      * bucket holding a single observation reports that bucket's upper
-     * bound.  Sharper than quantileUpperBound for the dashboard's
-     * p50/p95/p99 while staying exact about which bucket owns the
-     * rank.  Values past the last bucket saturate at its upper bound.
+     * bound.  This is the one quantile rule: /metrics, /slo and the
+     * dashboards all read it.  Values past the last bucket saturate at
+     * its upper bound.
      */
     uint64_t percentile(double q) const;
 
-    uint64_t bucketCount(size_t b) const;
-
   private:
     std::atomic<uint64_t> _buckets[kBuckets] = {};
-    std::atomic<uint64_t> _count{0};
     std::atomic<uint64_t> _sum{0};
 };
 
-/**
- * Named metric registry.  Lookup-or-create is mutex-guarded and
- * returns a stable reference; updates through the returned reference
- * are lock-free.  One registry per service instance keeps tests and
- * embedded uses isolated (no process-global state).
- */
 /**
  * One name-sorted, scrape-consistent copy of every registered metric.
  * Counters and gauges are single relaxed loads (each individually
@@ -178,6 +158,12 @@ struct MetricsSnapshot
 uint64_t bucketPercentile(const uint64_t *buckets, size_t n,
                           uint64_t count, double q);
 
+/**
+ * Named metric registry.  Lookup-or-create is mutex-guarded and
+ * returns a stable reference; updates through the returned reference
+ * are lock-free.  One registry per service instance keeps tests and
+ * embedded uses isolated (no process-global state).
+ */
 class MetricsRegistry
 {
   public:
@@ -187,12 +173,6 @@ class MetricsRegistry
 
     /** Scrape-consistent copy of every metric (name-sorted). */
     MetricsSnapshot snapshot() const;
-
-    /** All metrics as a support/table dump (name-sorted). */
-    Table table() const;
-
-    /** All metrics as one JSON object (name-sorted, no whitespace). */
-    std::string json() const;
 
   private:
     mutable std::mutex _mutex;

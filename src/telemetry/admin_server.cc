@@ -49,7 +49,7 @@ std::string
 HealthStatus::json() const
 {
     std::ostringstream oss;
-    oss << "{\"ready\":" << (ready ? "true" : "false")
+    oss << "{\"ready\":" << (ready() ? "true" : "false")
         << ",\"store\":{\"configured\":"
         << (store_configured ? "true" : "false")
         << ",\"ok\":" << (store_ok ? "true" : "false")
@@ -173,8 +173,7 @@ AdminServer::handle(const std::string &method, const std::string &path)
     if (p == "/readyz") {
         HealthStatus h =
             _hooks.health ? _hooks.health() : HealthStatus{};
-        bool ready = h.ready && !h.shed_active &&
-                     (!h.store_configured || h.store_ok);
+        bool ready = h.ready();
         return httpResponse(ready ? 200 : 503,
                             ready ? "OK" : "Service Unavailable",
                             "application/json", h.json() + "\n");

@@ -15,8 +15,9 @@
  *   /slo            rolling-window latency quantiles and outcome
  *                   ratios vs targets (SloTracker::json)
  *   /flight         the flight recorder's last-K request digests
- *   /spans          span self-time summary when a trace session is
- *                   armed (hooks.spans_json), else {"enabled":false}
+ *   /spans          the span trace as Chrome trace-event JSON
+ *                   (hooks.spans_json; uovd serves
+ *                   Tracer::writeChromeJson), else {"enabled":false}
  *   /quitquitquit   acknowledge and latch the quit flag the driver's
  *                   --admin-hold waits on (the idiomatic way to stop
  *                   a held daemon from a script)
@@ -55,12 +56,19 @@ namespace telemetry {
 /** What /healthz and /readyz report; produced by the driver's hook. */
 struct HealthStatus
 {
-    bool ready = true;            ///< false -> /readyz returns 503
     bool store_configured = false;
     bool store_ok = false;        ///< open and serving
     bool shed_active = false;
     int64_t queue_depth = 0;
     int64_t shed_high_water = 0;  ///< 0 = admission control off
+
+    /** Not shedding, and a configured store is open; /readyz returns
+     *  503 otherwise. */
+    bool
+    ready() const
+    {
+        return !shed_active && (!store_configured || store_ok);
+    }
 
     std::string json() const;
 };

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <sstream>
-#include <type_traits>
 
 #include "support/json.h"
 #include "support/logging.h"
 
 namespace uov {
 namespace telemetry {
-
-static_assert(std::is_trivially_copyable_v<FlightDigest>,
-              "digests are copied through the seqlock word buffer");
 
 void
 FlightDigest::setCause(const std::string &text)
@@ -54,75 +50,41 @@ FlightDigest::outcomeName(Outcome o)
 }
 
 FlightRecorder::FlightRecorder(size_t capacity)
-    : _capacity(std::max<size_t>(capacity, 8)),
-      _slots(std::make_unique<Slot[]>(_capacity))
+    : _ring(std::max<size_t>(capacity, 8))
 {
 }
 
 void
 FlightRecorder::record(FlightDigest digest)
 {
-    uint64_t idx = _next.fetch_add(1, std::memory_order_relaxed);
-    digest.seq = idx + 1;
-    Slot &slot = _slots[idx % _capacity];
-
-    uint64_t buf[kDigestWords] = {};
-    std::memcpy(buf, &digest, sizeof(digest));
-
-    // Per-slot seqlock: odd = write in progress.  The payload words
-    // are themselves atomic, so a racing snapshot reads defined
-    // values and discards any it cannot certify as one generation.
-    // (A digest could only tear if _capacity concurrent writers
-    // lapped the ring inside this window -- record() is one claim
-    // and ~10 relaxed stores, so with capacity >= 8 that regime is
-    // unreachable in practice.)
-    slot.state.store(2 * idx + 1, std::memory_order_release);
-    for (size_t w = 0; w < kDigestWords; ++w)
-        slot.words[w].store(buf[w], std::memory_order_relaxed);
-    slot.state.store(2 * idx + 2, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(_mutex);
+    digest.seq = ++_recorded;
+    _ring[(digest.seq - 1) % _ring.size()] = digest;
 }
 
 std::vector<FlightDigest>
 FlightRecorder::snapshot() const
 {
+    std::lock_guard<std::mutex> lock(_mutex);
+    uint64_t first = _recorded - std::min<uint64_t>(_recorded,
+                                                     _ring.size());
     std::vector<FlightDigest> out;
-    out.reserve(_capacity);
-    for (size_t s = 0; s < _capacity; ++s) {
-        const Slot &slot = _slots[s];
-        uint64_t s1 = slot.state.load(std::memory_order_acquire);
-        if (s1 == 0 || (s1 & 1) != 0)
-            continue; // never written, or mid-write: skip this scan
-        uint64_t buf[kDigestWords];
-        for (size_t w = 0; w < kDigestWords; ++w)
-            buf[w] = slot.words[w].load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        uint64_t s2 = slot.state.load(std::memory_order_relaxed);
-        if (s1 != s2)
-            continue; // overwritten while copying
-        FlightDigest d;
-        std::memcpy(&d, buf, sizeof(d));
-        out.push_back(d);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const FlightDigest &a, const FlightDigest &b) {
-                  return a.seq < b.seq;
-              });
+    out.reserve(_recorded - first);
+    for (uint64_t seq = first + 1; seq <= _recorded; ++seq)
+        out.push_back(_ring[(seq - 1) % _ring.size()]);
     return out;
-}
-
-uint64_t
-FlightRecorder::recorded() const
-{
-    return _next.load(std::memory_order_relaxed);
 }
 
 std::string
 FlightRecorder::json() const
 {
+    // Rendered outside the lock; the newest digest's seq is the
+    // recorded count this snapshot saw.
     std::vector<FlightDigest> digests = snapshot();
     std::ostringstream oss;
-    oss << "{\"capacity\":" << _capacity
-        << ",\"recorded\":" << recorded() << ",\"digests\":[";
+    oss << "{\"capacity\":" << capacity() << ",\"recorded\":"
+        << (digests.empty() ? 0 : digests.back().seq)
+        << ",\"digests\":[";
     for (size_t i = 0; i < digests.size(); ++i) {
         const FlightDigest &d = digests[i];
         if (i)

@@ -1,41 +1,37 @@
 /**
  * @file
- * Flight recorder: a lock-light ring buffer of the last K request
- * digests, answering "why was request X degraded/shed?" *after* the
- * fact without a trace session armed in advance.
+ * Flight recorder: a ring buffer of the last K request digests,
+ * answering "why was request X degraded/shed?" *after* the fact
+ * without a trace session armed in advance.
  *
  * Every mapped answer is a pure function of its canonical key (the
  * paper's schedule-independence result), so a request's provenance --
  * cache hit, store hit, fresh search, shed floor -- plus its outcome
  * and wall time is a tiny fixed-size record that is cheap to keep and
  * links (via the trace id) to the structured log and any exported
- * Perfetto span for the same request.
+ * Perfetto span for the same request.  The request's TraceScope
+ * carries the digest its layers fill in (telemetry/trace_context.h);
+ * the batch executor completes and records it.
  *
- * Concurrency: record() claims a slot with one fetch_add and
- * publishes it under a per-slot seqlock (odd = being written).  A
- * concurrent snapshot() copies each slot and keeps it only when the
- * sequence word was even and unchanged across the copy -- readers
- * never block writers, writers never wait, and a digest is either
- * observed whole or not at all.  Digests are trivially copyable by
- * construction (fixed char cause field, no heap), which is what makes
- * the seqlock copy race-free in practice and TSan-clean via the
- * atomic fences around it.
+ * Concurrency: one mutex guards the ring.  record() copies one digest
+ * under it and snapshot() copies the retained digests under it, so
+ * every snapshot is a set of whole digests in seq order; json()
+ * renders its snapshot outside the lock.
  */
 
 #ifndef UOV_TELEMETRY_FLIGHT_RECORDER_H
 #define UOV_TELEMETRY_FLIGHT_RECORDER_H
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace uov {
 namespace telemetry {
 
-/** One request's post-hoc digest (fixed-size, trivially copyable). */
+/** One request's post-hoc digest (fixed-size: no heap, cheap to copy). */
 struct FlightDigest
 {
     enum class Verb : uint8_t { Shortest, Storage, Native, Tune, Unknown };
@@ -53,7 +49,7 @@ struct FlightDigest
     Outcome outcome = Outcome::Optimal;
     bool cache_hit = false;
     bool store_hit = false;
-    bool coalesced = false;
+    bool coalesced = false; ///< answered by another flight's search
     char cause[kCauseBytes] = {}; ///< degraded reason / error head
 
     /** Truncating NUL-terminated copy into the cause field. */
@@ -70,40 +66,22 @@ class FlightRecorder
     /** @p capacity is rounded up to at least 8 digests. */
     explicit FlightRecorder(size_t capacity = 256);
 
-    /** Record one digest (seq is assigned here). Lock-free. */
+    /** Record one digest (seq is assigned here). */
     void record(FlightDigest digest);
 
-    /**
-     * Consistent copies of the retained digests, oldest first.
-     * Slots mid-write during the scan are skipped (they reappear in
-     * the next snapshot); the result is therefore always a set of
-     * whole digests in seq order.
-     */
+    /** Copies of the retained digests, oldest first (seq order); the
+     *  newest digest's seq counts every digest ever recorded. */
     std::vector<FlightDigest> snapshot() const;
 
-    /** Total digests ever recorded (monotone). */
-    uint64_t recorded() const;
-
-    size_t capacity() const { return _capacity; }
+    size_t capacity() const { return _ring.size(); }
 
     /** The /flight JSON document: capacity, recorded, digests[]. */
     std::string json() const;
 
   private:
-    /** Digest payload as whole words, copied through atomics so the
-     *  seqlock protocol stays free of data races (TSan-clean). */
-    static constexpr size_t kDigestWords =
-        (sizeof(FlightDigest) + 7) / 8;
-
-    struct Slot
-    {
-        std::atomic<uint64_t> state{0}; ///< odd = write in progress
-        std::atomic<uint64_t> words[kDigestWords] = {};
-    };
-
-    size_t _capacity;
-    std::unique_ptr<Slot[]> _slots;
-    std::atomic<uint64_t> _next{0};
+    mutable std::mutex _mutex;
+    std::vector<FlightDigest> _ring; ///< digest seq s sits at (s-1) % K
+    uint64_t _recorded = 0;
 };
 
 } // namespace telemetry

@@ -15,8 +15,7 @@
  *
  * record() takes one short mutex hold per request -- the serving path
  * already pays a mutex for the result cache shard, so this is noise;
- * the lock-light design budget is spent on the flight recorder, which
- * records strictly more often under error storms.
+ * the flight recorder takes one such hold per request as well.
  *
  * Time is injected (NowFn, seconds) so tests can march the window
  * deterministically; production uses steady_clock.

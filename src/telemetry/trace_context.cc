@@ -68,47 +68,45 @@ currentTraceHex()
     return ctx.valid() ? traceIdHex(ctx.id) : std::string();
 }
 
-RequestAnnotations *
-annotations()
+FlightDigest *
+currentDigest()
 {
-    return t_scope != nullptr ? &t_scope->mutableNotes() : nullptr;
+    return t_scope != nullptr ? &t_scope->digest() : nullptr;
 }
 
 void
 noteKeyHash(uint64_t hash)
 {
-    if (RequestAnnotations *a = annotations())
-        a->key_hash = hash;
+    if (FlightDigest *d = currentDigest())
+        d->key_hash = hash;
 }
 
 void
 noteCacheHit()
 {
-    if (RequestAnnotations *a = annotations())
-        a->cache_hit = true;
+    if (FlightDigest *d = currentDigest())
+        d->cache_hit = true;
 }
 
 void
 noteStoreHit()
 {
-    if (RequestAnnotations *a = annotations())
-        a->store_hit = true;
+    if (FlightDigest *d = currentDigest())
+        d->store_hit = true;
 }
 
 void
 noteCoalesced()
 {
-    if (RequestAnnotations *a = annotations())
-        a->coalesced = true;
+    if (FlightDigest *d = currentDigest())
+        d->coalesced = true;
 }
 
 void
 noteSearch(uint64_t nodes_expanded)
 {
-    if (RequestAnnotations *a = annotations()) {
-        a->searched = true;
-        a->nodes = nodes_expanded;
-    }
+    if (FlightDigest *d = currentDigest())
+        d->nodes = nodes_expanded;
 }
 
 TraceScope::TraceScope(TraceContext ctx) : _ctx(ctx), _prev(t_scope)

@@ -15,11 +15,15 @@
  *    mid-flight (the pool runs each task to completion, single-flight
  *    owners compute inline), so the thread-local scope is exactly the
  *    request scope.
- *  - Inner layers read currentTrace() / annotations() and *add*
- *    facts (cache hit, store hit, nodes expanded); they never mint
- *    ids.  Outside any scope both are inert: currentTrace() is id 0,
- *    annotation calls are no-ops -- one thread_local load, so the
- *    hooks can live permanently in the serving path.
+ *  - Inner layers read currentTrace() and *add* facts (key hash,
+ *    cache hit, store hit, nodes expanded) to the scope's flight
+ *    digest through the note* helpers; they never mint ids.  Outside
+ *    any scope both are inert: currentTrace() is id 0, the note*
+ *    helpers are no-ops -- one thread_local load, so the hooks can
+ *    live permanently in the serving path.
+ *  - The executor completes the same digest (trace id, index, verb,
+ *    outcome, cause, wall time) and records it: one struct carries a
+ *    request's facts from its first layer to the flight recorder.
  *  - Ids are process-unique, nonzero, and have the top bit clear (so
  *    they round-trip through int64 span args).  They are *not* part
  *    of any response line unless the caller opts in (`uovd
@@ -38,6 +42,8 @@
 #include <cstdint>
 #include <string>
 
+#include "telemetry/flight_recorder.h"
+
 namespace uov {
 namespace telemetry {
 
@@ -47,17 +53,6 @@ struct TraceContext
     uint64_t id = 0; ///< 0 = no context
 
     bool valid() const { return id != 0; }
-};
-
-/** Facts about one request, filled in by the layers it traverses. */
-struct RequestAnnotations
-{
-    uint64_t key_hash = 0; ///< canonical-key hash (0 until known)
-    uint64_t nodes = 0;    ///< branch-and-bound nodes expanded
-    bool cache_hit = false;
-    bool store_hit = false;
-    bool coalesced = false; ///< answered by another flight's search
-    bool searched = false;  ///< this request ran the solver itself
 };
 
 /** Mint a fresh process-unique id (nonzero, top bit clear). */
@@ -70,13 +65,13 @@ TraceContext currentTrace();
 std::string currentTraceHex();
 
 /**
- * Mutable annotations of the innermost active scope on this thread;
- * null outside any scope.  Callers must not retain the pointer past
- * the scope.
+ * The flight digest the innermost active scope on this thread is
+ * filling; null outside any scope.  Callers must not retain the
+ * pointer past the scope.
  */
-RequestAnnotations *annotations();
+FlightDigest *currentDigest();
 
-// Annotation helpers: one thread_local load, no-ops outside a scope.
+// Digest helpers: one thread_local load, no-ops outside a scope.
 void noteKeyHash(uint64_t hash);
 void noteCacheHit();
 void noteStoreHit();
@@ -84,10 +79,10 @@ void noteCoalesced();
 void noteSearch(uint64_t nodes_expanded);
 
 /**
- * RAII request scope: publishes @p ctx (and a fresh annotation
- * block) as this thread's current context; restores the previous
- * scope on destruction, so nested scopes (a request issuing a
- * sub-request) stack correctly.
+ * RAII request scope: publishes @p ctx (and a fresh flight digest)
+ * as this thread's current context; restores the previous scope on
+ * destruction, so nested scopes (a request issuing a sub-request)
+ * stack correctly.
  */
 class TraceScope
 {
@@ -99,12 +94,11 @@ class TraceScope
     TraceScope &operator=(const TraceScope &) = delete;
 
     const TraceContext &context() const { return _ctx; }
-    const RequestAnnotations &notes() const { return _notes; }
-    RequestAnnotations &mutableNotes() { return _notes; }
+    FlightDigest &digest() { return _digest; }
 
   private:
     TraceContext _ctx;
-    RequestAnnotations _notes;
+    FlightDigest _digest;
     TraceScope *_prev;
 };
 

@@ -348,7 +348,7 @@ JitEvaluator::measureNative(
             checkpoint(stage);
     };
     MappingPlan plan = planStorageMapping(nest, 0);
-    GenStorage storage = plan.mapping.ov()[0] >= 1
+    GenStorage storage = ovMappingKeepsOutput(plan.mapping.ov())
                              ? GenStorage::OvMapped
                              : GenStorage::Expanded;
     CodegenOptions opts;

@@ -139,8 +139,7 @@ struct JitEvalOptions
 struct NativeMeasurement
 {
     MappingPlan plan; ///< planStorageMapping(nest, 0)
-    /** OvMapped iff the plan's OV advances dimension 0 (only then does
-     *  the output hyperplane survive the mapping), else Expanded. */
+    /** OvMapped iff ovMappingKeepsOutput(plan's OV), else Expanded. */
     GenStorage storage = GenStorage::Expanded;
     int64_t unroll = 1; ///< factors the register-tiled kernel emitted
     int64_t jam = 1;

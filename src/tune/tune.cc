@@ -161,11 +161,11 @@ Tuner::run()
     poolPush(result.uov_storage.best_uov);
     poolPush(_stencil.initialUov());
 
-    // (3) Storage variants: one OV-mapped plan per pool vector whose
-    // first component supports sound output copying (codegen's
-    // ov[0] >= 1 rule), plus the expanded baseline.  The first
-    // variant mirrors 'query native''s default plan so candidate 0
-    // is exactly the default lexicographic kernel.
+    // (3) Storage variants: one OV-mapped plan per pool vector that
+    // keeps the output plane (ovMappingKeepsOutput), plus the
+    // expanded baseline.  The first variant mirrors 'query native''s
+    // default plan so candidate 0 is exactly the default
+    // lexicographic kernel.
     struct Variant
     {
         GenStorage storage;
@@ -181,7 +181,7 @@ Tuner::run()
         return p;
     };
     for (const IVec &uov : pool)
-        if (uov[0] >= 1)
+        if (ovMappingKeepsOutput(uov))
             variants.push_back({GenStorage::OvMapped, planFor(uov)});
     variants.push_back({GenStorage::Expanded,
                         std::make_shared<MappingPlan>(base)});
@@ -210,8 +210,6 @@ Tuner::run()
                           : &default_eval;
     TuneContext ctx(_nest, _stencil);
     auto exhausted = [&]() -> std::string {
-        if (_options.budget.cancel.cancelled())
-            return "cancelled";
         if (_options.budget.deadline.expired())
             return "deadline";
         if (_options.max_candidates != 0 &&

@@ -59,8 +59,8 @@ enum class TuneStatus
 /** Tuner configuration. */
 struct TuneOptions
 {
-    /** Shared wall-clock/node/cancel budget for the embedded UOV
-     *  searches and the evaluation loop. */
+    /** Shared wall-clock/node budget for the embedded UOV searches
+     *  and the evaluation loop. */
     SearchBudget budget;
 
     /** Scoring backend; nullptr uses a built-in SimEvaluator with
@@ -94,7 +94,7 @@ struct TuneResult
     size_t evaluated = 0;
     size_t candidates_total = 0; ///< enumerated space size
     TuneStatus status = TuneStatus::Optimal;
-    /** "deadline", "cancelled", "node-budget" (UOV search), or
+    /** "deadline", "node-budget" (UOV search), or
      *  "candidate-budget"; empty for Optimal. */
     std::string degraded_reason;
     SearchResult uov_shortest; ///< embedded shortest-vector search

@@ -216,21 +216,6 @@ TEST(Search, ZeroDeadlineDegradesToInitialUov)
     EXPECT_EQ(r.best_objective, r.initial_objective);
 }
 
-TEST(Search, CancelTokenStopsTheSearch)
-{
-    CancelToken cancel = CancelToken::make();
-    cancel.requestCancel();
-    SearchOptions opts;
-    opts.budget.cancel = cancel;
-    SearchResult r = BranchBoundSearch(stencils::fivePoint(),
-                                       SearchObjective::ShortestVector,
-                                       opts)
-                         .run();
-    EXPECT_TRUE(r.degraded());
-    EXPECT_EQ(r.degraded_reason, "cancelled");
-    EXPECT_EQ(r.stats.visited, 0u);
-}
-
 TEST(Search, IncumbentCallbackSeesSeedAndImprovements)
 {
     struct Observation

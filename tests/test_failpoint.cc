@@ -1,6 +1,6 @@
 /**
  * @file
- * Deadlines, cancellation tokens, and the fail-point registry.
+ * Deadlines and the fail-point registry.
  */
 
 #include <gtest/gtest.h>
@@ -72,28 +72,6 @@ TEST(Deadline, HugeMillisNeverExpire)
         EXPECT_FALSE(d.expired()) << ms;
         EXPECT_EQ(d.remainingMillis(), INT64_MAX) << ms;
     }
-}
-
-// ---------------------------------------------------------------- //
-// CancelToken
-// ---------------------------------------------------------------- //
-
-TEST(CancelToken, InertTokenNeverCancels)
-{
-    CancelToken t;
-    EXPECT_FALSE(t.cancelled());
-    t.requestCancel(); // no-op, must not crash
-    EXPECT_FALSE(t.cancelled());
-}
-
-TEST(CancelToken, CopiesShareState)
-{
-    CancelToken t = CancelToken::make();
-    CancelToken copy = t;
-    EXPECT_FALSE(copy.cancelled());
-    t.requestCancel();
-    EXPECT_TRUE(copy.cancelled());
-    EXPECT_TRUE(t.cancelled());
 }
 
 // ---------------------------------------------------------------- //

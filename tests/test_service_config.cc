@@ -202,8 +202,8 @@ TEST(ServiceConfig, NoFlagsKeepTheDaemonDefaults)
     EXPECT_EQ(c.admin_port, -1);
     EXPECT_EQ(c.flight_size, 256u);
     EXPECT_EQ(c.log_level, LogLevel::Warn);
-    EXPECT_FALSE(c.log_json || c.trace_ids || c.admin_hold ||
-                 c.dump_metrics || c.version);
+    EXPECT_EQ(c.metrics_path, "");
+    EXPECT_FALSE(c.log_json || c.trace_ids || c.admin_hold || c.version);
 }
 
 TEST(ServiceConfig, EveryFlagLandsInItsField)
@@ -222,7 +222,7 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
         "--slo-max-error", "0",
         "--log-json", "--log-level", "debug",
         "--request-deadline-ms", "0",
-        "--metrics", "--metrics-json", "-", "--trace", "t.json",
+        "--metrics", "-", "--trace", "t.json",
         "--version",
     });
     EXPECT_EQ(c.input_path, "q.txt");
@@ -251,12 +251,9 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
     EXPECT_TRUE(c.log_json);
     EXPECT_EQ(c.log_level, LogLevel::Debug);
     EXPECT_EQ(c.request_deadline_ms, 0);
-    EXPECT_TRUE(c.dump_metrics);
-    EXPECT_EQ(c.metrics_json_path, "-");
+    EXPECT_EQ(c.metrics_path, "-");
     EXPECT_EQ(c.trace_path, "t.json");
     EXPECT_TRUE(c.version);
-
-    EXPECT_EQ(parsed({"--no-cache"}).service.cache_bytes, 0u);
 }
 
 TEST(ServiceConfig, UsageListsEveryFlag)
@@ -266,15 +263,14 @@ TEST(ServiceConfig, UsageListsEveryFlag)
     serviceFlags(config).usage(os);
     for (const char *flag :
          {"--input FILE", "--output FILE", "--nest FILE", "--threads N",
-          "--cache-bytes N", "--cache-shards N", "--no-cache",
-          "--max-visits N", "--store FILE", "--shed-high N",
+          "--cache-bytes N", "--cache-shards N", "--max-visits N", "--store FILE", "--shed-high N",
           "--shed-low N", "--admin-port N",
           "--admin-port-file F", "--admin-hold", "--flight-size K",
           "--trace-ids", "--slo-window-s N", "--slo-p50-us N",
           "--slo-p99-us N", "--slo-p999-us N", "--slo-max-degraded R",
           "--slo-max-shed R", "--slo-max-error R", "--log-json",
-          "--log-level L", "--request-deadline-ms N", "--metrics",
-          "--metrics-json F", "--trace FILE", "--version"})
+          "--log-level L", "--request-deadline-ms N", "--metrics FILE",
+          "--trace FILE", "--version"})
         EXPECT_NE(os.str().find(std::string("\n  ") + flag),
                   std::string::npos)
             << flag;
@@ -282,10 +278,10 @@ TEST(ServiceConfig, UsageListsEveryFlag)
 
 TEST(ServiceConfig, LastFlagWins)
 {
-    EXPECT_EQ(parsed({"--no-cache", "--cache-bytes", "5"})
+    EXPECT_EQ(parsed({"--cache-bytes", "0", "--cache-bytes", "5"})
                   .service.cache_bytes,
               5u);
-    EXPECT_EQ(parsed({"--cache-bytes", "5", "--no-cache"})
+    EXPECT_EQ(parsed({"--cache-bytes", "5", "--cache-bytes", "0"})
                   .service.cache_bytes,
               0u);
     EXPECT_EQ(parsed({"--threads", "2", "--threads", "8"}).threads, 8u);
@@ -299,7 +295,7 @@ TEST(ServiceConfig, MissingValueIsRejected)
     for (const char *flag :
          {"--input", "--nest", "--threads", "--store", "--admin-port",
           "--log-level", "--slo-max-shed", "--trace"}) {
-        EXPECT_EQ(serviceError({"--metrics", flag}),
+        EXPECT_EQ(serviceError({"--admin-hold", flag}),
                   std::string(flag) + " needs a value");
     }
 }

@@ -1,13 +1,13 @@
 /**
  * @file
  * Unit tests for the metrics registry: counter/gauge semantics, stable
- * references, power-of-two histogram buckets and quantile bounds, and
- * the deterministic (name-sorted) table and JSON renderings.
+ * references, power-of-two histogram buckets, the interpolated
+ * percentile, and scrape-consistent snapshots under concurrent
+ * updates.  test_telemetry_prometheus covers the rendering.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -60,24 +60,13 @@ TEST(Metrics, HistogramBucketsByBitWidth)
     h.observe(2); // bucket 2
     h.observe(3); // bucket 2
     h.observe(1000); // bucket 10
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.sum(), 1006u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 2u);
-    EXPECT_EQ(h.bucketCount(10), 1u);
-}
-
-TEST(Metrics, HistogramQuantileUpperBounds)
-{
-    Histogram h;
-    EXPECT_EQ(h.quantileUpperBound(0.5), 0u); // empty
-    for (int i = 0; i < 99; ++i)
-        h.observe(3); // bucket 2, upper bound 3
-    h.observe(1 << 20); // one outlier in bucket 21
-    EXPECT_EQ(h.quantileUpperBound(0.5), 3u);
-    EXPECT_EQ(h.quantileUpperBound(0.99), 3u);
-    EXPECT_EQ(h.quantileUpperBound(1.0), (uint64_t{1} << 21) - 1);
+    Histogram::Snapshot s = h.snapshot();
+    EXPECT_EQ(s.count, 5u);
+    EXPECT_EQ(s.sum, 1006u);
+    EXPECT_EQ(s.buckets[0], 1u);
+    EXPECT_EQ(s.buckets[1], 1u);
+    EXPECT_EQ(s.buckets[2], 2u);
+    EXPECT_EQ(s.buckets[10], 1u);
 }
 
 TEST(Metrics, PercentileOfEmptyHistogramIsZero)
@@ -134,97 +123,26 @@ TEST(Metrics, PercentileOverflowBucketSaturates)
               (uint64_t{1} << (Histogram::kBuckets - 1)) - 1);
 }
 
-TEST(Metrics, TablePercentilesUseInterpolation)
-{
-    MetricsRegistry r;
-    r.histogram("lat").observe(100);
-    std::ostringstream oss;
-    r.table().print(oss);
-    std::string out = oss.str();
-    EXPECT_NE(out.find("p50=127"), std::string::npos) << out;
-    EXPECT_NE(out.find("p99=127"), std::string::npos) << out;
-}
-
-TEST(Metrics, TableIsNameSortedWithOneRowPerMetric)
-{
-    MetricsRegistry r;
-    r.counter("zeta").inc(3);
-    r.counter("alpha").inc(1);
-    r.gauge("depth").set(5);
-    r.histogram("lat").observe(7);
-
-    Table t = r.table();
-    EXPECT_EQ(t.rowCount(), 4u);
-    std::ostringstream oss;
-    t.print(oss);
-    std::string out = oss.str();
-    // Counters render name-sorted before gauges and histograms.
-    EXPECT_LT(out.find("alpha"), out.find("zeta"));
-    EXPECT_NE(out.find("counter"), std::string::npos);
-    EXPECT_NE(out.find("gauge"), std::string::npos);
-    EXPECT_NE(out.find("histogram"), std::string::npos);
-    EXPECT_NE(out.find("count=1"), std::string::npos);
-}
-
-TEST(Metrics, JsonRendering)
-{
-    MetricsRegistry r;
-    r.counter("service.requests").inc(12);
-    r.gauge("service.queue_depth").set(-1);
-    r.histogram("service.latency_us").observe(100);
-
-    std::string json = r.json();
-    EXPECT_NE(json.find("\"counters\":{\"service.requests\":12}"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"gauges\":{\"service.queue_depth\":-1}"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"service.latency_us\":{\"count\":1,\"sum\":"
-                        "100,\"p50_le\":127,\"p99_le\":127}"),
-              std::string::npos)
-        << json;
-}
-
-TEST(Metrics, JsonEscapesMetricNames)
-{
-    MetricsRegistry r;
-    r.counter("quote\"back\\slash").inc(1);
-    r.gauge("tab\there").set(2);
-    r.histogram(std::string("ctl\x01") + "byte").observe(3);
-
-    std::string json = r.json();
-    EXPECT_NE(json.find("\"quote\\\"back\\\\slash\":1"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"tab\\there\":2"), std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"ctl\\u0001byte\""), std::string::npos)
-        << json;
-    // No raw control bytes or unescaped quotes survive inside names.
-    EXPECT_EQ(json.find('\x01'), std::string::npos);
-    EXPECT_EQ(json.find('\t'), std::string::npos);
-}
-
 TEST(Metrics, HistogramOverflowBucketSaturates)
 {
     Histogram h;
     h.observe(~uint64_t{0});       // bit width 64 -> clamped
     h.observe(uint64_t{1} << 60);  // bit width 61 -> clamped
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_EQ(h.bucketCount(Histogram::kBuckets - 1), 2u);
+    Histogram::Snapshot s = h.snapshot();
+    EXPECT_EQ(s.count, 2u);
+    EXPECT_EQ(s.buckets[Histogram::kBuckets - 1], 2u);
     // Everything below the overflow bucket stays empty.
     for (size_t b = 0; b + 1 < Histogram::kBuckets; ++b)
-        EXPECT_EQ(h.bucketCount(b), 0u) << "bucket " << b;
-    EXPECT_EQ(h.quantileUpperBound(0.5),
-              (uint64_t{1} << (Histogram::kBuckets - 1)) - 1);
+        EXPECT_EQ(s.buckets[b], 0u) << "bucket " << b;
 }
 
 TEST(Metrics, SnapshotUnderConcurrentIncrement)
 {
-    // Render table() and json() while writers hammer the registry;
-    // TSan (the `service` CI label) validates the synchronization,
-    // this test validates nothing crashes and totals land intact.
+    // Snapshot the registry while writers hammer it; TSan (the
+    // `service` CI label) validates the synchronization, this test
+    // validates that the counter never runs backwards between
+    // snapshots, that no snapshot counts more observations than were
+    // made, and that totals land intact.
     MetricsRegistry r;
     constexpr int kWriters = 4;
     constexpr int kPerThread = 5000;
@@ -240,12 +158,17 @@ TEST(Metrics, SnapshotUnderConcurrentIncrement)
             }
         });
     }
+    constexpr uint64_t kTotal = uint64_t{kWriters} * kPerThread;
     std::thread reader([&] {
+        uint64_t last = 0;
         while (!done.load()) {
-            std::string json = r.json();
-            EXPECT_NE(json.find("\"counters\""), std::string::npos);
-            std::ostringstream oss;
-            r.table().print(oss);
+            MetricsSnapshot s = r.snapshot();
+            for (const auto &[name, value] : s.counters) {
+                EXPECT_GE(value, last) << name;
+                last = value;
+            }
+            for (const auto &[name, h] : s.histograms)
+                EXPECT_LE(h.count, kTotal) << name;
         }
     });
     for (auto &w : workers)
@@ -255,7 +178,7 @@ TEST(Metrics, SnapshotUnderConcurrentIncrement)
     EXPECT_EQ(r.counter("snap.c").value(),
               static_cast<uint64_t>(kWriters) * kPerThread);
     EXPECT_EQ(r.gauge("snap.g").value(), kWriters * kPerThread);
-    EXPECT_EQ(r.histogram("snap.h").count(),
+    EXPECT_EQ(r.histogram("snap.h").snapshot().count,
               static_cast<uint64_t>(kWriters) * kPerThread);
 }
 
@@ -278,7 +201,7 @@ TEST(Metrics, ConcurrentUpdatesLoseNothing)
         w.join();
     EXPECT_EQ(r.counter("c").value(),
               static_cast<uint64_t>(kThreads) * kPerThread);
-    EXPECT_EQ(r.histogram("h").count(),
+    EXPECT_EQ(r.histogram("h").snapshot().count,
               static_cast<uint64_t>(kThreads) * kPerThread);
 }
 

@@ -1,5 +1,5 @@
 // Trace-context tests: id minting (unique, nonzero, int64-safe),
-// scope push/pop semantics, annotation plumbing, cross-thread
+// scope push/pop semantics, the scope's flight digest, cross-thread
 // isolation, and the logger trace-id hook.
 
 #include <gtest/gtest.h>
@@ -69,12 +69,12 @@ TEST(TraceScope, CurrentFollowsScopeNesting)
 
 TEST(TraceScope, AnnotationsAccumulateInScope)
 {
-    EXPECT_EQ(annotations(), nullptr);
+    EXPECT_EQ(currentDigest(), nullptr);
     noteCacheHit(); // no-op outside any scope, must not crash
 
     TraceScope scope(newTrace());
-    ASSERT_NE(annotations(), nullptr);
-    EXPECT_FALSE(annotations()->cache_hit);
+    ASSERT_NE(currentDigest(), nullptr);
+    EXPECT_FALSE(currentDigest()->cache_hit);
 
     noteKeyHash(0xabcd);
     noteCacheHit();
@@ -82,12 +82,11 @@ TEST(TraceScope, AnnotationsAccumulateInScope)
     noteCoalesced();
     noteSearch(123);
 
-    EXPECT_EQ(scope.notes().key_hash, 0xabcdu);
-    EXPECT_TRUE(scope.notes().cache_hit);
-    EXPECT_TRUE(scope.notes().store_hit);
-    EXPECT_TRUE(scope.notes().coalesced);
-    EXPECT_TRUE(scope.notes().searched);
-    EXPECT_EQ(scope.notes().nodes, 123u);
+    EXPECT_EQ(scope.digest().key_hash, 0xabcdu);
+    EXPECT_TRUE(scope.digest().cache_hit);
+    EXPECT_TRUE(scope.digest().store_hit);
+    EXPECT_TRUE(scope.digest().coalesced);
+    EXPECT_EQ(scope.digest().nodes, 123u);
 }
 
 TEST(TraceScope, NestedScopeHasFreshAnnotations)
@@ -96,11 +95,11 @@ TEST(TraceScope, NestedScopeHasFreshAnnotations)
     noteCacheHit();
     {
         TraceScope inner(newTrace());
-        EXPECT_FALSE(annotations()->cache_hit);
+        EXPECT_FALSE(currentDigest()->cache_hit);
         noteStoreHit();
     }
-    EXPECT_TRUE(annotations()->cache_hit);
-    EXPECT_FALSE(annotations()->store_hit);
+    EXPECT_TRUE(currentDigest()->cache_hit);
+    EXPECT_FALSE(currentDigest()->store_hit);
 }
 
 TEST(TraceScope, ThreadLocalIsolation)
