@@ -5,9 +5,9 @@
  *
  *   baseline -- a warm-cache replay with no plane attached (the
  *               production configuration without --admin-port), and
- *   armed    -- the same replay with trace scopes, flight-recorder
- *               digests, and SLO samples per request, while a
- *               scraper hammers the /metrics and /flight endpoints
+ *   armed    -- the same replay with trace scopes and
+ *               flight-recorder digests per request, while a scraper
+ *               hammers the /metrics and /flight endpoints
  *               concurrently (the worst-case observer).
  *
  * The run fails (exit 1) when the armed replay exceeds a generous
@@ -62,15 +62,12 @@ main(int argc, char **argv)
     // Arm the plane and scrape it as hard as a misbehaving collector
     // would: a tight loop over the two expensive endpoints.
     telemetry::FlightRecorder flight(1024);
-    telemetry::SloTracker slo;
     TelemetryPlane plane;
     plane.flight = &flight;
-    plane.slo = &slo;
 
     telemetry::AdminHooks hooks;
     hooks.metrics = &metrics;
     hooks.flight = &flight;
-    hooks.slo = &slo;
     telemetry::AdminServer admin(hooks, 0);
 
     std::atomic<bool> stop{false};
@@ -79,7 +76,6 @@ main(int argc, char **argv)
         while (!stop.load(std::memory_order_relaxed)) {
             admin.handle("GET", "/metrics");
             admin.handle("GET", "/flight");
-            admin.handle("GET", "/slo");
             scrapes.fetch_add(1, std::memory_order_relaxed);
         }
     });
@@ -110,7 +106,7 @@ main(int argc, char **argv)
     emit(t, opt);
 
     std::cout << "scraper completed " << scrapes.load()
-              << " metrics+flight+slo sweeps during the armed pass\n";
+              << " metrics+flight sweeps during the armed pass\n";
 
     // Gate: observation must stay cheap relative to serving.  A warm
     // request is a cache lookup (~microseconds), so 2x plus 50 us of

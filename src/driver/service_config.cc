@@ -44,8 +44,6 @@ serviceFlags(ServiceConfig &c)
                 "result cache budget (default 64 MiB;\n"
                 "0 disables the cache)",
                 c.service.cache_bytes)
-        .number("--cache-shards N", "cache stripe count (default 16)",
-                c.service.cache_shards)
         .number("--max-visits N", "branch-and-bound visit cap per query",
                 c.service.max_visits)
         .add("--store FILE",
@@ -60,16 +58,11 @@ serviceFlags(ServiceConfig &c)
                 "(degraded=shed) instead of queueing\n"
                 "(0 = disabled, the default)",
                 c.admission.high_water)
-        .number("--shed-low N",
-                "stop shedding once the queue drains to N\n"
-                "(default: shed-high / 2; the hysteresis\n"
-                "band)",
-                c.admission.low_water)
         .add("--admin-port N",
              "serve the admin plane on 127.0.0.1:N\n"
-             "(/metrics /healthz /readyz /slo /flight\n"
-             "/spans /quitquitquit; 0 = ephemeral, the\n"
-             "bound port is printed to stderr)",
+             "(/metrics /healthz /readyz /flight\n"
+             "/quitquitquit; 0 = ephemeral, the bound\n"
+             "port is printed to stderr)",
              within("--admin-port", c.admin_port, int64_t{0},
                     int64_t{65535}))
         .add("--admin-port-file F", "also write the bound port to F",
@@ -89,20 +82,6 @@ serviceFlags(ServiceConfig &c)
              "per-run unique, so it is exempt from the\n"
              "byte-determinism contract)",
              enable(c.trace_ids))
-        .number("--slo-window-s N", "SLO rolling window (default 60 s)",
-                c.slo.window_s)
-        // Three latency targets share one description, and so do three
-        // ratio ceilings (indented to sit under its text).
-        .number("--slo-p50-us N", "SLO latency targets in microseconds",
-                c.slo.p50_us)
-        .number("--slo-p99-us N", "(0 disables that percentile's target)",
-                c.slo.p99_us)
-        .number("--slo-p999-us N", "", c.slo.p999_us)
-        .number("--slo-max-degraded R",
-                "SLO outcome-ratio ceilings in [0,1]", c.slo.max_degraded)
-        .number("--slo-max-shed R", "    (negative disables that ceiling)",
-                c.slo.max_shed)
-        .number("--slo-max-error R", "", c.slo.max_error)
         .add("--log-json", "structured JSON log lines on stderr",
              enable(c.log_json))
         .add("--log-level L",

@@ -19,7 +19,6 @@ struct ServiceConfig
 {
     ServiceOptions service;
     AdmissionOptions admission;
-    telemetry::SloOptions slo;
     std::string input_path, output_path; ///< "" or "-": stdin, stdout
     std::vector<std::string> nest_paths;
     unsigned threads = 0; ///< 0 = hardware

@@ -38,7 +38,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,28 +157,24 @@ main(int argc, char **argv)
         admission = std::make_unique<AdmissionController>(
             config.admission, metrics);
 
-    // The live telemetry plane: the flight recorder, SLO window, and
-    // request trace scopes are armed by --admin-port or --trace-ids;
-    // the admin socket itself only by --admin-port.
+    // The live telemetry plane: the flight recorder and request trace
+    // scopes are armed by --admin-port or --trace-ids; the admin socket
+    // itself only by --admin-port.
     bool plane_armed = config.admin_port >= 0 || config.trace_ids;
     std::unique_ptr<telemetry::FlightRecorder> flight;
-    std::unique_ptr<telemetry::SloTracker> slo;
     std::unique_ptr<telemetry::AdminServer> admin;
     TelemetryPlane plane;
     if (plane_armed) {
         telemetry::installLoggerTraceIds();
         flight = std::make_unique<telemetry::FlightRecorder>(
             config.flight_size);
-        slo = std::make_unique<telemetry::SloTracker>(config.slo);
         plane.flight = flight.get();
-        plane.slo = slo.get();
         plane.trace_ids = config.trace_ids;
     }
     if (config.admin_port >= 0) {
         telemetry::AdminHooks hooks;
         hooks.metrics = &metrics;
         hooks.flight = flight.get();
-        hooks.slo = slo.get();
         bool store_configured = !config.service.store_path.empty();
         hooks.health = [&svc, &metrics, adm = admission.get(),
                         store_configured,
@@ -192,11 +187,6 @@ main(int argc, char **argv)
                 metrics.gauge("service.queue_depth").value();
             h.shed_high_water = high_water;
             return h;
-        };
-        hooks.spans_json = [] {
-            std::ostringstream oss;
-            trace::Tracer::instance().writeChromeJson(oss);
-            return oss.str();
         };
         try {
             admin = std::make_unique<telemetry::AdminServer>(

@@ -30,10 +30,9 @@ decimal(__int128 v)
 
 StorageMapping
 StorageMapping::create(const IVec &ov, const Polyhedron &isg,
-                       ModLayout layout, int64_t block_pad)
+                       ModLayout layout)
 {
     UOV_REQUIRE(!ov.isZero(), "zero occupancy vector");
-    UOV_REQUIRE(block_pad >= 0, "negative block padding");
     UOV_REQUIRE(ov.dim() == isg.dim(),
                 "OV dimension " << ov.dim() << " != ISG dimension "
                                 << isg.dim());
@@ -65,16 +64,8 @@ StorageMapping::create(const IVec &ov, const Polyhedron &isg,
     }
     sm._rows = BoxLayout(std::move(lo), std::move(hi));
     int64_t extent_product = sm._rows.cells();
-
-    if (layout == ModLayout::Blocked && sm._g > 1 && block_pad > 0) {
-        int64_t padded = checkedAdd(extent_product, block_pad);
-        sm._mod_factor = padded;
-        sm._cells = checkedMul(sm._g, padded);
-    } else {
-        sm._cells = checkedMul(sm._g, extent_product);
-        sm._mod_factor =
-            layout == ModLayout::Interleaved ? 1 : extent_product;
-    }
+    sm._cells = checkedMul(sm._g, extent_product);
+    sm._mod_factor = layout == ModLayout::Interleaved ? 1 : extent_product;
     return sm;
 }
 

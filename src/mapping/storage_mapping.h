@@ -57,17 +57,10 @@ class StorageMapping
     /**
      * Build the mapping for @p ov over @p isg.
      *
-     * @param block_pad extra cells appended to each class block in the
-     *        Blocked layout (array padding, Section 4: "it would not
-     *        be difficult to incorporate data layout techniques such
-     *        as array padding"); breaks power-of-two block strides
-     *        that alias in low-associativity caches.  Ignored for
-     *        prime OVs and the Interleaved layout.
      * @pre ov is nonzero and matches the ISG dimension
      */
     static StorageMapping create(const IVec &ov, const Polyhedron &isg,
-                                 ModLayout layout = ModLayout::Interleaved,
-                                 int64_t block_pad = 0);
+                                 ModLayout layout = ModLayout::Interleaved);
 
     /** Evaluate SM(q). */
     int64_t operator()(const IVec &q) const;

@@ -468,11 +468,6 @@ AdmissionController::AdmissionController(AdmissionOptions options,
       _recovered(metrics.counter("service.shed.recovered")),
       _active(metrics.gauge("service.shed.active"))
 {
-    if (_options.low_water < 0)
-        _options.low_water = _options.high_water / 2;
-    if (_options.low_water >= _options.high_water)
-        _options.low_water =
-            _options.high_water > 0 ? _options.high_water - 1 : 0;
 }
 
 bool
@@ -487,7 +482,7 @@ AdmissionController::admit(int64_t queue_depth)
         _shedding = true;
         _engaged.inc();
         _active.set(1);
-    } else if (_shedding && queue_depth <= _options.low_water) {
+    } else if (_shedding && queue_depth <= _options.high_water / 2) {
         _shedding = false;
         _recovered.inc();
         _active.set(0);
@@ -533,9 +528,9 @@ requestVerb(const Request &request)
 /**
  * One request's telemetry: add the trace id, index, verb, outcome,
  * cause and wall time to @p digest (a copy of what the request's
- * layers noted in its scope), record it into the flight recorder,
- * sample the SLO window, and log an Info line per non-optimal outcome
- * (inside the request's TraceScope, so the log line carries the id).
+ * layers noted in its scope), record it into the flight recorder, and
+ * log an Info line per non-optimal outcome (inside the request's
+ * TraceScope, so the log line carries the id).
  */
 void
 recordOutcome(const TelemetryPlane &plane, const Request &request,
@@ -551,8 +546,6 @@ recordOutcome(const TelemetryPlane &plane, const Request &request,
     digest.setCause(outcome.cause);
     if (plane.flight != nullptr)
         plane.flight->record(digest);
-    if (plane.slo != nullptr)
-        plane.slo->record(digest.outcome, wall_us);
     if (digest.outcome != Kind::Optimal)
         UOV_LOG_INFO("request " << request.index << " outcome="
                      << FD::outcomeName(digest.outcome) << " cause='"
@@ -585,6 +578,7 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
     Counter &optimal = metrics.counter("service.optimal");
     Counter &degraded = metrics.counter("service.degraded");
     Counter &errors = metrics.counter("service.request_errors");
+    Histogram &latency = metrics.histogram("service.latency_us");
     Watchdog watchdog(25, &metrics.counter("service.watchdog.overdue"));
     uint64_t fires_before =
         failpoint::Registry::instance().totalFires();
@@ -592,8 +586,9 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
     // Answer request i inside its own trace scope, then run the one
     // epilogue every response takes -- pooled, shed and admission
     // error alike: count the outcome (the three counters sum to the
-    // batch size, asserted by the fault fuzz oracle), feed the plane,
-    // render, and append the opt-in trace_id token.
+    // batch size, asserted by the fault fuzz oracle), render, time the
+    // request once into service.latency_us and the plane's digest, and
+    // append the opt-in trace_id token.
     auto serve = [&](size_t i, auto &&produce) {
         const Request &request = requests[i];
         // The request runs whole on this thread, so a thread-local
@@ -618,9 +613,11 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
         else
             degraded.inc();
         responses[i] = render(request.index, outcome);
+        uint64_t wall_us = wallMicrosSince(started);
+        latency.observe(wall_us);
         if (plane != nullptr) {
             recordOutcome(*plane, request, scope->digest(), ctx, outcome,
-                          wallMicrosSince(started));
+                          wall_us);
             if (plane->trace_ids)
                 responses[i] += " trace_id=" + traceIdHex(ctx.id);
         }

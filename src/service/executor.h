@@ -102,7 +102,6 @@
 #include "support/deadline.h"
 #include "support/thread_pool.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/slo.h"
 
 namespace uov {
 namespace service {
@@ -192,16 +191,13 @@ struct AdmissionOptions
 {
     /**
      * Engage shedding when service.queue_depth reaches this many
-     * in-flight requests; 0 disables admission control entirely.
+     * in-flight requests, and disengage once it falls back to
+     * high_water / 2; 0 disables admission control entirely.  The gap
+     * is the hysteresis band -- without it a queue hovering at the
+     * high-water mark would flap between admitting and shedding on
+     * every request.
      */
     int64_t high_water = 0;
-    /**
-     * Disengage once depth falls back to this level; -1 means
-     * high_water / 2.  The gap is the hysteresis band -- without it a
-     * queue hovering at the high-water mark would flap between
-     * admitting and shedding on every request.
-     */
-    int64_t low_water = -1;
 };
 
 /**
@@ -238,8 +234,6 @@ class AdmissionController
     /** Currently past the high-water mark (test introspection). */
     bool shedding() const;
 
-    const AdmissionOptions &options() const { return _options; }
-
   private:
     AdmissionOptions _options;
     mutable std::mutex _mutex;
@@ -263,11 +257,11 @@ std::string shedRequest(const Request &request);
  * plane is attached to runBatch, every request (inline shed and
  * admission-error responses included) runs inside a fresh TraceScope:
  * one 64-bit trace id links the structured log lines, the
- * flight-recorder digest, the SLO sample, and the "service.request"
- * Perfetto span for that request, and each non-optimal outcome is
- * logged at Info level (the logger's level gates the line).  All
- * pointers optional; a default-constructed plane still mints trace
- * ids (log/span linkage without a recorder).
+ * flight-recorder digest and the "service.request" Perfetto span for
+ * that request, and each non-optimal outcome is logged at Info level
+ * (the logger's level gates the line).  All pointers optional; a
+ * default-constructed plane still mints trace ids (log/span linkage
+ * without a recorder).
  *
  * Determinism: recording is observation-only.  Response bytes are
  * unchanged unless @p trace_ids opts in, which appends the
@@ -277,7 +271,6 @@ std::string shedRequest(const Request &request);
 struct TelemetryPlane
 {
     telemetry::FlightRecorder *flight = nullptr;
-    telemetry::SloTracker *slo = nullptr;
     bool trace_ids = false; ///< append " trace_id=..." to responses
 };
 
@@ -293,7 +286,10 @@ struct TelemetryPlane
  * is counted from its typed outcome, as it finishes, in exactly one
  * of the "service.optimal", "service.degraded", or
  * "service.request_errors" counters, so the three always sum to the
- * batch size.
+ * batch size, and its wall time -- from the moment a worker (or, for
+ * shed and admission-error lines, the submitting thread) takes it up
+ * to its rendered line -- is observed once into "service.latency_us",
+ * so that histogram's count is the batch size too.
  *
  * @p admission, when non-null, applies overload shedding to solve
  * requests (see AdmissionController); the fail-point site "admission"

@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <chrono>
 #include <utility>
 
 #include "support/failpoint.h"
@@ -19,8 +18,7 @@ QueryService::QueryService(ServiceOptions options,
       _searches(metrics.counter("service.searches")),
       _coalesced(metrics.counter("service.singleflight.coalesced")),
       _canon_removed(metrics.counter("service.canon.removed_deps")),
-      _timeouts(metrics.counter("service.timeouts")),
-      _latency_us(metrics.histogram("service.latency_us"))
+      _timeouts(metrics.counter("service.timeouts"))
 {
     if (_options.store_path.empty())
         return;
@@ -47,7 +45,6 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
                     const std::optional<IVec> &isg_hi,
                     int64_t deadline_ms)
 {
-    auto start = std::chrono::steady_clock::now();
     _requests.inc();
 
     Stencil canonical = [&] {
@@ -61,15 +58,6 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
         makeKey(canonical, objective, isg_lo, isg_hi, deadline_ms);
     telemetry::noteKeyHash(key.hash());
 
-    // By value, so each path's own copy is moved out, not copied.
-    auto finish = [&](ServiceAnswer answer) {
-        auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-        _latency_us.observe(static_cast<uint64_t>(us));
-        return answer;
-    };
-
     bool use_cache = _options.cache_bytes > 0;
     if (use_cache) {
         trace::Span span("service.cache.lookup");
@@ -77,7 +65,7 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
         span.arg("hit", static_cast<int64_t>(cached ? 1 : 0));
         if (cached) {
             telemetry::noteCacheHit();
-            return finish(std::move(*cached));
+            return std::move(*cached);
         }
     }
 
@@ -93,7 +81,7 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
             telemetry::noteStoreHit();
             if (use_cache)
                 _cache.insert(key, *stored);
-            return finish(std::move(*stored));
+            return std::move(*stored);
         }
     }
 
@@ -119,7 +107,7 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
         flight->cv.wait(lock, [&] { return flight->done; });
         if (flight->error)
             std::rethrow_exception(flight->error);
-        return finish(flight->answer);
+        return flight->answer;
     }
 
     ServiceAnswer answer;
@@ -167,7 +155,7 @@ QueryService::query(const Stencil &stencil, SearchObjective objective,
     }
     if (error)
         std::rethrow_exception(error);
-    return finish(std::move(answer));
+    return answer;
 }
 
 uint64_t

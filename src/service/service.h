@@ -124,7 +124,6 @@ class QueryService
     Counter &_coalesced;
     Counter &_canon_removed;
     Counter &_timeouts;
-    Histogram &_latency_us;
 };
 
 } // namespace service

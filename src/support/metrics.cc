@@ -37,13 +37,6 @@ Histogram::snapshot() const
 uint64_t
 Histogram::Snapshot::percentile(double q) const
 {
-    return bucketPercentile(buckets, kBuckets, count, q);
-}
-
-uint64_t
-bucketPercentile(const uint64_t *buckets, size_t n, uint64_t count,
-                 double q)
-{
     if (count == 0)
         return 0;
     if (q < 0)
@@ -54,7 +47,7 @@ bucketPercentile(const uint64_t *buckets, size_t n, uint64_t count,
     if (target == 0)
         target = 1;
     uint64_t seen = 0;
-    for (size_t b = 0; b < n; ++b) {
+    for (size_t b = 0; b < kBuckets; ++b) {
         uint64_t in_bucket = buckets[b];
         if (seen + in_bucket < target) {
             seen += in_bucket;
@@ -74,7 +67,7 @@ bucketPercentile(const uint64_t *buckets, size_t n, uint64_t count,
     }
     // Unreachable when count matches the bucket total (target <=
     // count), but keep the saturating answer for safety.
-    return (uint64_t{1} << (n - 1)) - 1;
+    return (uint64_t{1} << (kBuckets - 1)) - 1;
 }
 
 uint64_t

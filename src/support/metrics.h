@@ -112,6 +112,16 @@ class Histogram
         uint64_t count = 0;
         uint64_t sum = 0;
 
+        /**
+         * Estimated @p q percentile (q in [0, 1]; 0 when empty) with
+         * upper-bound interpolation inside the owning bucket: the
+         * target rank's position within bucket b (values in
+         * [2^(b-1), 2^b - 1]) interpolates linearly toward the
+         * bucket's upper bound, so a bucket holding a single
+         * observation reports that bucket's upper bound.  This is the
+         * one quantile rule: /metrics and the dashboards read it.
+         * Values past the last bucket saturate at its upper bound.
+         */
         uint64_t percentile(double q) const;
     };
 
@@ -120,16 +130,7 @@ class Histogram
     /** The one way to read a histogram: count, sum and buckets. */
     Snapshot snapshot() const;
 
-    /**
-     * Estimated @p q percentile (q in [0, 1]; 0 when empty) with
-     * upper-bound interpolation inside the owning bucket: the target
-     * rank's position within bucket b (values in [2^(b-1), 2^b - 1])
-     * interpolates linearly toward the bucket's upper bound, so a
-     * bucket holding a single observation reports that bucket's upper
-     * bound.  This is the one quantile rule: /metrics, /slo and the
-     * dashboards all read it.  Values past the last bucket saturate at
-     * its upper bound.
-     */
+    /** snapshot().percentile(@p q). */
     uint64_t percentile(double q) const;
 
   private:
@@ -149,14 +150,6 @@ struct MetricsSnapshot
     std::vector<std::pair<std::string, int64_t>> gauges;
     std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
 };
-
-/**
- * Rank-interpolated @p q percentile over bit-width buckets (the
- * shared implementation behind Histogram::percentile and the SLO
- * tracker's windowed merge).  @p count must equal the bucket total.
- */
-uint64_t bucketPercentile(const uint64_t *buckets, size_t n,
-                          uint64_t count, double q);
 
 /**
  * Named metric registry.  Lookup-or-create is mutex-guarded and

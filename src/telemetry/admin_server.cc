@@ -178,21 +178,9 @@ AdminServer::handle(const std::string &method, const std::string &path)
                             ready ? "OK" : "Service Unavailable",
                             "application/json", h.json() + "\n");
     }
-    if (p == "/slo") {
-        std::string body = _hooks.slo != nullptr
-                               ? _hooks.slo->json()
-                               : std::string("{\"enabled\":false}");
-        return httpResponse(200, "OK", "application/json", body + "\n");
-    }
     if (p == "/flight") {
         std::string body = _hooks.flight != nullptr
                                ? _hooks.flight->json()
-                               : std::string("{\"enabled\":false}");
-        return httpResponse(200, "OK", "application/json", body + "\n");
-    }
-    if (p == "/spans") {
-        std::string body = _hooks.spans_json
-                               ? _hooks.spans_json()
                                : std::string("{\"enabled\":false}");
         return httpResponse(200, "OK", "application/json", body + "\n");
     }
@@ -206,8 +194,8 @@ AdminServer::handle(const std::string &method, const std::string &path)
     }
     return httpResponse(
         404, "Not Found", "text/plain",
-        "no such endpoint; try /metrics /healthz /readyz /slo "
-        "/flight /spans /quitquitquit\n");
+        "no such endpoint; try /metrics /healthz /readyz /flight "
+        "/quitquitquit\n");
 }
 
 void

@@ -12,12 +12,7 @@
  *                   queue depth vs the high-water mark
  *   /readyz         readiness: 503 while load shedding is engaged or
  *                   a configured store failed to open, else 200
- *   /slo            rolling-window latency quantiles and outcome
- *                   ratios vs targets (SloTracker::json)
  *   /flight         the flight recorder's last-K request digests
- *   /spans          the span trace as Chrome trace-event JSON
- *                   (hooks.spans_json; uovd serves
- *                   Tracer::writeChromeJson), else {"enabled":false}
  *   /quitquitquit   acknowledge and latch the quit flag the driver's
  *                   --admin-hold waits on (the idiomatic way to stop
  *                   a held daemon from a script)
@@ -48,7 +43,6 @@
 
 #include "support/metrics.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/slo.h"
 
 namespace uov {
 namespace telemetry {
@@ -78,9 +72,7 @@ struct AdminHooks
 {
     const MetricsRegistry *metrics = nullptr;
     const FlightRecorder *flight = nullptr;
-    const SloTracker *slo = nullptr;
-    std::function<HealthStatus()> health;     ///< default: all-ok
-    std::function<std::string()> spans_json;  ///< /spans body
+    std::function<HealthStatus()> health; ///< default: all-ok
 };
 
 class AdminServer

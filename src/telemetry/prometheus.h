@@ -24,8 +24,7 @@
  *    would otherwise histogram_quantile over power-of-two buckets.
  *
  * renderPrometheus(registry) is the /metrics endpoint body; the
- * sanitize/escape helpers are exposed for tests and for the flight /
- * SLO JSON emitters that share the name rules.
+ * sanitize/escape helpers are exposed for tests.
  */
 
 #ifndef UOV_TELEMETRY_PROMETHEUS_H

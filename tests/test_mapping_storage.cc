@@ -193,44 +193,6 @@ TEST(StorageMapping, OneDimensionalMapping)
     }
 }
 
-TEST(StorageMapping, BlockPaddingShiftsClassBlocks)
-{
-    int64_t t_max = 9, len = 7;
-    Polyhedron isg = Polyhedron::box(IVec{0, 0}, IVec{t_max, len});
-    StorageMapping padded = StorageMapping::create(
-        IVec{2, 0}, isg, ModLayout::Blocked, /*block_pad=*/5);
-    StorageMapping plain =
-        StorageMapping::create(IVec{2, 0}, isg, ModLayout::Blocked);
-
-    EXPECT_EQ(padded.cellCount(), plain.cellCount() + 2 * 5);
-    EXPECT_EQ(padded.modFactor(), plain.modFactor() + 5);
-    // Class 0 unchanged; class 1 shifted by the pad.
-    EXPECT_EQ(padded(IVec{0, 3}), plain(IVec{0, 3}));
-    EXPECT_EQ(padded(IVec{1, 3}), plain(IVec{1, 3}) + 5);
-    // Still OV-invariant and in range.
-    for (const auto &q : boxPoints(0, 0, 7, 7)) {
-        EXPECT_EQ(padded(q), padded(q + IVec{2, 0}));
-        EXPECT_GE(padded(q), 0);
-        EXPECT_LT(padded(q), padded.cellCount());
-    }
-}
-
-TEST(StorageMapping, PaddingIgnoredWhereMeaningless)
-{
-    Polyhedron isg = Polyhedron::box(IVec{0, 0}, IVec{9, 7});
-    // Prime OV: no blocks to pad.
-    StorageMapping prime = StorageMapping::create(
-        IVec{1, 1}, isg, ModLayout::Blocked, 5);
-    EXPECT_EQ(prime.cellCount(), 9 + 7 + 1);
-    // Interleaved layout: classes are not contiguous blocks.
-    StorageMapping inter = StorageMapping::create(
-        IVec{2, 0}, isg, ModLayout::Interleaved, 5);
-    EXPECT_EQ(inter.cellCount(), 2 * (7 + 1));
-    EXPECT_THROW(StorageMapping::create(IVec{2, 0}, isg,
-                                        ModLayout::Blocked, -1),
-                 UovUserError);
-}
-
 TEST(StorageMapping, RejectsBadInput)
 {
     Polyhedron isg = Polyhedron::box(IVec{0, 0}, IVec{5, 5});

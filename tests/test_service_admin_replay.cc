@@ -4,8 +4,8 @@
  * plane must not change a single response byte, the flight recorder
  * must hold a digest (with a matching trace id, outcome and cause)
  * for every response -- pooled, shed, or admission error alike --
- * and the SLO tracker and outcome counters must reconcile with the
- * batch.
+ * and the latency histogram and outcome counters must reconcile with
+ * the batch.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "support/failpoint.h"
 #include "support/logging.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/slo.h"
 #include "telemetry/trace_context.h"
 
 namespace uov {
@@ -116,6 +115,13 @@ digestCause(const std::string &cause)
     return cause.substr(0, FlightDigest::kCauseBytes - 1);
 }
 
+/** Requests timed into @p metrics' service.latency_us so far. */
+uint64_t
+latencyCount(MetricsRegistry &metrics)
+{
+    return metrics.histogram("service.latency_us").snapshot().count;
+}
+
 /** Each request's digest, keyed by request index. */
 std::map<uint64_t, FlightDigest>
 digestsByRequest(const telemetry::FlightRecorder &flight)
@@ -136,13 +142,13 @@ TEST(AdminReplay, ArmedPlaneIsByteIdenticalToBaseline)
         QueryService svc(cappedOptions(), metrics);
         ThreadPool pool(4);
         baseline = runBatch(svc, reqs, pool);
+        // Every request is timed, with or without a plane.
+        EXPECT_EQ(latencyCount(metrics), reqs.size());
     }
 
     telemetry::FlightRecorder flight(1024);
-    telemetry::SloTracker slo;
     TelemetryPlane plane;
     plane.flight = &flight;
-    plane.slo = &slo;
     plane.trace_ids = false; // observation only: bytes must not move
 
     MetricsRegistry metrics;
@@ -156,11 +162,12 @@ TEST(AdminReplay, ArmedPlaneIsByteIdenticalToBaseline)
         ASSERT_EQ(armed[i], baseline[i]) << "request " << (i + 1);
 
     // The plane observed the whole batch even though it changed
-    // nothing: one digest and one SLO sample per request.
+    // nothing: one digest and one latency observation per request,
+    // parse errors included.
     std::vector<FlightDigest> digests = flight.snapshot();
     ASSERT_FALSE(digests.empty());
     EXPECT_EQ(digests.back().seq, reqs.size());
-    EXPECT_EQ(slo.report().total, reqs.size());
+    EXPECT_EQ(latencyCount(metrics), reqs.size());
 
     // Metric reconciliation is unchanged by the plane: every request
     // that reaches the service (parse errors never do) performs
@@ -185,10 +192,8 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
     std::vector<Request> reqs = mixedBatch(120);
 
     telemetry::FlightRecorder flight(1024); // larger than the batch
-    telemetry::SloTracker slo;
     TelemetryPlane plane;
     plane.flight = &flight;
-    plane.slo = &slo;
     plane.trace_ids = true;
 
     MetricsRegistry metrics;
@@ -204,6 +209,7 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
         by_request[d.request_index] = &d;
 
     size_t non_optimal = 0;
+    size_t error_digests = 0;
     for (size_t i = 0; i < responses.size(); ++i) {
         // Opted-in responses all carry a trace id token...
         std::string token = traceToken(responses[i]);
@@ -229,6 +235,7 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
             ++non_optimal;
             // Error digests explain themselves.
             if (d.outcome == FlightDigest::Outcome::Error) {
+                ++error_digests;
                 EXPECT_FALSE(d.causeStr().empty()) << responses[i];
             }
         }
@@ -237,25 +244,22 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
     // two error lines survived into the flight ring.
     EXPECT_GE(non_optimal, 3u);
 
-    // SLO ratios agree with the recorder.
-    telemetry::SloTracker::Report r = slo.report();
-    EXPECT_EQ(r.total, reqs.size());
-    EXPECT_EQ(r.errors,
+    // The histogram and the error counter agree with the recorder.
+    EXPECT_EQ(latencyCount(metrics), reqs.size());
+    EXPECT_EQ(error_digests,
               metrics.counter("service.request_errors").value());
 }
 
 // Shed answers are produced on the submitting thread, concurrently
 // with pooled requests, yet take the same epilogue: each one has a
-// Shed digest, an SLO sample, and a count.
+// Shed digest, a latency observation, and a count.
 TEST(AdminReplay, ShedAnswersCarryShedDigestsUnderOverload)
 {
     std::vector<Request> reqs = mixedBatch(60);
 
     telemetry::FlightRecorder flight(1024);
-    telemetry::SloTracker slo;
     TelemetryPlane plane;
     plane.flight = &flight;
-    plane.slo = &slo;
 
     MetricsRegistry metrics;
     QueryService svc(cappedOptions(), metrics);
@@ -286,9 +290,7 @@ TEST(AdminReplay, ShedAnswersCarryShedDigestsUnderOverload)
     uint64_t shed = metrics.counter("service.shed.responses").value();
     EXPECT_GT(shed, 0u) << "batch never crossed the high-water mark";
     EXPECT_EQ(shed_lines, shed);
-    telemetry::SloTracker::Report r = slo.report();
-    EXPECT_EQ(r.total, reqs.size());
-    EXPECT_EQ(r.shed, shed);
+    EXPECT_EQ(latencyCount(metrics), reqs.size());
     EXPECT_EQ(metrics.counter("service.optimal").value() +
                   metrics.counter("service.degraded").value() +
                   metrics.counter("service.request_errors").value(),
@@ -302,10 +304,8 @@ TEST(AdminReplay, AdmissionFaultDigestsCarryTheWireMessage)
     std::vector<Request> reqs = mixedBatch(30);
 
     telemetry::FlightRecorder flight(1024);
-    telemetry::SloTracker slo;
     TelemetryPlane plane;
     plane.flight = &flight;
-    plane.slo = &slo;
 
     MetricsRegistry metrics;
     QueryService svc(cappedOptions(), metrics);
@@ -335,7 +335,7 @@ TEST(AdminReplay, AdmissionFaultDigestsCarryTheWireMessage)
                   digestCause(responses[i].substr(prefix.size())))
             << responses[i];
     }
-    EXPECT_EQ(slo.report().errors, reqs.size());
+    EXPECT_EQ(latencyCount(metrics), reqs.size());
     EXPECT_EQ(metrics.counter("service.request_errors").value(),
               reqs.size());
 }

@@ -192,10 +192,6 @@ TEST(ServiceConfig, NoFlagsKeepTheDaemonDefaults)
     EXPECT_EQ(c.service.max_visits, 10'000'000u);
     EXPECT_EQ(c.service.store_path, "");
     EXPECT_EQ(c.admission.high_water, 0);
-    EXPECT_EQ(c.admission.low_water, -1);
-    EXPECT_EQ(c.slo.window_s, 60);
-    EXPECT_EQ(c.slo.p99_us, 0u);
-    EXPECT_EQ(c.slo.max_error, -1);
     EXPECT_TRUE(c.nest_paths.empty());
     EXPECT_EQ(c.threads, 0u);
     EXPECT_EQ(c.request_deadline_ms, -1);
@@ -211,15 +207,10 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
     ServiceConfig c = parsed({
         "--input", "q.txt", "--output", "r.txt",
         "--nest", "a.nest", "--nest", "b.nest",
-        "--threads", "3", "--cache-bytes", "1024", "--cache-shards", "4",
-        "--max-visits", "500", "--store", "s.log",
-        "--shed-high", "40", "--shed-low", "10",
+        "--threads", "3", "--cache-bytes", "1024",
+        "--max-visits", "500", "--store", "s.log", "--shed-high", "40",
         "--admin-port", "0", "--admin-port-file", "port.txt",
         "--admin-hold", "--flight-size", "32", "--trace-ids",
-        "--slo-window-s", "30", "--slo-p50-us", "100",
-        "--slo-p99-us", "900", "--slo-p999-us", "5000",
-        "--slo-max-degraded", "0.25", "--slo-max-shed", "0.5",
-        "--slo-max-error", "0",
         "--log-json", "--log-level", "debug",
         "--request-deadline-ms", "0",
         "--metrics", "-", "--trace", "t.json",
@@ -231,23 +222,14 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
               (std::vector<std::string>{"a.nest", "b.nest"}));
     EXPECT_EQ(c.threads, 3u);
     EXPECT_EQ(c.service.cache_bytes, 1024u);
-    EXPECT_EQ(c.service.cache_shards, 4u);
     EXPECT_EQ(c.service.max_visits, 500u);
     EXPECT_EQ(c.service.store_path, "s.log");
     EXPECT_EQ(c.admission.high_water, 40);
-    EXPECT_EQ(c.admission.low_water, 10);
     EXPECT_EQ(c.admin_port, 0);
     EXPECT_EQ(c.admin_port_file, "port.txt");
     EXPECT_TRUE(c.admin_hold);
     EXPECT_EQ(c.flight_size, 32u);
     EXPECT_TRUE(c.trace_ids);
-    EXPECT_EQ(c.slo.window_s, 30);
-    EXPECT_EQ(c.slo.p50_us, 100u);
-    EXPECT_EQ(c.slo.p99_us, 900u);
-    EXPECT_EQ(c.slo.p999_us, 5000u);
-    EXPECT_EQ(c.slo.max_degraded, 0.25);
-    EXPECT_EQ(c.slo.max_shed, 0.5);
-    EXPECT_EQ(c.slo.max_error, 0.0);
     EXPECT_TRUE(c.log_json);
     EXPECT_EQ(c.log_level, LogLevel::Debug);
     EXPECT_EQ(c.request_deadline_ms, 0);
@@ -263,12 +245,9 @@ TEST(ServiceConfig, UsageListsEveryFlag)
     serviceFlags(config).usage(os);
     for (const char *flag :
          {"--input FILE", "--output FILE", "--nest FILE", "--threads N",
-          "--cache-bytes N", "--cache-shards N", "--max-visits N", "--store FILE", "--shed-high N",
-          "--shed-low N", "--admin-port N",
-          "--admin-port-file F", "--admin-hold", "--flight-size K",
-          "--trace-ids", "--slo-window-s N", "--slo-p50-us N",
-          "--slo-p99-us N", "--slo-p999-us N", "--slo-max-degraded R",
-          "--slo-max-shed R", "--slo-max-error R", "--log-json",
+          "--cache-bytes N", "--max-visits N", "--store FILE",
+          "--shed-high N", "--admin-port N", "--admin-port-file F",
+          "--admin-hold", "--flight-size K", "--trace-ids", "--log-json",
           "--log-level L", "--request-deadline-ms N", "--metrics FILE",
           "--trace FILE", "--version"})
         EXPECT_NE(os.str().find(std::string("\n  ") + flag),
@@ -294,7 +273,7 @@ TEST(ServiceConfig, MissingValueIsRejected)
 {
     for (const char *flag :
          {"--input", "--nest", "--threads", "--store", "--admin-port",
-          "--log-level", "--slo-max-shed", "--trace"}) {
+          "--log-level", "--shed-high", "--trace"}) {
         EXPECT_EQ(serviceError({"--admin-hold", flag}),
                   std::string(flag) + " needs a value");
     }
@@ -314,9 +293,8 @@ TEST(ServiceConfig, BadNumbersAreRejected)
              {"--request-deadline-ms", "0.5"},
              {"--cache-bytes", "64k"}, // trailing junk
              {"--shed-high", "10 "},
-             {"--slo-max-shed", "0.5x"},
              {"--threads", "4294967296"}, // out of range
-             {"--slo-window-s", "9223372036854775808"},
+             {"--request-deadline-ms", "9223372036854775808"},
              {"--max-visits", ""}}) { // an empty value
         EXPECT_EQ(serviceError({c.flag, c.value}),
                   std::string("bad numeric value for ") + c.flag)

@@ -92,23 +92,20 @@ TEST(AdmissionController, DefaultsLowWaterToHalfOfHigh)
     AdmissionOptions ao;
     ao.high_water = 10;
     AdmissionController admission(ao, metrics);
-    EXPECT_EQ(admission.options().low_water, 5);
-
-    // A degenerate configuration still ends up with low < high.
-    AdmissionOptions tight;
-    tight.high_water = 1;
-    tight.low_water = 9;
-    AdmissionController clamped(tight, metrics);
-    EXPECT_LT(clamped.options().low_water,
-              clamped.options().high_water);
+    EXPECT_FALSE(admission.admit(10));
+    // Shedding holds down to one above half of high water...
+    EXPECT_FALSE(admission.admit(6));
+    EXPECT_TRUE(admission.shedding());
+    // ...and stops there.
+    EXPECT_TRUE(admission.admit(5));
+    EXPECT_FALSE(admission.shedding());
 }
 
 TEST(AdmissionController, HysteresisEngagesAndRecovers)
 {
     MetricsRegistry metrics;
     AdmissionOptions ao;
-    ao.high_water = 4;
-    ao.low_water = 2;
+    ao.high_water = 4; // low water 2
     AdmissionController admission(ao, metrics);
     Gauge &active = metrics.gauge("service.shed.active");
 

@@ -209,21 +209,17 @@ TEST(PrometheusRender, ConcurrentScrapeSeesConsistentHistogram)
 
 TEST(BucketPercentile, InterpolatesWithinBuckets)
 {
-    uint64_t buckets[Histogram::kBuckets] = {};
-    buckets[4] = 100; // values in (7, 15]
-    EXPECT_EQ(bucketPercentile(buckets, Histogram::kBuckets, 100, 0.0),
-              8u);
-    EXPECT_EQ(bucketPercentile(buckets, Histogram::kBuckets, 100, 1.0),
-              15u);
-    uint64_t p50 =
-        bucketPercentile(buckets, Histogram::kBuckets, 100, 0.5);
+    Histogram::Snapshot snap;
+    snap.buckets[4] = 100; // values in (7, 15]
+    snap.count = 100;
+    EXPECT_EQ(snap.percentile(0.0), 8u);
+    EXPECT_EQ(snap.percentile(1.0), 15u);
+    uint64_t p50 = snap.percentile(0.5);
     EXPECT_GE(p50, 8u);
     EXPECT_LE(p50, 15u);
 }
 
 TEST(BucketPercentile, EmptyHistogramIsZero)
 {
-    uint64_t buckets[Histogram::kBuckets] = {};
-    EXPECT_EQ(bucketPercentile(buckets, Histogram::kBuckets, 0, 0.99),
-              0u);
+    EXPECT_EQ(Histogram::Snapshot{}.percentile(0.99), 0u);
 }
