@@ -11,8 +11,8 @@ serviceFlags(ServiceConfig &c)
     auto assign = [](std::string &f) { return [&f](auto &v) { f = v; }; };
     auto enable = [](bool &f) { return [&f](auto &) { f = true; }; };
     // A number read as the bounds' type and kept in [lo, hi]: a port,
-    // or a count that sizes threads or memory, is one error line past
-    // its bound, never a thread storm or a runaway allocation.
+    // or a thread count, is one error line past its bound, never a
+    // thread storm.
     auto within = [](const char *flag, auto &f, auto lo, auto hi) {
         return [flag, &f, lo, hi](const std::string &v) {
             decltype(lo) n{};
@@ -60,7 +60,7 @@ serviceFlags(ServiceConfig &c)
                 c.admission.high_water)
         .add("--admin-port N",
              "serve the admin plane on 127.0.0.1:N\n"
-             "(/metrics /healthz /readyz /flight\n"
+             "(/metrics /flight\n"
              "/quitquitquit; 0 = ephemeral, the bound\n"
              "port is printed to stderr)",
              within("--admin-port", c.admin_port, int64_t{0},
@@ -71,11 +71,6 @@ serviceFlags(ServiceConfig &c)
              "after answering the batch, keep serving\n"
              "the admin plane until GET /quitquitquit",
              enable(c.admin_hold))
-        .add("--flight-size K",
-             "flight-recorder ring capacity\n"
-             "(default 256 request digests)",
-             within("--flight-size", c.flight_size, size_t{0},
-                    size_t{1} << 16))
         .add("--trace-ids",
              "append ' trace_id=<16 hex>' to every\n"
              "response line (opt-in: the token is\n"

@@ -26,7 +26,6 @@ struct ServiceConfig
     int64_t admin_port = -1; ///< -1 = no admin plane, 0 = ephemeral
     std::string admin_port_file, trace_path;
     std::string metrics_path; ///< "" = none, "-" = stderr
-    size_t flight_size = 256;
     LogLevel log_level = LogLevel::Warn;
     bool admin_hold = false, trace_ids = false, log_json = false;
     bool version = false;

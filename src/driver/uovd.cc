@@ -166,8 +166,7 @@ main(int argc, char **argv)
     TelemetryPlane plane;
     if (plane_armed) {
         telemetry::installLoggerTraceIds();
-        flight = std::make_unique<telemetry::FlightRecorder>(
-            config.flight_size);
+        flight = std::make_unique<telemetry::FlightRecorder>();
         plane.flight = flight.get();
         plane.trace_ids = config.trace_ids;
     }
@@ -175,22 +174,9 @@ main(int argc, char **argv)
         telemetry::AdminHooks hooks;
         hooks.metrics = &metrics;
         hooks.flight = flight.get();
-        bool store_configured = !config.service.store_path.empty();
-        hooks.health = [&svc, &metrics, adm = admission.get(),
-                        store_configured,
-                        high_water = config.admission.high_water] {
-            telemetry::HealthStatus h;
-            h.store_configured = store_configured;
-            h.store_ok = svc.store() != nullptr;
-            h.shed_active = adm != nullptr && adm->shedding();
-            h.queue_depth =
-                metrics.gauge("service.queue_depth").value();
-            h.shed_high_water = high_water;
-            return h;
-        };
         try {
             admin = std::make_unique<telemetry::AdminServer>(
-                std::move(hooks), static_cast<uint16_t>(config.admin_port));
+                hooks, static_cast<uint16_t>(config.admin_port));
         } catch (const UovError &e) {
             std::cerr << "uovd: " << e.what() << "\n";
             return 2;
@@ -217,20 +203,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!config.trace_path.empty()) {
-        // Disabling before export also tells a UOV_TRACE env session
-        // (support/trace static teardown) that this trace was already
-        // written; workers are idle once runBatch returned.
-        trace::Tracer &tracer = trace::Tracer::instance();
-        tracer.disable();
-        std::string trace_error;
-        if (!tracer.exportToFile(config.trace_path, &trace_error)) {
-            std::cerr << "uovd: " << trace_error << "\n";
-            return 2;
-        }
-        tracer.summaryTable().print(std::cerr);
-    }
-
     std::ofstream out_file;
     std::ostream *out = &std::cout;
     if (!config.output_path.empty() && config.output_path != "-") {
@@ -245,6 +217,22 @@ main(int argc, char **argv)
     for (const auto &line : responses)
         *out << line << "\n";
     out->flush();
+
+    // The answers are out before the trace: an unwritable trace file
+    // exits 2 without discarding them.
+    if (!config.trace_path.empty()) {
+        // Disabling before export also tells a UOV_TRACE recording
+        // (support/trace static teardown) that this trace was already
+        // written; workers are idle once runBatch returned.
+        trace::Tracer &tracer = trace::Tracer::instance();
+        tracer.disable();
+        std::string trace_error;
+        if (!tracer.exportToFile(config.trace_path, &trace_error)) {
+            std::cerr << "uovd: " << trace_error << "\n";
+            return 2;
+        }
+        tracer.summaryTable().print(std::cerr);
+    }
 
     // --admin-hold: the batch is answered and flushed; keep the admin
     // plane up so scrapers and dashboards can inspect the run, until

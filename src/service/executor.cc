@@ -11,6 +11,7 @@
 
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
+#include "support/deadline.h"
 #include "support/error.h"
 #include "tune/tune.h"
 #include "support/failpoint.h"
@@ -382,83 +383,6 @@ runRequest(QueryService &service, const Request &request)
     return render(request.index, answerThroughService(service, request));
 }
 
-Watchdog::Watchdog(int64_t poll_ms, Counter *overdue)
-    : _overdue(overdue)
-{
-    if (poll_ms > 0)
-        _thread = std::thread([this, poll_ms] { loop(poll_ms); });
-}
-
-Watchdog::~Watchdog()
-{
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _stop = true;
-    }
-    _cv.notify_all();
-    if (_thread.joinable())
-        _thread.join();
-}
-
-void
-Watchdog::loop(int64_t poll_ms)
-{
-    std::unique_lock<std::mutex> lock(_mutex);
-    while (!_stop) {
-        _cv.wait_for(lock, std::chrono::milliseconds(poll_ms),
-                     [this] { return _stop; });
-        if (_stop)
-            return;
-        lock.unlock();
-        flagOverdue();
-        lock.lock();
-    }
-}
-
-void
-Watchdog::start(size_t index, int64_t deadline_ms)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    Entry entry;
-    entry.started = Deadline::Clock::now();
-    entry.deadline_ms = deadline_ms;
-    _entries[index] = entry;
-}
-
-void
-Watchdog::finish(size_t index)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _entries.erase(index);
-}
-
-size_t
-Watchdog::flagOverdue()
-{
-    size_t flagged = 0;
-    auto now = Deadline::Clock::now();
-    std::lock_guard<std::mutex> lock(_mutex);
-    for (auto &[index, entry] : _entries) {
-        if (entry.flagged || entry.deadline_ms < 0)
-            continue;
-        auto running =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - entry.started)
-                .count();
-        // running < 2 * deadline, with no product to overflow.
-        if (running - entry.deadline_ms < entry.deadline_ms)
-            continue;
-        entry.flagged = true;
-        ++flagged;
-        if (_overdue != nullptr)
-            _overdue->inc();
-        UOV_LOG_WARN("watchdog: request " << index << " still running "
-                     << running << " ms after its "
-                     << entry.deadline_ms << " ms deadline");
-    }
-    return flagged;
-}
-
 AdmissionController::AdmissionController(AdmissionOptions options,
                                          MetricsRegistry &metrics)
     : _options(options),
@@ -493,13 +417,6 @@ AdmissionController::admit(int64_t queue_depth)
     }
     _admitted.inc();
     return true;
-}
-
-bool
-AdmissionController::shedding() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _shedding;
 }
 
 std::string
@@ -579,7 +496,6 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
     Counter &degraded = metrics.counter("service.degraded");
     Counter &errors = metrics.counter("service.request_errors");
     Histogram &latency = metrics.histogram("service.latency_us");
-    Watchdog watchdog(25, &metrics.counter("service.watchdog.overdue"));
     uint64_t fires_before =
         failpoint::Registry::instance().totalFires();
 
@@ -645,9 +561,8 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
         }
         depth.add(1);
         auto enqueued = Deadline::Clock::now();
-        futures.push_back(pool.submit([&service, &requests, &watchdog,
-                                       &depth, &queue_wait, &serve,
-                                       enqueued, i] {
+        futures.push_back(pool.submit([&service, &requests, &depth,
+                                       &queue_wait, &serve, enqueued, i] {
             int64_t wait_us =
                 std::chrono::duration_cast<std::chrono::microseconds>(
                     Deadline::Clock::now() - enqueued)
@@ -663,12 +578,10 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
                 Outcome outcome;
                 try {
                     failpoint::fire("task_start");
-                    watchdog.start(i, requests[i].deadline_ms);
                     outcome = answerThroughService(service, requests[i]);
                 } catch (const std::exception &e) {
                     outcome = failure(e.what());
                 }
-                watchdog.finish(i);
                 depth.sub(1);
                 return outcome;
             });

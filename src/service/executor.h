@@ -87,19 +87,15 @@
 #ifndef UOV_SERVICE_EXECUTOR_H
 #define UOV_SERVICE_EXECUTOR_H
 
-#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "service/service.h"
-#include "support/deadline.h"
 #include "support/thread_pool.h"
 #include "telemetry/flight_recorder.h"
 
@@ -131,52 +127,6 @@ std::vector<Request> parseRequests(std::istream &in,
 /** Parse one request line (no comment/blank handling). */
 Request parseRequestLine(std::string_view line, size_t index,
                          int64_t default_deadline_ms = -1);
-
-/**
- * Tracks in-flight requests and logs any still running past 2x their
- * deadline -- a stuck search is diagnosed while it is stuck, not
- * after.  A background thread polls every @p poll_ms; 0 disables the
- * thread so tests can drive flagOverdue() deterministically.
- */
-class Watchdog
-{
-  public:
-    explicit Watchdog(int64_t poll_ms = 25,
-                      Counter *overdue = nullptr);
-    ~Watchdog();
-
-    Watchdog(const Watchdog &) = delete;
-    Watchdog &operator=(const Watchdog &) = delete;
-
-    /** Register request @p index as running now. */
-    void start(size_t index, int64_t deadline_ms);
-
-    /** Unregister a finished request. */
-    void finish(size_t index);
-
-    /**
-     * Scan for requests past 2x deadline; each is warned about (and
-     * counted) once.  Returns how many were newly flagged.
-     */
-    size_t flagOverdue();
-
-  private:
-    void loop(int64_t poll_ms);
-
-    struct Entry
-    {
-        Deadline::Clock::time_point started;
-        int64_t deadline_ms = -1;
-        bool flagged = false;
-    };
-
-    std::mutex _mutex;
-    std::condition_variable _cv;
-    std::unordered_map<size_t, Entry> _entries;
-    Counter *_overdue;
-    bool _stop = false;
-    std::thread _thread;
-};
 
 /**
  * Answer one request through the service; returns the full response
@@ -231,12 +181,9 @@ class AdmissionController
      */
     bool admit(int64_t queue_depth);
 
-    /** Currently past the high-water mark (test introspection). */
-    bool shedding() const;
-
   private:
     AdmissionOptions _options;
-    mutable std::mutex _mutex;
+    std::mutex _mutex;
     bool _shedding = false;
     Counter &_admitted;
     Counter &_responses;

@@ -33,10 +33,8 @@ QueryService::QueryService(ServiceOptions options,
         _metrics.counter("service.store.open_errors").inc();
         return;
     }
-    if (_options.cache_bytes > 0) {
-        size_t n = _store->preload(_cache);
-        _metrics.counter("service.store.preloaded").inc(n);
-    }
+    if (_options.cache_bytes > 0)
+        _store->preload(_cache);
 }
 
 ServiceAnswer

@@ -480,15 +480,12 @@ ResultStore::forEachRaw(const std::function<void(const CanonicalKey &,
         fn(rec.key, rec.answer);
 }
 
-size_t
+void
 ResultStore::preload(ResultCache &cache) const
 {
-    size_t count = 0;
     forEach([&](const CanonicalKey &key, const ServiceAnswer &answer) {
         cache.insert(key, answer);
-        ++count;
     });
-    return count;
 }
 
 ResultStore::Stats

@@ -128,8 +128,8 @@ class ResultStore
                                              const ServiceAnswer &)>
                         &fn) const;
 
-    /** Insert every live record into @p cache; returns the count. */
-    size_t preload(ResultCache &cache) const;
+    /** Insert every live record into @p cache. */
+    void preload(ResultCache &cache) const;
 
     Stats stats() const;
     const std::string &path() const { return _path; }

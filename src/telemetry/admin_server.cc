@@ -45,22 +45,8 @@ closeFd(int &fd)
 
 } // namespace
 
-std::string
-HealthStatus::json() const
-{
-    std::ostringstream oss;
-    oss << "{\"ready\":" << (ready() ? "true" : "false")
-        << ",\"store\":{\"configured\":"
-        << (store_configured ? "true" : "false")
-        << ",\"ok\":" << (store_ok ? "true" : "false")
-        << "},\"shed_active\":" << (shed_active ? "true" : "false")
-        << ",\"queue_depth\":" << queue_depth
-        << ",\"shed_high_water\":" << shed_high_water << "}";
-    return oss.str();
-}
-
 AdminServer::AdminServer(AdminHooks hooks, uint16_t port)
-    : _hooks(std::move(hooks))
+    : _hooks(hooks)
 {
     _listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
     UOV_REQUIRE(_listen_fd >= 0,
@@ -164,20 +150,6 @@ AdminServer::handle(const std::string &method, const std::string &path)
                                : std::string();
         return httpResponse(200, "OK", prometheusContentType(), body);
     }
-    if (p == "/healthz") {
-        HealthStatus h =
-            _hooks.health ? _hooks.health() : HealthStatus{};
-        return httpResponse(200, "OK", "application/json",
-                            h.json() + "\n");
-    }
-    if (p == "/readyz") {
-        HealthStatus h =
-            _hooks.health ? _hooks.health() : HealthStatus{};
-        bool ready = h.ready();
-        return httpResponse(ready ? 200 : 503,
-                            ready ? "OK" : "Service Unavailable",
-                            "application/json", h.json() + "\n");
-    }
     if (p == "/flight") {
         std::string body = _hooks.flight != nullptr
                                ? _hooks.flight->json()
@@ -194,8 +166,7 @@ AdminServer::handle(const std::string &method, const std::string &path)
     }
     return httpResponse(
         404, "Not Found", "text/plain",
-        "no such endpoint; try /metrics /healthz /readyz /flight "
-        "/quitquitquit\n");
+        "no such endpoint; try /metrics /flight /quitquitquit\n");
 }
 
 void

@@ -7,11 +7,6 @@
  *
  *   /metrics        Prometheus text exposition of the shared
  *                   MetricsRegistry (scrape-consistent snapshots)
- *   /healthz        liveness: always 200 while the thread serves;
- *                   JSON body reports store state, shed state, and
- *                   queue depth vs the high-water mark
- *   /readyz         readiness: 503 while load shedding is engaged or
- *                   a configured store failed to open, else 200
  *   /flight         the flight recorder's last-K request digests
  *   /quitquitquit   acknowledge and latch the quit flag the driver's
  *                   --admin-hold waits on (the idiomatic way to stop
@@ -36,7 +31,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -47,32 +41,11 @@
 namespace uov {
 namespace telemetry {
 
-/** What /healthz and /readyz report; produced by the driver's hook. */
-struct HealthStatus
-{
-    bool store_configured = false;
-    bool store_ok = false;        ///< open and serving
-    bool shed_active = false;
-    int64_t queue_depth = 0;
-    int64_t shed_high_water = 0;  ///< 0 = admission control off
-
-    /** Not shedding, and a configured store is open; /readyz returns
-     *  503 otherwise. */
-    bool
-    ready() const
-    {
-        return !shed_active && (!store_configured || store_ok);
-    }
-
-    std::string json() const;
-};
-
 /** The shared state the endpoints render.  All pointers optional. */
 struct AdminHooks
 {
     const MetricsRegistry *metrics = nullptr;
     const FlightRecorder *flight = nullptr;
-    std::function<HealthStatus()> health; ///< default: all-ok
 };
 
 class AdminServer

@@ -196,7 +196,6 @@ TEST(ServiceConfig, NoFlagsKeepTheDaemonDefaults)
     EXPECT_EQ(c.threads, 0u);
     EXPECT_EQ(c.request_deadline_ms, -1);
     EXPECT_EQ(c.admin_port, -1);
-    EXPECT_EQ(c.flight_size, 256u);
     EXPECT_EQ(c.log_level, LogLevel::Warn);
     EXPECT_EQ(c.metrics_path, "");
     EXPECT_FALSE(c.log_json || c.trace_ids || c.admin_hold || c.version);
@@ -210,7 +209,7 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
         "--threads", "3", "--cache-bytes", "1024",
         "--max-visits", "500", "--store", "s.log", "--shed-high", "40",
         "--admin-port", "0", "--admin-port-file", "port.txt",
-        "--admin-hold", "--flight-size", "32", "--trace-ids",
+        "--admin-hold", "--trace-ids",
         "--log-json", "--log-level", "debug",
         "--request-deadline-ms", "0",
         "--metrics", "-", "--trace", "t.json",
@@ -228,7 +227,6 @@ TEST(ServiceConfig, EveryFlagLandsInItsField)
     EXPECT_EQ(c.admin_port, 0);
     EXPECT_EQ(c.admin_port_file, "port.txt");
     EXPECT_TRUE(c.admin_hold);
-    EXPECT_EQ(c.flight_size, 32u);
     EXPECT_TRUE(c.trace_ids);
     EXPECT_TRUE(c.log_json);
     EXPECT_EQ(c.log_level, LogLevel::Debug);
@@ -247,7 +245,7 @@ TEST(ServiceConfig, UsageListsEveryFlag)
          {"--input FILE", "--output FILE", "--nest FILE", "--threads N",
           "--cache-bytes N", "--max-visits N", "--store FILE",
           "--shed-high N", "--admin-port N", "--admin-port-file F",
-          "--admin-hold", "--flight-size K", "--trace-ids", "--log-json",
+          "--admin-hold", "--trace-ids", "--log-json",
           "--log-level L", "--request-deadline-ms N", "--metrics FILE",
           "--trace FILE", "--version"})
         EXPECT_NE(os.str().find(std::string("\n  ") + flag),
@@ -288,7 +286,6 @@ TEST(ServiceConfig, BadNumbersAreRejected)
     };
     for (const Case &c : std::vector<Case>{
              {"--threads", "-1"}, // a negative count
-             {"--flight-size", "-1"},
              {"--max-visits", "1e9"}, // a float for an integer
              {"--request-deadline-ms", "0.5"},
              {"--cache-bytes", "64k"}, // trailing junk
@@ -314,9 +311,8 @@ TEST(ServiceConfig, AdminPortMustFitAPort)
     EXPECT_EQ(parsed({"--admin-port", "0"}).admin_port, 0);
 }
 
-// --threads starts that many OS threads and --flight-size allocates
-// that many digest slots, so each stops at a bound with one error
-// line; 0 keeps its meaning (hardware threads, the smallest ring).
+// --threads starts that many OS threads, so it stops at a bound with
+// one error line; 0 keeps its meaning (hardware threads).
 TEST(ServiceConfig, ThreadsAndFlightSizeAreBounded)
 {
     EXPECT_EQ(parsed({"--threads", "1024"}).threads, 1024u);
@@ -325,12 +321,6 @@ TEST(ServiceConfig, ThreadsAndFlightSizeAreBounded)
               "--threads must be in [0, 1024]");
     EXPECT_EQ(serviceError({"--threads", "4294967295"}),
               "--threads must be in [0, 1024]");
-    EXPECT_EQ(parsed({"--flight-size", "65536"}).flight_size, 65536u);
-    EXPECT_EQ(parsed({"--flight-size", "0"}).flight_size, 0u);
-    EXPECT_EQ(serviceError({"--flight-size", "65537"}),
-              "--flight-size must be in [0, 65536]");
-    EXPECT_EQ(serviceError({"--flight-size", "18446744073709551615"}),
-              "--flight-size must be in [0, 65536]");
 }
 
 TEST(ServiceConfig, LogLevelNames)

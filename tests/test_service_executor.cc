@@ -15,6 +15,7 @@
 #include "scoped_jit_cache.h"
 #include "service/executor.h"
 #include "support/failpoint.h"
+#include "support/logging.h"
 #include "support/rng.h"
 
 namespace uov {
@@ -591,87 +592,40 @@ TEST(Executor, FailPointErrorsAreIsolatedPerRequest)
               reqs.size());
 }
 
-TEST(Executor, WatchdogFlagsOverdueRequestsOnce)
+// deadline_ms 0 degrades at once, and the deadline is reported on
+// the line it governs (degraded=deadline), never as a warning.  The
+// batch runs long enough that a periodic check of in-flight requests
+// would find some still running; the warn-level log stays empty.
+TEST(Executor, DeadlineZeroBatchLogsNoWarnings)
 {
+    SplitMix64 rng(1);
+    std::ostringstream lines;
+    for (int i = 0; i < 20'000; ++i) {
+        int64_t a = 1 + static_cast<int64_t>(rng.nextBelow(5));
+        int64_t b = static_cast<int64_t>(rng.nextBelow(11)) - 5;
+        int64_t c = 1 + static_cast<int64_t>(rng.nextBelow(5));
+        lines << "query shortest deadline_ms 0 deps [1," << b << "] ["
+              << a << ",0] [0," << c << "] [1,1]\n";
+    }
+    std::istringstream in(lines.str());
+    std::vector<Request> reqs = parseRequests(in);
+
+    Logger &logger = Logger::instance();
+    LogLevel level = logger.level();
+    std::ostringstream captured;
+    logger.level(LogLevel::Warn);
+    logger.sink(&captured);
     MetricsRegistry metrics;
-    Counter &overdue = metrics.counter("service.watchdog.overdue");
-    Watchdog dog(0, &overdue); // poll_ms 0: manual flagOverdue()
-    dog.start(0, 0);  // 0 ms deadline: instantly 2x overdue
-    dog.start(1, -1); // unbounded: never flagged
-    dog.start(2, 60'000); // far future: not flagged
-    EXPECT_EQ(dog.flagOverdue(), 1u);
-    // Already-flagged entries are not re-flagged.
-    EXPECT_EQ(dog.flagOverdue(), 0u);
-    EXPECT_EQ(overdue.value(), 1u);
-    dog.finish(0);
-    dog.finish(1);
-    dog.finish(2);
-    EXPECT_EQ(dog.flagOverdue(), 0u);
-}
+    QueryService svc(ServiceOptions{}, metrics);
+    ThreadPool pool(4);
+    std::vector<std::string> got = runBatch(svc, reqs, pool);
+    logger.sink(&std::cerr);
+    logger.level(level);
 
-TEST(Executor, WatchdogCountsEachOverdueRequestExactlyOnce)
-{
-    MetricsRegistry metrics;
-    Counter &overdue = metrics.counter("service.watchdog.overdue");
-    Watchdog dog(0, &overdue); // poll_ms 0: manual flagOverdue()
-    // Three instantly-overdue requests (0 ms deadline is already past
-    // its 2x mark), flagged across repeated polls: the counter ends
-    // at exactly three no matter how often the poll loop runs.
-    dog.start(0, 0);
-    dog.start(1, 0);
-    EXPECT_EQ(dog.flagOverdue(), 2u);
-    dog.start(2, 0);
-    EXPECT_EQ(dog.flagOverdue(), 1u);
-    for (int poll = 0; poll < 5; ++poll)
-        EXPECT_EQ(dog.flagOverdue(), 0u);
-    EXPECT_EQ(overdue.value(), 3u);
-}
-
-TEST(Executor, WatchdogNeverFlagsOnTimeRequests)
-{
-    MetricsRegistry metrics;
-    Counter &overdue = metrics.counter("service.watchdog.overdue");
-    Watchdog dog(0, &overdue);
-    // Far-future deadlines and unbounded requests survive any number
-    // of polls unflagged; finishing them keeps the counter at zero.
-    dog.start(0, 60'000);
-    dog.start(1, -1);
-    for (int poll = 0; poll < 5; ++poll)
-        EXPECT_EQ(dog.flagOverdue(), 0u);
-    dog.finish(0);
-    dog.finish(1);
-    EXPECT_EQ(dog.flagOverdue(), 0u);
-    EXPECT_EQ(overdue.value(), 0u);
-}
-
-TEST(Executor, WatchdogFinishedRequestCannotBecomeOverdue)
-{
-    MetricsRegistry metrics;
-    Counter &overdue = metrics.counter("service.watchdog.overdue");
-    Watchdog dog(0, &overdue);
-    // A request that finishes before any poll is gone: later polls
-    // cannot flag it even though its deadline has long passed.
-    dog.start(0, 0);
-    dog.finish(0);
-    EXPECT_EQ(dog.flagOverdue(), 0u);
-    EXPECT_EQ(overdue.value(), 0u);
-}
-
-TEST(Executor, WatchdogNeverFlagsHugeDeadlines)
-{
-    // Twice these deadlines is past INT64_MAX.
-    Watchdog dog(0, nullptr);
-    dog.start(0, INT64_MAX);
-    dog.start(1, INT64_MAX / 2 + 1);
-    EXPECT_EQ(dog.flagOverdue(), 0u);
-}
-
-TEST(Executor, WatchdogWithoutCounterStillFlags)
-{
-    Watchdog dog(0, nullptr);
-    dog.start(0, 0);
-    EXPECT_EQ(dog.flagOverdue(), 1u);
-    EXPECT_EQ(dog.flagOverdue(), 0u);
+    EXPECT_EQ(captured.str(), "");
+    ASSERT_EQ(got.size(), reqs.size());
+    for (const std::string &line : got)
+        ASSERT_EQ(line.rfind("answer ", 0), 0u) << line;
 }
 
 } // namespace

@@ -81,7 +81,7 @@ TEST(AdmissionController, AdmitsEverythingWhenDisabled)
     AdmissionController admission(ao, metrics);
     for (int64_t depth : {0, 100, 1000000})
         EXPECT_TRUE(admission.admit(depth));
-    EXPECT_FALSE(admission.shedding());
+    EXPECT_EQ(metrics.gauge("service.shed.active").value(), 0);
     EXPECT_EQ(metrics.counter("service.shed.admitted").value(), 3u);
     EXPECT_EQ(metrics.counter("service.shed.responses").value(), 0u);
 }
@@ -92,13 +92,14 @@ TEST(AdmissionController, DefaultsLowWaterToHalfOfHigh)
     AdmissionOptions ao;
     ao.high_water = 10;
     AdmissionController admission(ao, metrics);
+    Gauge &active = metrics.gauge("service.shed.active");
     EXPECT_FALSE(admission.admit(10));
     // Shedding holds down to one above half of high water...
     EXPECT_FALSE(admission.admit(6));
-    EXPECT_TRUE(admission.shedding());
+    EXPECT_EQ(active.value(), 1);
     // ...and stops there.
     EXPECT_TRUE(admission.admit(5));
-    EXPECT_FALSE(admission.shedding());
+    EXPECT_EQ(active.value(), 0);
 }
 
 TEST(AdmissionController, HysteresisEngagesAndRecovers)
@@ -111,28 +112,25 @@ TEST(AdmissionController, HysteresisEngagesAndRecovers)
 
     // Below high water: admitted, shedding stays off.
     EXPECT_TRUE(admission.admit(3));
-    EXPECT_FALSE(admission.shedding());
     EXPECT_EQ(active.value(), 0);
 
     // Crossing high water engages shedding and sheds that request.
     EXPECT_FALSE(admission.admit(4));
-    EXPECT_TRUE(admission.shedding());
     EXPECT_EQ(active.value(), 1);
 
     // Hysteresis: depths between low and high keep shedding -- no
     // flapping at the boundary.
     EXPECT_FALSE(admission.admit(3));
-    EXPECT_TRUE(admission.shedding());
+    EXPECT_EQ(active.value(), 1);
 
     // Draining to low water disengages; traffic is admitted again.
     EXPECT_TRUE(admission.admit(2));
-    EXPECT_FALSE(admission.shedding());
     EXPECT_EQ(active.value(), 0);
     EXPECT_TRUE(admission.admit(3));
 
     // A second overload round engages again.
     EXPECT_FALSE(admission.admit(9));
-    EXPECT_TRUE(admission.shedding());
+    EXPECT_EQ(active.value(), 1);
 
     EXPECT_EQ(metrics.counter("service.shed.engaged").value(), 2u);
     EXPECT_EQ(metrics.counter("service.shed.recovered").value(), 1u);

@@ -294,7 +294,7 @@ TEST(ServiceStore, WarmRestartAnswersByteIdenticalWithZeroSearches)
                 reqs.size());
         else
             EXPECT_EQ(
-                metrics.counter("service.store.preloaded").value(),
+                metrics.counter("service.store.loaded").value(),
                 reqs.size());
     }
 }

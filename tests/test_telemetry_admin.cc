@@ -1,7 +1,7 @@
 // Admin server tests: the socket lifecycle (ephemeral bind, resolved
 // port, stop idempotence), the unit-testable handle() dispatch for
-// every endpoint, readiness flips, the quit latch, and a real HTTP
-// GET through a client socket.
+// every endpoint, the quit latch, and a real HTTP GET through a
+// client socket.
 
 #include <gtest/gtest.h>
 
@@ -95,56 +95,6 @@ TEST(AdminServer, QueryStringsAreStripped)
               std::string::npos);
 }
 
-TEST(AdminServer, HealthzReportsHookState)
-{
-    AdminHooks hooks;
-    hooks.health = [] {
-        HealthStatus h;
-        h.store_configured = true;
-        h.store_ok = true;
-        h.queue_depth = 7;
-        h.shed_high_water = 32;
-        return h;
-    };
-    AdminServer server(hooks, 0);
-    std::string response = server.handle("GET", "/healthz");
-    EXPECT_NE(response.find("200 OK"), std::string::npos);
-    EXPECT_NE(response.find("\"queue_depth\":7"), std::string::npos);
-    EXPECT_NE(response.find("\"shed_high_water\":32"),
-              std::string::npos);
-    EXPECT_NE(response.find("\"configured\":true"), std::string::npos);
-}
-
-TEST(AdminServer, ReadyzFlipsWithShedAndStoreState)
-{
-    std::atomic<bool> shed{false};
-    std::atomic<bool> store_ok{true};
-    AdminHooks hooks;
-    hooks.health = [&] {
-        HealthStatus h;
-        h.store_configured = true;
-        h.store_ok = store_ok.load();
-        h.shed_active = shed.load();
-        return h;
-    };
-    AdminServer server(hooks, 0);
-
-    EXPECT_NE(server.handle("GET", "/readyz").find("200 OK"),
-              std::string::npos);
-    shed = true;
-    EXPECT_NE(
-        server.handle("GET", "/readyz").find("503 Service Unavailable"),
-        std::string::npos);
-    shed = false;
-    store_ok = false; // configured store failed to open
-    EXPECT_NE(
-        server.handle("GET", "/readyz").find("503 Service Unavailable"),
-        std::string::npos);
-    store_ok = true;
-    EXPECT_NE(server.handle("GET", "/readyz").find("200 OK"),
-              std::string::npos);
-}
-
 TEST(AdminServer, FlightEndpointServesHookJson)
 {
     FlightRecorder flight(8);
@@ -168,8 +118,6 @@ TEST(AdminServer, MissingHooksDegradeGracefully)
     AdminServer server(hooks, 0);
     EXPECT_NE(server.handle("GET", "/metrics").find("200 OK"),
               std::string::npos);
-    EXPECT_NE(server.handle("GET", "/healthz").find("200 OK"),
-              std::string::npos);
     EXPECT_NE(
         server.handle("GET", "/flight").find("\"enabled\":false"),
         std::string::npos);
@@ -179,12 +127,18 @@ TEST(AdminServer, UnknownPathIs404AndPostIs405)
 {
     AdminHooks hooks;
     AdminServer server(hooks, 0);
-    // Latency lives in /metrics and the span trace in --trace FILE;
-    // neither has an endpoint of its own.
-    for (const char *path : {"/nope", "/slo", "/spans"})
-        EXPECT_NE(server.handle("GET", path).find("404 Not Found"),
+    // Latency, queue depth, shed state and store errors live in
+    // /metrics and the span trace in --trace FILE; none has an
+    // endpoint of its own.
+    for (const char *path : {"/nope", "/slo", "/spans", "/healthz",
+                             "/readyz"}) {
+        std::string response = server.handle("GET", path);
+        EXPECT_NE(response.find("404 Not Found"), std::string::npos)
+            << path;
+        EXPECT_NE(response.find("try /metrics /flight /quitquitquit\n"),
                   std::string::npos)
             << path;
+    }
     EXPECT_NE(
         server.handle("POST", "/metrics").find("405 Method Not"),
         std::string::npos);
